@@ -113,12 +113,8 @@ const lsh::PStableLsh& Verifier::hasher() {
   if (!config_.lsh_config.has_value()) {
     throw std::logic_error("RPoLv2 verification requires an LSH config");
   }
-  if (!hasher_.has_value() || hasher_seed_ != config_.lsh_config->seed ||
-      hasher_->config().params.r != config_.lsh_config->params.r ||
-      hasher_->config().params.k != config_.lsh_config->params.k ||
-      hasher_->config().params.l != config_.lsh_config->params.l) {
+  if (!hasher_.has_value() || !(hasher_->config() == *config_.lsh_config)) {
     hasher_.emplace(*config_.lsh_config);
-    hasher_seed_ = config_.lsh_config->seed;
   }
   return *hasher_;
 }

@@ -151,7 +151,6 @@ class Verifier {
   VerifierConfig config_;
   StepExecutor executor_;
   std::optional<lsh::PStableLsh> hasher_;  // rebuilt when lsh_config changes
-  std::uint64_t hasher_seed_ = 0;
 
   const lsh::PStableLsh& hasher();
 };

@@ -1,6 +1,8 @@
 #include "core/wire.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -66,19 +68,14 @@ Hyperparams read_hyperparams(const Bytes& in, std::size_t& offset) {
 }  // namespace
 
 bool TaskAnnouncement::operator==(const TaskAnnouncement& other) const {
-  const bool lsh_equal =
-      lsh.has_value() == other.lsh.has_value() &&
-      (!lsh.has_value() ||
-       (lsh->params.r == other.lsh->params.r && lsh->params.k == other.lsh->params.k &&
-        lsh->params.l == other.lsh->params.l && lsh->dim == other.lsh->dim &&
-        lsh->seed == other.lsh->seed));
   return epoch == other.epoch && nonce == other.nonce &&
          hp.optimizer == other.hp.optimizer &&
          hp.learning_rate == other.hp.learning_rate &&
          hp.momentum == other.hp.momentum && hp.batch_size == other.hp.batch_size &&
          hp.steps_per_epoch == other.hp.steps_per_epoch &&
          hp.checkpoint_interval == other.hp.checkpoint_interval &&
-         digest_equal(initial_state_hash, other.initial_state_hash) && lsh_equal;
+         digest_equal(initial_state_hash, other.initial_state_hash) &&
+         lsh == other.lsh;
 }
 
 Bytes encode_task_announcement(const TaskAnnouncement& msg) {
@@ -90,50 +87,58 @@ Bytes encode_task_announcement(const TaskAnnouncement& msg) {
   append_digest(out, msg.initial_state_hash);
   out.push_back(msg.lsh.has_value() ? 1 : 0);
   if (msg.lsh.has_value()) {
-    Bytes r_bits;
-    append_f32(r_bits, static_cast<float>(msg.lsh->params.r));
-    out.insert(out.end(), r_bits.begin(), r_bits.end());
+    append_u64(out, std::bit_cast<std::uint64_t>(msg.lsh->params.r));
     append_i64(out, msg.lsh->params.k);
     append_i64(out, msg.lsh->params.l);
     append_i64(out, msg.lsh->dim);
     append_u64(out, msg.lsh->seed);
   }
+  append_digest(out, sha256(out));
   return out;
 }
 
 TaskAnnouncement decode_task_announcement(const Bytes& in) {
   std::size_t offset = 0;
   expect_tag(in, offset, kTagTask);
+  // The seal: a corrupted announcement that still parses would hand the
+  // worker another task (or an LSH family of any size), so the body must
+  // hash to the trailing digest before any field is read.
+  if (in.size() < 1 + 32) throw std::out_of_range("truncated announcement");
+  const Bytes body(in.begin(), in.end() - 32);
+  std::size_t seal_offset = body.size();
+  if (!digest_equal(sha256(body), read_digest(in, seal_offset))) {
+    throw std::invalid_argument("announcement digest mismatch");
+  }
   TaskAnnouncement msg;
-  msg.epoch = read_i64(in, offset);
-  msg.nonce = read_u64(in, offset);
-  msg.hp = read_hyperparams(in, offset);
-  msg.initial_state_hash = read_digest(in, offset);
-  if (offset >= in.size()) throw std::out_of_range("truncated announcement");
+  msg.epoch = read_i64(body, offset);
+  msg.nonce = read_u64(body, offset);
+  msg.hp = read_hyperparams(body, offset);
+  msg.initial_state_hash = read_digest(body, offset);
+  if (offset >= body.size()) throw std::out_of_range("truncated announcement");
   // Only 0/1 are canonical: any other flag byte would decode to a message
   // that re-encodes differently, breaking encode(decode(x)) == x.
-  const std::uint8_t lsh_flag = in[offset++];
+  const std::uint8_t lsh_flag = body[offset++];
   if (lsh_flag > 1) throw std::invalid_argument("bad lsh flag");
   if (lsh_flag == 1) {
     lsh::LshConfig cfg;
-    cfg.params.r = read_f32(in, offset);
+    cfg.params.r = std::bit_cast<double>(read_u64(body, offset));
     // k and l travel as i64 but live in int fields: values beyond int range
     // would truncate on decode and re-encode differently, so they are
     // rejected to keep the encoding canonical.
-    const std::int64_t k = read_i64(in, offset);
-    const std::int64_t l = read_i64(in, offset);
-    cfg.dim = read_i64(in, offset);
-    cfg.seed = read_u64(in, offset);
+    const std::int64_t k = read_i64(body, offset);
+    const std::int64_t l = read_i64(body, offset);
+    cfg.dim = read_i64(body, offset);
+    cfg.seed = read_u64(body, offset);
     constexpr std::int64_t kMaxHashes = std::numeric_limits<int>::max();
-    if (cfg.params.r <= 0.0 || k < 1 || k > kMaxHashes || l < 1 ||
-        l > kMaxHashes || cfg.dim <= 0) {
+    if (!std::isfinite(cfg.params.r) || cfg.params.r <= 0.0 || k < 1 ||
+        k > kMaxHashes || l < 1 || l > kMaxHashes || cfg.dim <= 0) {
       throw std::invalid_argument("bad LSH config");
     }
     cfg.params.k = static_cast<int>(k);
     cfg.params.l = static_cast<int>(l);
     msg.lsh = cfg;
   }
-  check_consumed(in, offset);
+  check_consumed(body, offset);
   return msg;
 }
 

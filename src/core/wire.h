@@ -65,6 +65,19 @@ struct ProofResponse {
   std::vector<TrainState> output_states;  // may be empty (RPoLv2 fast path)
 };
 
+// Sealed announcement:
+//
+//   [kTagTask][epoch i64][nonce u64][optimizer u64][lr f32][momentum f32]
+//   [batch_size i64][steps_per_epoch i64][checkpoint_interval i64]
+//   [initial_state_hash 32B][lsh flag u8: 0 or 1]
+//   (flag 1) [r f64][k i64][l i64][dim i64][seed u64]
+//   [sha256(all preceding bytes) 32B]
+//
+// r travels as f64, so decode(encode(a)) == a and the worker builds the
+// exact family the manager hashes with. The decoder checks the trailing
+// digest right after the tag, before reading any field: corruption in
+// transit that would still parse (another k, l, dim or batch size) throws,
+// the worker NACKs, and the manager retransmits.
 Bytes encode_task_announcement(const TaskAnnouncement& msg);
 TaskAnnouncement decode_task_announcement(const Bytes& in);
 

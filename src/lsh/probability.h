@@ -24,6 +24,8 @@ struct LshParams {
   double r = 1.0;  // bucket width
   int k = 4;       // hash functions per group (AND)
   int l = 4;       // groups (OR)
+
+  bool operator==(const LshParams& other) const = default;
 };
 
 // Standard normal CDF.

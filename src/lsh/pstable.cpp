@@ -1,6 +1,7 @@
 #include "lsh/pstable.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "tensor/rng.h"
@@ -29,6 +30,9 @@ PStableLsh::PStableLsh(const LshConfig& config) : config_(config) {
   }
   const std::int64_t rows =
       static_cast<std::int64_t>(config_.params.k) * config_.params.l;
+  if (config_.dim > std::numeric_limits<std::int64_t>::max() / rows) {
+    throw std::invalid_argument("LSH family size overflows");
+  }
   Rng rng(derive_seed(config_.seed, /*stream=*/0x15A));
   projections_.resize(static_cast<std::size_t>(rows * config_.dim));
   rng.fill_normal(projections_, 0.0F, 1.0F);

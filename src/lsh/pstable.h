@@ -24,6 +24,8 @@ struct LshConfig {
   LshParams params;
   std::int64_t dim = 0;       // weight-vector length this family hashes
   std::uint64_t seed = 1;     // seeds the projection directions and offsets
+
+  bool operator==(const LshConfig& other) const = default;
 };
 
 struct LshDigest {
@@ -40,6 +42,8 @@ Bytes serialize_lsh_digest(const LshDigest& digest);
 
 class PStableLsh {
  public:
+  // Throws std::invalid_argument for a non-positive dim, k, l or r, and,
+  // before allocating, when k * l * dim overflows.
   explicit PStableLsh(const LshConfig& config);
 
   const LshConfig& config() const { return config_; }

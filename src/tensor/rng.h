@@ -15,7 +15,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace rpol {
@@ -47,6 +49,18 @@ class Rng {
   // each pair so consecutive calls consume uniforms in a fixed pattern.
   float next_normal();
 
+  // Normals per stack block of normals(): uniform pairs are drawn serially
+  // for a block, then the block is transformed at once.
+  static constexpr std::size_t kNormalBlock = 512;
+
+  // Writes the values of out.size() calls to next_normal(), and leaves the
+  // generator exactly as those calls would (cached variate included), with
+  // the block transform of detail::box_muller_batch.
+  void normals(std::span<float> out);
+
+  // x[i] += scale * next_normal() for every i in order, bitwise.
+  void add_normals(std::span<float> x, float scale);
+
   // Convenience fills.
   void fill_normal(std::vector<float>& out, float mean, float stddev);
   void fill_uniform(std::vector<float>& out, float lo, float hi);
@@ -55,6 +69,9 @@ class Rng {
   std::vector<std::size_t> permutation(std::size_t n);
 
  private:
+  // next_double() redrawn while <= 1e-300, so Box-Muller's log() is finite.
+  double next_box_muller_u1();
+
   std::array<std::uint64_t, 4> s_{};
   bool has_cached_normal_ = false;
   float cached_normal_ = 0.0F;
@@ -64,5 +81,19 @@ class Rng {
 // Used to give each worker / device / epoch its own stream without
 // correlated outputs.
 std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream_id);
+
+namespace detail {
+
+// Box-Muller on one uniform pair with libm: cosine and sine variates. This
+// is the reference every normal variate of the system equals bitwise.
+void box_muller(double u1, double u2, float& cos_variate, float& sin_variate);
+
+// Box-Muller on n uniform pairs: out[2i] and out[2i+1] are bitwise the
+// variates box_muller(u1[i], u2[i]) gives. Returns the number of pairs the
+// scalar box_muller computed (all n without AVX2+FMA).
+std::size_t box_muller_batch(const double* u1, const double* u2,
+                             std::size_t n, float* out);
+
+}  // namespace detail
 
 }  // namespace rpol

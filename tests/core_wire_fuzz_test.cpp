@@ -277,13 +277,22 @@ TEST_F(StructuredFuzz, LengthFieldLiesAreRejected) {
 TEST_F(StructuredFuzz, LshPresenceFlagAcceptsOnlyCanonicalBytes) {
   // The announcement's has-LSH flag is the one bool on the wire; only 0x00
   // and 0x01 are canonical. Any other byte must be rejected, otherwise 254
-  // distinct encodings would decode to the same message value.
-  const std::size_t flag_offset = seeds.announcement.size() - 37;  // 36B cfg
+  // distinct encodings would decode to the same message value. Each mutation
+  // is re-sealed, so the flag check itself (not the seal) must reject it.
+  const std::size_t flag_offset =
+      seeds.announcement.size() - 32 - 41;  // seal, 40B cfg
   ASSERT_EQ(seeds.announcement[flag_offset], 1);
+  const auto reseal = [](Bytes b) {
+    b.resize(b.size() - 32);
+    const Digest seal = sha256(b);
+    b.insert(b.end(), seal.begin(), seal.end());
+    return b;
+  };
+  ASSERT_EQ(reseal(seeds.announcement), seeds.announcement);
   for (int v = 2; v < 256; ++v) {
     Bytes mutated = seeds.announcement;
     mutated[flag_offset] = static_cast<std::uint8_t>(v);
-    EXPECT_THROW(decode_task_announcement(mutated), std::exception)
+    EXPECT_THROW(decode_task_announcement(reseal(mutated)), std::exception)
         << "flag byte " << v << " decoded";
   }
 }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/wire.h"
 #include "task_fixture.h"
 
@@ -37,6 +39,61 @@ TEST(Wire, TaskAnnouncementRoundTrip) {
   }
 }
 
+// Recomputes the trailing seal of a mutated announcement, so a test reaches
+// the field checks behind it.
+Bytes reseal(Bytes b) {
+  b.resize(b.size() - 32);
+  const Digest seal = sha256(b);
+  b.insert(b.end(), seal.begin(), seal.end());
+  return b;
+}
+
+TEST(Wire, TaskAnnouncementCarriesExactR) {
+  // r travels as f64: a bucket width with no float representation comes
+  // back exactly, so the worker builds the manager's very family.
+  TaskAnnouncement msg = sample_announcement(true);
+  msg.lsh->params.r = 1.0 / 3.0;
+  const TaskAnnouncement decoded =
+      decode_task_announcement(encode_task_announcement(msg));
+  EXPECT_TRUE(decoded == msg);
+  EXPECT_EQ(decoded.lsh->params.r, 1.0 / 3.0);
+}
+
+TEST(Wire, TaskAnnouncementSealRejectsFlippedFields) {
+  // Byte offsets of batch_size, k, l and dim in the sealed layout (wire.h).
+  const Bytes encoded = encode_task_announcement(sample_announcement(true));
+  ASSERT_EQ(encoded.size(), 162u);
+  const std::pair<const char*, std::size_t> fields[] = {
+      {"batch_size", 33}, {"k", 98}, {"l", 106}, {"dim", 114}};
+  for (const auto& [name, at] : fields) {
+    for (std::size_t byte = at; byte < at + 8; ++byte) {
+      for (const std::uint8_t mask : {0x01, 0x80}) {
+        Bytes mutated = encoded;
+        mutated[byte] ^= mask;
+        EXPECT_THROW(decode_task_announcement(mutated), std::invalid_argument)
+            << name << " byte " << byte << " mask " << int{mask};
+      }
+    }
+    // Without the seal the flip would have decoded to another task.
+    Bytes flipped = encoded;
+    flipped[at] ^= 0x01;
+    EXPECT_FALSE(decode_task_announcement(reseal(flipped)) ==
+                 sample_announcement(true))
+        << name;
+  }
+}
+
+TEST(Wire, TaskAnnouncementRejectsNonFiniteR) {
+  for (const double r : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    TaskAnnouncement msg = sample_announcement(true);
+    msg.lsh->params.r = r;
+    EXPECT_THROW(decode_task_announcement(encode_task_announcement(msg)),
+                 std::invalid_argument)
+        << r;
+  }
+}
+
 TEST(Wire, TaskAnnouncementRejectsGarbage) {
   Bytes garbage{0x42, 0x00};
   EXPECT_THROW(decode_task_announcement(garbage), std::invalid_argument);
@@ -47,9 +104,10 @@ TEST(Wire, TaskAnnouncementRejectsGarbage) {
 
 TEST(Wire, TaskAnnouncementRejectsBadFields) {
   Bytes encoded = encode_task_announcement(sample_announcement(false));
-  // Corrupt the optimizer kind field (first u64 after tag+epoch+nonce).
+  // Corrupt the optimizer kind field (first u64 after tag+epoch+nonce),
+  // re-sealed so the field check itself must reject it.
   encoded[1 + 8 + 8] = 0xFF;
-  EXPECT_THROW(decode_task_announcement(encoded), std::invalid_argument);
+  EXPECT_THROW(decode_task_announcement(reseal(encoded)), std::invalid_argument);
 }
 
 TEST(Wire, TaskAnnouncementRejectsTrailingBytes) {

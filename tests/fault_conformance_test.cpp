@@ -61,9 +61,10 @@ fault::FaultProfile uniform(double drop, double delay, double truncate,
 
 // Corruption is only recoverable on messages whose receiver can validate
 // integrity and NACK (state: announced hash; commitment: root binding;
-// proof response: commitment hashes). The announcement and proof request
-// carry no binding, so a corrupted-but-decodable copy would silently change
-// protocol semantics — honest-transport scenarios keep corruption off them.
+// proof response: commitment hashes; announcement: its trailing seal, see
+// SealedAnnouncementSurvivesCorruption). The proof request carries no
+// binding, so a corrupted-but-decodable copy would silently change protocol
+// semantics — honest-transport scenarios keep corruption off it.
 void add_validated_corruption(fault::FaultPlan& plan, double probability) {
   for (const int type : {kIdxState, kIdxCommitment, kIdxProofResponse}) {
     plan.profile(type).corrupt = probability;
@@ -285,6 +286,27 @@ struct FaultConformance : public ::testing::Test {
   TrainState global;
   std::int64_t model_dim = 0;
 };
+
+TEST_F(FaultConformance, SealedAnnouncementSurvivesCorruption) {
+  // Only announcements are corrupted. Unsealed, a flipped byte that still
+  // decodes hands the worker another batch size or LSH family; sealed, the
+  // worker NACKs and the manager retransmits, so an honest worker is
+  // accepted and the session never throws.
+  std::uint64_t announcement_retries = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Scenario s;
+    s.name = "corrupt_announcement_v2";
+    s.plan = fault::FaultPlan::transport({}, seed * 104729);
+    s.plan.profile(kIdxAnnouncement).corrupt = 0.5;
+    s.retry.max_attempts = 16;
+    SessionOutcome outcome;
+    ASSERT_NO_THROW(outcome = run(s)) << "seed " << seed;
+    EXPECT_EQ(outcome.status, SessionStatus::kAccepted)
+        << "seed " << seed << ": " << session_status_name(outcome.status);
+    announcement_retries += outcome.retries_by_type[kIdxAnnouncement];
+  }
+  EXPECT_GT(announcement_retries, 0u);  // the plan did corrupt announcements
+}
 
 TEST_F(FaultConformance, ScenarioTable) {
   const auto table = scenarios();
@@ -601,6 +623,12 @@ TEST_F(ChunkedSession, MiddleChunkFaultSweepNeverAcceptsTornState) {
         ADD_FAILURE() << "transport faults must not produce a verdict "
                          "against an honest worker (seed "
                       << seed << ")";
+        break;
+      case SessionStatus::kAdmissionRejected:
+      case SessionStatus::kRequeued:
+        ADD_FAILURE() << "a single session has no admission queue (seed "
+                      << seed << ", status "
+                      << session_status_name(outcome.status) << ")";
         break;
     }
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "lsh/pstable.h"
 #include "lsh/tuning.h"
@@ -243,6 +244,17 @@ TEST(PStableLsh, InvalidConfigThrows) {
   EXPECT_THROW(PStableLsh({{1.0, 0, 2}, 32, 1}), std::invalid_argument);
   EXPECT_THROW(PStableLsh({{0.0, 2, 2}, 32, 1}), std::invalid_argument);
   EXPECT_THROW(PStableLsh({{1.0, 2, 2}, 0, 1}), std::invalid_argument);
+}
+
+TEST(PStableLsh, OverflowingFamilySizeThrowsBeforeAllocating) {
+  // k * l * dim beyond int64: rejected as a typed error, never a wrapped
+  // size handed to the allocator.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW(PStableLsh({{1.0, 4, 4}, kMax / 16 + 1, 1}), std::invalid_argument);
+  EXPECT_THROW(PStableLsh({{1.0, std::numeric_limits<int>::max(),
+                            std::numeric_limits<int>::max()},
+                           kMax, 1}),
+               std::invalid_argument);
 }
 
 TEST(PStableLsh, EmpiricalMatchRateTracksAnalytic) {

@@ -157,6 +157,25 @@ TEST(VerifierReconfig, LshConfigChangesTakeEffect) {
     EXPECT_TRUE(vr.accepted);
     EXPECT_GT(vr.double_checks, 0);
   }
+  // Epoch 3: a family of the wrong size throws on its first hash; re-pointed
+  // at the right size under the same seed, r, k and l, the verifier must
+  // build a new family instead of reusing the mis-sized one.
+  {
+    const lsh::LshConfig right{{1.0, 2, 4}, dim, 3};
+    const lsh::PStableLsh hasher(right);
+    const core::Commitment c =
+        core::commit_v2(trace, hasher, &init.trainable_mask());
+    verifier.set_lsh_config(lsh::LshConfig{{1.0, 2, 4}, dim + 1, 3});
+    sim::DeviceExecution md(sim::device_g3090(), 4);
+    EXPECT_THROW(
+        verifier.verify(c, trace, ctx, core::hash_state(ctx.initial), md),
+        std::invalid_argument);
+    verifier.set_lsh_config(right);
+    sim::DeviceExecution md2(sim::device_g3090(), 5);
+    EXPECT_TRUE(verifier
+                    .verify(c, trace, ctx, core::hash_state(ctx.initial), md2)
+                    .accepted);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "crypto/sha256.h"
 #include "sim/cost.h"
 #include "sim/device.h"
 #include "sim/model_specs.h"
@@ -95,6 +96,35 @@ TEST(Device, ZeroGradientStaysZero) {
   DeviceExecution exec(device_g3090(), 1);
   exec.perturb_gradients({&p});
   for (std::int64_t i = 0; i < 16; ++i) EXPECT_EQ(p.grad.at(i), 0.0F);
+}
+
+TEST(Device, PerturbGradientsGolden) {
+  // Recorded from the per-element next_normal() loop. Odd sizes, a param
+  // spanning several Gaussian blocks and a zero-gradient param (skipped:
+  // sigma is 0, so it draws nothing), over two steps so the cached
+  // variate carries across calls.
+  Rng init(0x6AD);
+  std::vector<nn::Param> params;
+  for (const std::int64_t n : {37, 4099, 64, 1}) {
+    nn::Param p("p", Tensor({n}));
+    for (std::int64_t i = 0; i < n; ++i) {
+      p.grad.data()[i] = n == 64 ? 0.0F : init.next_float() * 2.0F - 1.0F;
+    }
+    params.push_back(std::move(p));
+  }
+  std::vector<nn::Param*> ptrs;
+  for (auto& p : params) ptrs.push_back(&p);
+  DeviceExecution exec(device_g3090(), 77);
+  exec.perturb_gradients(ptrs);
+  exec.perturb_gradients(ptrs);
+  Bytes bytes;
+  for (const auto& p : params) {
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(p.grad.data());
+    bytes.insert(bytes.end(), raw,
+                 raw + static_cast<std::size_t>(p.grad.numel()) * sizeof(float));
+  }
+  EXPECT_EQ(digest_to_hex(sha256(bytes)),
+            "fb6a619fcc201396504c0a062a15ee2b68522e8eab1914944ff9ee368f9b4bd3");
 }
 
 // ---------------------------------------------------------------------------

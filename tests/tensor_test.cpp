@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <tuple>
 
+#include "crypto/sha256.h"
 #include "tensor/layout.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -92,6 +96,113 @@ TEST(Rng, DeriveSeedDecorrelatesStreams) {
   // Streams from adjacent ids should not be shifted copies.
   Rng a(s1), b(s2);
   EXPECT_NE(a.next_u64(), b.next_u64());
+}
+
+// ---------------------------------------------------------------------------
+// Gaussian stream: normals() and box_muller_batch() must reproduce
+// next_normal() and the scalar box_muller() bit for bit.
+
+bool same_bits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Rng, NormalsEqualRepeatedNextNormal) {
+  constexpr std::size_t kBlock = Rng::kNormalBlock;
+  const std::vector<std::size_t> sizes = {0,          1,          2,
+                                          3,          kBlock - 1, kBlock,
+                                          kBlock + 1, 3 * kBlock + 5};
+  for (const bool odd_start : {false, true}) {
+    Rng batched(77), serial(77);
+    if (odd_start) {  // leaves a cached second variate behind
+      ASSERT_TRUE(same_bits(batched.next_normal(), serial.next_normal()));
+    }
+    for (const std::size_t n : sizes) {
+      std::vector<float> got(n);
+      batched.normals(got);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(same_bits(got[i], serial.next_normal()))
+            << "n=" << n << " i=" << i << " odd_start=" << odd_start;
+      }
+      // A single draw between batches consumes the cache the same way.
+      ASSERT_TRUE(same_bits(batched.next_normal(), serial.next_normal()))
+          << "n=" << n;
+    }
+    EXPECT_EQ(batched.next_u64(), serial.next_u64());
+  }
+}
+
+TEST(Rng, BoxMullerBatchEqualsScalar) {
+  // Random pairs as next_normal() draws them, plus edge pairs: u1 at both
+  // ends of its range and u2 within 1e5 ulps of every quadrant boundary.
+  constexpr std::size_t kChunk = 1 << 16;
+  std::vector<double> u1, u2;
+  Rng rng(0xB0C5);
+  const auto random_pairs = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double a = 0.0;
+      do {
+        a = rng.next_double();
+      } while (a <= 1e-300);
+      u1.push_back(a);
+      u2.push_back(rng.next_double());
+    }
+  };
+  std::size_t pairs = 0, scalar = 0;
+  const auto check = [&] {
+    std::vector<float> got(2 * u1.size());
+    scalar += detail::box_muller_batch(u1.data(), u2.data(), u1.size(), got.data());
+    for (std::size_t i = 0; i < u1.size(); ++i) {
+      float c = 0.0F, s = 0.0F;
+      detail::box_muller(u1[i], u2[i], c, s);
+      ASSERT_TRUE(same_bits(got[2 * i], c) && same_bits(got[2 * i + 1], s))
+          << std::hexfloat << "u1=" << u1[i] << " u2=" << u2[i];
+    }
+    pairs += u1.size();
+    u1.clear();
+    u2.clear();
+  };
+  while (pairs < 10'000'000) {
+    random_pairs(kChunk);
+    check();
+  }
+  const std::size_t random_scalar = scalar, random_total = pairs;
+  for (const double a : {0x1p-53, 1.0 - 0x1p-53, 0.5, 0.3}) {
+    for (int k = 0; k <= 4; ++k) {
+      const std::int64_t base = std::bit_cast<std::int64_t>(k / 4.0);
+      for (std::int64_t d = -100'000; d <= 100'000; ++d) {
+        const double b = std::bit_cast<double>(base + d);
+        if (!(b >= 0.0 && b < 1.0)) continue;
+        u1.push_back(a);
+        u2.push_back(b);
+      }
+      check();
+    }
+  }
+  // The acceptance rule must have sent some pairs to the scalar path, or
+  // this test never saw the fallback it guards.
+  EXPECT_GT(scalar, 0u);
+#if defined(__AVX2__) && defined(__FMA__)
+  // ... but only a few random ones: about 3.5e-4 of them (DESIGN.md §6).
+  EXPECT_LT(random_scalar, random_total / 1000);
+#else
+  EXPECT_EQ(random_scalar, random_total);  // the scalar reference only
+#endif
+}
+
+TEST(Rng, FillNormalGolden) {
+  // Recorded from the scalar per-element implementation: the batched
+  // stream must keep every normal variate of the system bit-identical.
+  Rng rng(0x60D);
+  Bytes bytes;
+  const std::vector<std::tuple<std::size_t, float, float>> fills = {
+      {1029, 0.25F, 1.5F}, {1537, 0.25F, 0.5F}, {3, 0.0F, 1.5F}};
+  for (const auto& [n, mean, stddev] : fills) {
+    std::vector<float> v(n);
+    rng.fill_normal(v, mean, stddev);
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(v.data());
+    bytes.insert(bytes.end(), raw, raw + n * sizeof(float));
+  }
+  EXPECT_EQ(digest_to_hex(sha256(bytes)),
+            "f274863af25b6e8f8b9e3686528e8d6e7095223a2909038a6dc0f69881186099");
+  EXPECT_EQ(rng.next_u64(), 15570417260855710401ULL);
 }
 
 // ---------------------------------------------------------------------------

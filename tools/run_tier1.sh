@@ -8,7 +8,9 @@
 # identity), (6) a bounded-memory pass with RPOL_CKPT_BUDGET squeezed to a
 # few KiB so the checkpoint stores spill and evict constantly, then (7) and
 # (8) under AddressSanitizer and UndefinedBehaviorSanitizer in separate
-# build trees.
+# build trees. The main build is strict (-DRPOL_WERROR=ON), and an
+# RPOL_SIMD=OFF tree builds tensor_test and sim_test, whose golden digests
+# pin every normal variate to the scalar Box-Muller in both ISA builds.
 # All passes must be green: the runtime's determinism contract says neither
 # thread count, shard count, tracing, nor the checkpoint-store budget can
 # ever change results, and the fault-injection/fuzz suites push hostile
@@ -22,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -S .
+cmake -B "$BUILD_DIR" -S . -DRPOL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 echo "==> tier-1 pass 1/8: RPOL_THREADS=1"
@@ -51,6 +53,12 @@ echo "    checkpoint; streaming suites must stay bitwise identical)"
 (cd "$BUILD_DIR" && RPOL_CKPT_BUDGET=4096 ctest --output-on-failure \
   -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test' \
   -j "$(nproc)")
+
+echo "==> tier-1 Gaussian stream: RPOL_SIMD=OFF build (scalar Box-Muller only)"
+echo "    must reproduce the golden normal-variate digests"
+cmake -B "${BUILD_DIR}-nosimd" -S . -DRPOL_SIMD=OFF
+cmake --build "${BUILD_DIR}-nosimd" -j "$(nproc)" --target tensor_test sim_test
+(cd "${BUILD_DIR}-nosimd" && ctest --output-on-failure -R '^(tensor_test|sim_test)$')
 
 # Advisory regression check against the committed benchmark baseline: the
 # cost-model rows are deterministic, so only genuine protocol-cost changes
