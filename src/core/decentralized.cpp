@@ -46,7 +46,8 @@ DecentralizedVerifier::DecentralizedVerifier(const nn::ModelFactory& factory,
 DecentralizedResult DecentralizedVerifier::verify(
     const Commitment& commitment, const EpochTrace& trace,
     const EpochContext& context, const Digest& expected_initial_hash,
-    const std::vector<VerifierNode>& verifiers) {
+    const std::vector<VerifierNode>& verifiers,
+    const obs::TraceContext& trace_parent) {
   DecentralizedResult result;
   const std::int64_t transitions = trace.num_transitions();
   if (transitions <= 0 ||
@@ -96,21 +97,25 @@ DecentralizedResult DecentralizedVerifier::verify(
             vote.pass = false;
             break;
           }
-          const std::int64_t first = trace.step_of[static_cast<std::size_t>(j)];
-          const std::int64_t count =
-              trace.step_of[static_cast<std::size_t>(j + 1)] - first;
           sim::DeviceExecution device(
               node.device,
               derive_seed(node.run_seed,
                           (static_cast<std::uint64_t>(s) << 20) |
                               static_cast<std::uint64_t>(j)));
-          executor_.load_state(proof_in);
-          executor_.run_steps(first, count, *context.dataset, selector, &device);
+          const TrainState replay = reexecute_transition(
+              executor_, proof_in, trace.step_of, j, *context.dataset,
+              selector, device, trace_parent);
+          const std::int64_t count =
+              trace.step_of[static_cast<std::size_t>(j + 1)] -
+              trace.step_of[static_cast<std::size_t>(j)];
           result.total_reexecuted_steps += count;
           per_verifier_steps[v] += count;
-          vote.distance = trainable_distance(executor_.save_state().model,
-                                             claimed.model, mask);
-          vote.pass = vote.distance <= config_.beta;
+          const TransitionCheck check = judge_transition(
+              j, replay, /*committed_lsh=*/nullptr, /*hasher=*/nullptr,
+              config_.beta, mask,
+              [&] { return std::optional<TrainState>(claimed); });
+          vote.distance = check.distance;
+          vote.pass = check.passed;
           break;
         }
       }

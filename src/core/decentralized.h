@@ -66,10 +66,13 @@ class DecentralizedVerifier {
   const DecentralizedConfig& config() const { return config_; }
   void set_beta(double beta) { config_.beta = beta; }
 
+  // `trace_parent` (observability only) parents the honest members'
+  // re-execution spans, as in Verifier::verify.
   DecentralizedResult verify(const Commitment& commitment,
                              const EpochTrace& trace, const EpochContext& context,
                              const Digest& expected_initial_hash,
-                             const std::vector<VerifierNode>& verifiers);
+                             const std::vector<VerifierNode>& verifiers,
+                             const obs::TraceContext& trace_parent = {});
 
  private:
   Hyperparams hp_;

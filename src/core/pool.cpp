@@ -572,9 +572,9 @@ EpochReport MiningPool::run_epoch(std::int64_t epoch) {
         committee.push_back(node);
       }
       obs::Span s("verify", *ws->epoch_span, static_cast<int>(w), epoch);
-      const DecentralizedResult dr = dec.verify(slot.commitment, slot.trace,
-                                                slot.context, ws->initial_hash,
-                                                committee);
+      const DecentralizedResult dr =
+          dec.verify(slot.commitment, slot.trace, slot.context,
+                     ws->initial_hash, committee, s.context());
       s.attr("accepted", dr.accepted);
       slot.accepted = dr.accepted;
       slot.status = dr.accepted ? SessionStatus::kAccepted

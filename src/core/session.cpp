@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/alerts.h"
@@ -215,6 +216,8 @@ SessionOutcome run_protocol_session(
   }
 
   obs::Span session_span("session", config.trace_parent);
+  const bool use_lsh = config.scheme == Scheme::kRPoLv2;
+  const std::vector<std::int64_t> step_of = hp.checkpoint_boundaries();
   CountingChannel counting;
   fault::FaultyChannel<CountingChannel> channel(counting, config.fault_plan);
   SessionOutcome outcome;
@@ -318,7 +321,7 @@ SessionOutcome run_protocol_session(
 
     {
       obs::Span s("commit", worker_span, /*worker=*/0);
-      if (config.scheme == Scheme::kRPoLv2) {
+      if (use_lsh) {
         const lsh::PStableLsh hasher(*worker_view->lsh);
         commitment =
             commit_v2(trace, hasher, &worker_executor.trainable_mask());
@@ -336,9 +339,19 @@ SessionOutcome run_protocol_session(
 
     {
       obs::Span s("submit", worker_span, /*worker=*/0);
+      // The manager's pre-check: a commitment of the wrong version or chain
+      // length is refused at decode, like any other malformed payload.
       manager_commitment = exchange.run(
           MessageType::kCommitment, commit_wire, /*to_worker=*/false,
-          [](const Bytes& b) { return decode_commitment(b); }, s.context());
+          [&](const Bytes& b) {
+            Commitment c = decode_commitment(b);
+            const auto n = static_cast<std::int64_t>(c.state_hashes.size());
+            if (!commitment_fits_task(c.version, n, use_lsh, hp)) {
+              throw std::invalid_argument("commitment does not fit the task");
+            }
+            return c;
+          },
+          s.context());
       if (!manager_commitment.has_value()) return finish(std::move(outcome));
 
       // The model update itself (final weights) travels with the commitment.
@@ -366,6 +379,15 @@ SessionOutcome run_protocol_session(
     }
   }
 
+  // Manager side: a received proof state must hash to its committed entry.
+  const auto require_committed = [&](const TrainState& state,
+                                     std::size_t index) {
+    if (!digest_equal(hash_state(state),
+                      manager_commitment->state_hashes[index])) {
+      throw std::runtime_error("proof state does not match commitment");
+    }
+  };
+
   // Worker-side proof store: what proof responses are served from. A forger
   // keeps an honest commitment but answers requests with doctored states.
   const auto serve_checkpoint = [&](std::int64_t j) {
@@ -379,10 +401,11 @@ SessionOutcome run_protocol_session(
       byzantine == fault::Byzantine::kProofWithholding;
 
   // --- Manager: sample post-commitment, request proofs. -------------------
+  // Sampled over the agreed hp, which the commitment's length matched.
   ProofRequest request;
-  request.transitions =
-      sample_transitions(config.sampling_seed, manager_commitment->root,
-                         trace.num_transitions(), config.samples_q);
+  request.transitions = sample_transitions(
+      config.sampling_seed, manager_commitment->root,
+      static_cast<std::int64_t>(step_of.size()) - 1, config.samples_q);
   std::optional<ProofResponse> manager_response;
   {
     obs::Span s("proof_exchange", session_span);
@@ -406,9 +429,7 @@ SessionOutcome run_protocol_session(
     ProofResponse response;
     for (const auto j : worker_request->transitions) {
       response.input_states.push_back(serve_checkpoint(j));
-      if (config.scheme == Scheme::kRPoLv1) {
-        response.output_states.push_back(serve_checkpoint(j + 1));
-      }
+      if (!use_lsh) response.output_states.push_back(serve_checkpoint(j + 1));
     }
     // The manager validates received proof states against the commitment at
     // decode time: transport corruption of a proof is indistinguishable from
@@ -421,24 +442,15 @@ SessionOutcome run_protocol_session(
         /*to_worker=*/false,
         [&](const Bytes& b) {
           ProofResponse decoded = decode_proof_response(b);
-          const bool wants_outputs = config.scheme == Scheme::kRPoLv1;
           if (decoded.input_states.size() != request.transitions.size() ||
               decoded.output_states.size() !=
-                  (wants_outputs ? request.transitions.size() : 0u)) {
+                  (use_lsh ? 0u : request.transitions.size())) {
             throw std::invalid_argument("proof response shape mismatch");
           }
           for (std::size_t s = 0; s < request.transitions.size(); ++s) {
             const auto j = static_cast<std::size_t>(request.transitions[s]);
-            if (j + 1 >= manager_commitment->state_hashes.size()) {
-              throw std::out_of_range("proof transition beyond commitment");
-            }
-            if (!digest_equal(hash_state(decoded.input_states[s]),
-                              manager_commitment->state_hashes[j]) ||
-                (wants_outputs &&
-                 !digest_equal(hash_state(decoded.output_states[s]),
-                               manager_commitment->state_hashes[j + 1]))) {
-              throw std::runtime_error("proof state does not match commitment");
-            }
+            require_committed(decoded.input_states[s], j);
+            if (!use_lsh) require_committed(decoded.output_states[s], j + 1);
           }
           return decoded;
         },
@@ -450,90 +462,68 @@ SessionOutcome run_protocol_session(
   obs::Span verify_span("verify", session_span, /*worker=*/0);
   StepExecutor manager_executor(factory, hp);
   const std::vector<bool>& mask = manager_executor.trainable_mask();
-  std::optional<lsh::PStableLsh> manager_hasher;
-  if (config.scheme == Scheme::kRPoLv2) manager_hasher.emplace(*config.lsh);
+  const auto manager_hasher =
+      use_lsh ? std::make_unique<lsh::PStableLsh>(*config.lsh) : nullptr;
   const DeterministicSelector selector(nonce);
   sim::DeviceExecution manager_gpu(manager_device, manager_run_seed);
 
-  bool all_passed =
-      digest_equal(manager_commitment->state_hashes.front(),
-                   announcement.initial_state_hash) &&
-      manager_response->input_states.size() == request.transitions.size() &&
-      (config.scheme != Scheme::kRPoLv1 ||
-       manager_response->output_states.size() == request.transitions.size());
+  // Double-check round trip for the raw C_{j+1}, under the same retry
+  // machinery as every other exchange; a failed one sets `exchange.failed`.
+  const auto double_check = [&](std::int64_t j) -> std::optional<TrainState> {
+    ++outcome.double_checks;
+    obs::count("verify.lsh_mismatch", 1);
+    obs::count("verify.double_check", 1);
+    ProofRequest dc_request;
+    dc_request.transitions = {j};  // re-request: raw output this time
+    const auto dc_seen = exchange.run(
+        MessageType::kProofRequest, encode_proof_request(dc_request),
+        /*to_worker=*/true,
+        [](const Bytes& b) { return decode_proof_request(b); },
+        verify_span.context());
+    if (!dc_seen.has_value()) return std::nullopt;
+    obs::Span dc_serve("serve_proof", exchange.last_rx, /*worker=*/0);
+    ProofResponse dc_response;
+    dc_response.output_states.push_back(serve_checkpoint(j + 1));
+    auto dc_decoded = exchange.run(
+        MessageType::kProofResponse, encode_proof_response(dc_response),
+        /*to_worker=*/false,
+        [&](const Bytes& b) {
+          ProofResponse decoded = decode_proof_response(b);
+          if (decoded.output_states.size() != 1) {
+            throw std::invalid_argument("double-check shape mismatch");
+          }
+          require_committed(decoded.output_states.front(),
+                            static_cast<std::size_t>(j + 1));
+          return decoded;
+        },
+        dc_serve.context(), withholds_proofs);
+    if (!dc_decoded.has_value()) return std::nullopt;
+    return std::move(dc_decoded->output_states.front());
+  };
+
+  // The session stops at its first failed sample. Every state in
+  // manager_response already hash-matched the commitment in the decode
+  // validator above (mismatches NACK and exhaust the retry budget before
+  // reaching this loop), so the states are bound without re-hashing
+  // multi-megabyte checkpoints here.
+  bool all_passed = digest_equal(manager_commitment->state_hashes.front(),
+                                 announcement.initial_state_hash);
   for (std::size_t s = 0; all_passed && s < request.transitions.size(); ++s) {
     const std::int64_t j = request.transitions[s];
-    // Every state in manager_response already hash-matched the commitment in
-    // the decode validator above (mismatches NACK and exhaust the retry
-    // budget before reaching this loop), so the states are bound without
-    // re-hashing multi-megabyte checkpoints here.
-    const TrainState& proof_in = manager_response->input_states[s];
-    // Re-execute. The checkpoint boundaries are reconstructable from hp.
-    const std::int64_t first = j * hp.checkpoint_interval;
-    const std::int64_t count =
-        std::min(hp.checkpoint_interval, hp.steps_per_epoch - first);
-    {
-      obs::Span reexec("reexecute", verify_span, /*worker=*/0);
-      reexec.attr("transition", j);
-      reexec.attr("steps", count);
-      manager_executor.load_state(proof_in);
-      manager_executor.run_steps(first, count, worker_data, selector,
-                                 &manager_gpu);
-    }
-    const TrainState replay = manager_executor.save_state();
-
-    if (config.scheme == Scheme::kRPoLv1) {
-      const TrainState& claimed = manager_response->output_states[s];
-      all_passed =
-          trainable_distance(replay.model, claimed.model, mask) <= config.beta;
-    } else {
-      const lsh::LshDigest replay_digest =
-          manager_hasher->hash(extract_trainable(replay.model, mask));
-      if (!lsh::lsh_match(replay_digest,
-                          manager_commitment
-                              ->lsh_digests[static_cast<std::size_t>(j + 1)])) {
-        // Double-check round trip: one more request/response pair, under
-        // the same retry machinery as every other exchange.
-        ++outcome.double_checks;
-        obs::count("verify.lsh_mismatch", 1);
-        obs::count("verify.double_check", 1);
-        ProofRequest dc_request;
-        dc_request.transitions = {j};  // re-request: raw output this time
-        const auto dc_seen = exchange.run(
-            MessageType::kProofRequest, encode_proof_request(dc_request),
-            /*to_worker=*/true,
-            [](const Bytes& b) { return decode_proof_request(b); },
-            verify_span.context());
-        if (!dc_seen.has_value()) return finish(std::move(outcome));
-        std::optional<ProofResponse> dc_decoded;
-        {
-          obs::Span dc_serve("serve_proof", exchange.last_rx, /*worker=*/0);
-          ProofResponse dc_response;
-          dc_response.output_states.push_back(serve_checkpoint(j + 1));
-          dc_decoded = exchange.run(
-              MessageType::kProofResponse, encode_proof_response(dc_response),
-              /*to_worker=*/false,
-              [&](const Bytes& b) {
-                ProofResponse decoded = decode_proof_response(b);
-                if (decoded.output_states.size() != 1) {
-                  throw std::invalid_argument("double-check shape mismatch");
-                }
-                if (!digest_equal(hash_state(decoded.output_states.front()),
-                                  manager_commitment->state_hashes
-                                      [static_cast<std::size_t>(j + 1)])) {
-                  throw std::runtime_error(
-                      "proof state does not match commitment");
-                }
-                return decoded;
-              },
-              dc_serve.context(), withholds_proofs);
-        }
-        if (!dc_decoded.has_value()) return finish(std::move(outcome));
-        const TrainState& claimed = dc_decoded->output_states.front();
-        all_passed = trainable_distance(replay.model, claimed.model, mask) <=
-                     config.beta;
-      }
-    }
+    const TrainState replay = reexecute_transition(
+        manager_executor, std::move(manager_response->input_states[s]),
+        step_of, j, worker_data, selector, manager_gpu, verify_span.context(),
+        /*worker=*/0);
+    const auto next = static_cast<std::size_t>(j + 1);
+    const TransitionCheck check = judge_transition(
+        j, replay, use_lsh ? &manager_commitment->lsh_digests[next] : nullptr,
+        manager_hasher.get(), config.beta, mask,
+        [&]() -> std::optional<TrainState> {
+          if (use_lsh) return double_check(j);
+          return std::move(manager_response->output_states[s]);
+        });
+    if (exchange.failed) return finish(std::move(outcome));
+    all_passed = check.passed;
   }
 
   outcome.accepted = all_passed;

@@ -1,6 +1,7 @@
 #include "core/verifier.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/alerts.h"
@@ -32,15 +33,11 @@ void record_verdict(const VerifyResult& result) {
   }
 }
 
-// First-failure classification of one failed transition check.
-VerifyFailure classify_check(const TransitionCheck& check) {
-  if (!check.hash_ok) return VerifyFailure::kHashMismatch;
-  if (check.double_checked) return VerifyFailure::kLshMismatch;
-  return VerifyFailure::kDistance;
-}
-
-void note_failure(VerifyResult& result, VerifyFailure failure) {
-  if (result.failure == VerifyFailure::kNone) result.failure = failure;
+// Records and returns a verdict rejected before any transition was sampled.
+VerifyResult reject_unsampled(VerifyResult result, VerifyFailure failure) {
+  result.failure = failure;
+  record_verdict(result);
+  return result;
 }
 
 // In-memory adapter: lets the EpochTrace overloads delegate to the
@@ -73,6 +70,7 @@ const char* verify_failure_name(VerifyFailure failure) {
     case VerifyFailure::kHashMismatch: return "hash_mismatch";
     case VerifyFailure::kDistance: return "distance";
     case VerifyFailure::kLshMismatch: return "lsh_mismatch";
+    case VerifyFailure::kNonFinite: return "non_finite";
   }
   return "unknown";
 }
@@ -109,16 +107,6 @@ Verifier::Verifier(const nn::ModelFactory& factory, const Hyperparams& hp,
                    VerifierConfig config)
     : hp_(hp), config_(std::move(config)), executor_(factory, hp) {}
 
-const lsh::PStableLsh& Verifier::hasher() {
-  if (!config_.lsh_config.has_value()) {
-    throw std::logic_error("RPoLv2 verification requires an LSH config");
-  }
-  if (!hasher_.has_value() || !(hasher_->config() == *config_.lsh_config)) {
-    hasher_.emplace(*config_.lsh_config);
-  }
-  return *hasher_;
-}
-
 Digest compact_commitment_binding(const CompactCommitment& compact) {
   Bytes b;
   b.push_back(compact.version == CommitmentVersion::kV1 ? 1 : 2);
@@ -127,6 +115,155 @@ Digest compact_commitment_binding(const CompactCommitment& compact) {
   b.insert(b.end(), compact.lsh_root.begin(), compact.lsh_root.end());
   return sha256(b);
 }
+
+bool commitment_fits_task(CommitmentVersion version, std::int64_t checkpoints,
+                          bool use_lsh, const Hyperparams& hp) {
+  return (version == CommitmentVersion::kV2) == use_lsh &&
+         checkpoints ==
+             static_cast<std::int64_t>(hp.checkpoint_boundaries().size());
+}
+
+TrainState reexecute_transition(StepExecutor& executor, TrainState input,
+                                const std::vector<std::int64_t>& step_of,
+                                std::int64_t j, const data::DatasetView& data,
+                                const DeterministicSelector& selector,
+                                sim::DeviceExecution& device,
+                                const obs::TraceContext& parent,
+                                std::int64_t worker) {
+  const std::int64_t first = step_of[static_cast<std::size_t>(j)];
+  const std::int64_t count = step_of[static_cast<std::size_t>(j + 1)] - first;
+  obs::Span reexec("reexecute", parent, worker);
+  reexec.attr("transition", j);
+  reexec.attr("steps", count);
+  executor.load_state(input);
+  executor.run_steps(first, count, data, selector, &device);
+  input = TrainState{};  // released before theta' is copied out
+  return executor.save_state();
+}
+
+TransitionCheck judge_transition(
+    std::int64_t j, const TrainState& replay,
+    const lsh::LshDigest* committed_lsh, const lsh::PStableLsh* hasher,
+    double beta, const std::vector<bool>& mask,
+    const std::function<std::optional<TrainState>()>& fetch_claimed) {
+  TransitionCheck check{.transition = j, .hash_ok = true};
+  if (committed_lsh != nullptr) {
+    {  // the weight copy is gone before a double-check fetches C_{j+1}
+      // A replay from a NaN C_j is NaN throughout; hashed, every bucket
+      // would saturate to one value and match the worker's own NaN digests.
+      const std::vector<float> weights = extract_trainable(replay.model, mask);
+      if (!std::all_of(weights.begin(), weights.end(),
+                       [](float w) { return std::isfinite(w); })) {
+        check.failure = VerifyFailure::kNonFinite;
+        return check;
+      }
+      check.lsh_matched = lsh::lsh_match(hasher->hash(weights), *committed_lsh);
+    }
+    check.passed = check.lsh_matched;
+    if (check.passed) return check;
+    check.double_checked = true;
+  }
+  const std::optional<TrainState> claimed = fetch_claimed();
+  if (!claimed.has_value()) {
+    check.hash_ok = false;
+    check.failure = VerifyFailure::kHashMismatch;
+    return check;
+  }
+  // Squares of float-range weights cannot overflow the double sum, so a
+  // non-finite distance means a NaN or Inf weight on either side.
+  check.distance = trainable_distance(replay.model, claimed->model, mask);
+  check.passed = check.distance <= beta;
+  if (!std::isfinite(check.distance)) {
+    check.failure = VerifyFailure::kNonFinite;
+  } else if (!check.passed) {
+    check.failure = check.double_checked ? VerifyFailure::kLshMismatch
+                                         : VerifyFailure::kDistance;
+  }
+  return check;
+}
+
+namespace {
+
+// The configured LSH family, rebuilt in `cache` when the config changed.
+const lsh::PStableLsh& lsh_family(std::optional<lsh::PStableLsh>& cache,
+                                  const VerifierConfig& config) {
+  if (!config.lsh_config.has_value()) {
+    throw std::logic_error("RPoLv2 verification requires an LSH config");
+  }
+  if (!cache.has_value() || !(cache->config() == *config.lsh_config)) {
+    cache.emplace(*config.lsh_config);
+  }
+  return *cache;
+}
+
+// The sampled loop of both Verifier entry points: judges every sample. `open`
+// yields transition j's committed hashes and v2 LSH digest, or nullopt when
+// the opening fails; it may charge proof bytes.
+VerifyResult verify_samples(
+    VerifyResult result, const VerifierConfig& config, StepExecutor& executor,
+    std::optional<lsh::PStableLsh>& hasher, const Digest& sampling_key,
+    const CheckpointSource& source, const std::vector<std::int64_t>& step_of,
+    const EpochContext& context, sim::DeviceExecution& device,
+    const obs::TraceContext& trace_parent,
+    const std::function<std::optional<TransitionProof>(std::int64_t,
+                                                       VerifyResult&)>& open) {
+  const auto samples =
+      sample_transitions(config.sampling_seed, sampling_key,
+                         source.num_checkpoints() - 1, config.samples_q);
+  const DeterministicSelector selector(context.nonce);
+  const std::vector<bool>& mask = executor.trainable_mask();
+
+  bool all_passed = true;
+  for (const std::int64_t j : samples) {
+    TransitionCheck check{.transition = j,
+                          .failure = VerifyFailure::kHashMismatch};
+    const std::optional<TransitionProof> opened = open(j, result);
+    std::optional<TrainState> replay;
+    if (opened.has_value()) {
+      // Fetch C_j and hash-check it against the opening. The fetch is a
+      // copy (possibly reloaded from a spill file) that the replay
+      // consumes, so at most one non-replay checkpoint is resident at once.
+      TrainState proof_in = source.fetch(j);
+      result.proof_bytes += proof_in.byte_size();
+      if (digest_equal(hash_state(proof_in), opened->in_hash)) {
+        replay = reexecute_transition(executor, std::move(proof_in), step_of,
+                                      j, *context.dataset, selector, device,
+                                      trace_parent);
+        result.reexecuted_steps += step_of[static_cast<std::size_t>(j + 1)] -
+                                   step_of[static_cast<std::size_t>(j)];
+      }
+    }
+    if (replay.has_value()) {
+      // The claimed C_{j+1} is fetched on demand only: always for RPoLv1,
+      // on an LSH miss (the double-check) for RPoLv2.
+      check = judge_transition(
+          j, *replay, config.use_lsh ? &opened->out_lsh : nullptr,
+          config.use_lsh ? &lsh_family(hasher, config) : nullptr, config.beta,
+          mask, [&]() -> std::optional<TrainState> {
+            TrainState claimed = source.fetch(j + 1);
+            result.proof_bytes += claimed.byte_size();
+            if (!digest_equal(hash_state(claimed), opened->out_hash)) {
+              return std::nullopt;
+            }
+            return claimed;
+          });
+      if (check.double_checked) {
+        ++result.lsh_mismatches;
+        ++result.double_checks;
+      }
+    }
+    if (!check.passed && result.failure == VerifyFailure::kNone) {
+      result.failure = check.failure;  // the first failing sample wins
+    }
+    all_passed = all_passed && check.passed;
+    result.checks.push_back(check);
+  }
+  result.accepted = all_passed;
+  record_verdict(result);
+  return result;
+}
+
+}  // namespace
 
 VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       const Commitment& full,
@@ -147,20 +284,12 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       const Digest& expected_initial_hash,
                                       sim::DeviceExecution& device,
                                       const obs::TraceContext& trace_parent) {
-  VerifyResult result;
-  const std::int64_t transitions = source.num_checkpoints() - 1;
-  if (transitions <= 0 || compact.num_checkpoints != source.num_checkpoints() ||
+  if (!commitment_fits_task(compact.version, compact.num_checkpoints,
+                            config_.use_lsh, hp_) ||
+      compact.num_checkpoints != source.num_checkpoints() ||
       compact.version != full.version ||
       step_of != hp_.checkpoint_boundaries()) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;
-  }
-  const bool use_lsh = compact.version == CommitmentVersion::kV2;
-  if (use_lsh != config_.use_lsh) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;
+    return reject_unsampled({}, VerifyFailure::kMalformed);
   }
 
   // One memoized tree build covers the leaf-0 binding AND every sampled
@@ -170,107 +299,27 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
 
   // Initial-state binding: the worker proves leaf 0 under state_root is the
   // distributed state's hash.
-  {
-    const TransitionProof leaf0 = index.prove_transition(0);
-    result.proof_bytes += leaf0.byte_size();
-    if (!digest_equal(leaf0.in_hash, expected_initial_hash) ||
-        leaf0.in_membership.path_index() != 0 ||
-        !MerkleTree::verify(compact.state_root, leaf0.in_hash,
-                            leaf0.in_membership)) {
-      result.failure = VerifyFailure::kInitialBinding;
-      record_verdict(result);
-      return result;
-    }
+  VerifyResult result;
+  const TransitionProof leaf0 = index.prove_transition(0);
+  result.proof_bytes += leaf0.byte_size();
+  if (!digest_equal(leaf0.in_hash, expected_initial_hash) ||
+      leaf0.in_membership.path_index() != 0 ||
+      !MerkleTree::verify(compact.state_root, leaf0.in_hash,
+                          leaf0.in_membership)) {
+    return reject_unsampled(std::move(result), VerifyFailure::kInitialBinding);
   }
 
-  const auto samples =
-      sample_transitions(config_.sampling_seed,
-                         compact_commitment_binding(compact), transitions,
-                         config_.samples_q);
-  const DeterministicSelector selector(context.nonce);
-  const std::vector<bool>& mask = executor_.trainable_mask();
-
-  bool all_passed = true;
-  for (const std::int64_t j : samples) {
-    TransitionCheck check;
-    check.transition = j;
-
-    // Membership proofs for this transition, generated worker-side.
-    const TransitionProof proof = index.prove_transition(j);
-    result.proof_bytes += proof.byte_size();
-    check.hash_ok = verify_transition_proof(compact, proof);
-    if (!check.hash_ok) {
-      note_failure(result, VerifyFailure::kHashMismatch);
-      all_passed = false;
-      result.checks.push_back(check);
-      continue;
-    }
-
-    // Fetch and hash-check the input state against the proven leaf. The
-    // fetch is a copy (possibly reloaded from a spill file); it dies with
-    // this block so at most one non-replay checkpoint is resident at once.
-    {
-      const TrainState proof_in = source.fetch(j);
-      result.proof_bytes += proof_in.byte_size();
-      if (!digest_equal(hash_state(proof_in), proof.in_hash)) {
-        note_failure(result, VerifyFailure::kHashMismatch);
-        check.hash_ok = false;
-        all_passed = false;
-        result.checks.push_back(check);
-        continue;
-      }
-
-      const std::int64_t first = step_of[static_cast<std::size_t>(j)];
-      const std::int64_t count =
-          step_of[static_cast<std::size_t>(j + 1)] - first;
-      {
-        obs::Span reexec("reexecute", trace_parent);
-        reexec.attr("transition", j);
-        reexec.attr("steps", count);
-        executor_.load_state(proof_in);
-        executor_.run_steps(first, count, *context.dataset, selector, &device);
-      }
-      result.reexecuted_steps += count;
-    }
-    const TrainState replay = executor_.save_state();
-
-    if (!use_lsh) {
-      const TrainState claimed = source.fetch(j + 1);
-      result.proof_bytes += claimed.byte_size();
-      if (digest_equal(hash_state(claimed), proof.out_hash)) {
-        check.distance = trainable_distance(replay.model, claimed.model, mask);
-        check.passed = check.distance <= config_.beta;
-      } else {
-        check.hash_ok = false;
-      }
-    } else {
-      const lsh::LshDigest replay_digest =
-          hasher().hash(extract_trainable(replay.model, mask));
-      check.lsh_matched = lsh::lsh_match(replay_digest, proof.out_lsh);
-      if (check.lsh_matched) {
-        check.passed = true;
-      } else {
-        ++result.lsh_mismatches;
-        ++result.double_checks;
-        check.double_checked = true;
-        // Double-check fetches the raw output state on demand only.
-        const TrainState claimed = source.fetch(j + 1);
-        result.proof_bytes += claimed.byte_size();
-        if (digest_equal(hash_state(claimed), proof.out_hash)) {
-          check.distance = trainable_distance(replay.model, claimed.model, mask);
-          check.passed = check.distance <= config_.beta;
-        } else {
-          check.hash_ok = false;
-        }
-      }
-    }
-    if (!check.passed) note_failure(result, classify_check(check));
-    all_passed = all_passed && check.passed;
-    result.checks.push_back(check);
-  }
-  result.accepted = all_passed;
-  record_verdict(result);
-  return result;
+  // Transition j opens through membership proofs generated worker-side.
+  return verify_samples(
+      std::move(result), config_, executor_, hasher_,
+      compact_commitment_binding(compact), source, step_of, context, device,
+      trace_parent,
+      [&](std::int64_t j, VerifyResult& r) -> std::optional<TransitionProof> {
+        TransitionProof proof = index.prove_transition(j);
+        r.proof_bytes += proof.byte_size();
+        if (!verify_transition_proof(compact, proof)) return std::nullopt;
+        return proof;
+      });
 }
 
 VerifyResult Verifier::verify(const Commitment& commitment,
@@ -290,117 +339,39 @@ VerifyResult Verifier::verify(const Commitment& commitment,
                               const Digest& expected_initial_hash,
                               sim::DeviceExecution& device,
                               const obs::TraceContext& trace_parent) {
-  VerifyResult result;
-  const std::int64_t transitions = source.num_checkpoints() - 1;
   // The step boundaries are derived from the agreed hyper-parameters, never
   // trusted from the prover: malformed step_of vectors (zero-length
   // intervals, wrong counts) are rejected outright.
-  if (transitions <= 0 ||
-      static_cast<std::int64_t>(commitment.state_hashes.size()) !=
-          source.num_checkpoints() ||
-      step_of != hp_.checkpoint_boundaries()) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;  // malformed => reject
-  }
-  if (!commitment_consistent(commitment)) {
-    result.failure = VerifyFailure::kMalformed;
-    record_verdict(result);
-    return result;
+  const auto checkpoints =
+      static_cast<std::int64_t>(commitment.state_hashes.size());
+  if (!commitment_fits_task(commitment.version, checkpoints, config_.use_lsh,
+                            hp_) ||
+      checkpoints != source.num_checkpoints() ||
+      step_of != hp_.checkpoint_boundaries() ||
+      !commitment_consistent(commitment)) {
+    return reject_unsampled({}, VerifyFailure::kMalformed);
   }
 
   // The first checkpoint must be exactly the state the manager handed out.
   if (!digest_equal(commitment.state_hashes.front(), expected_initial_hash)) {
-    result.failure = VerifyFailure::kInitialBinding;
-    record_verdict(result);
-    return result;
+    return reject_unsampled({}, VerifyFailure::kInitialBinding);
   }
 
-  const auto samples = sample_transitions(config_.sampling_seed, commitment.root,
-                                          transitions, config_.samples_q);
-  const DeterministicSelector selector(context.nonce);
-
-  bool all_passed = true;
-  for (const std::int64_t j : samples) {
-    TransitionCheck check;
-    check.transition = j;
-
-    // Fetch proof_in = C_j and hash-check it against the commitment. The
-    // fetched copy dies with this block (the executor holds the loaded
-    // weights), bounding residency to the states actively in use.
-    {
-      const TrainState proof_in = source.fetch(j);
-      result.proof_bytes += proof_in.byte_size();
-      check.hash_ok =
-          digest_equal(hash_state(proof_in),
-                       commitment.state_hashes[static_cast<std::size_t>(j)]);
-      if (!check.hash_ok) {
-        note_failure(result, VerifyFailure::kHashMismatch);
-        all_passed = false;
-        result.checks.push_back(check);
-        continue;
-      }
-
-      // Re-execute the transition on the manager's device.
-      const std::int64_t first = step_of[static_cast<std::size_t>(j)];
-      const std::int64_t count =
-          step_of[static_cast<std::size_t>(j + 1)] - first;
-      {
-        obs::Span reexec("reexecute", trace_parent);
-        reexec.attr("transition", j);
-        reexec.attr("steps", count);
-        executor_.load_state(proof_in);
-        executor_.run_steps(first, count, *context.dataset, selector, &device);
-      }
-      result.reexecuted_steps += count;
-    }
-    const TrainState replay = executor_.save_state();
-
-    const std::vector<bool>& mask = executor_.trainable_mask();
-    if (!config_.use_lsh) {
-      // RPoLv1: fetch the claimed output too and distance-test it.
-      const TrainState claimed = source.fetch(j + 1);
-      result.proof_bytes += claimed.byte_size();
-      const bool out_hash_ok =
-          digest_equal(hash_state(claimed),
-                       commitment.state_hashes[static_cast<std::size_t>(j + 1)]);
-      check.hash_ok = check.hash_ok && out_hash_ok;
-      if (out_hash_ok) {
-        check.distance = trainable_distance(replay.model, claimed.model, mask);
-        check.passed = check.distance <= config_.beta;
-      }
-    } else {
-      // RPoLv2: fuzzy-match the replayed weights against the committed LSH
-      // digest of C_{j+1}; fall back to the double-check on mismatch.
-      const lsh::LshDigest replay_digest =
-          hasher().hash(extract_trainable(replay.model, mask));
-      check.lsh_matched = lsh::lsh_match(
-          replay_digest, commitment.lsh_digests[static_cast<std::size_t>(j + 1)]);
-      if (check.lsh_matched) {
-        check.passed = true;
-      } else {
-        ++result.lsh_mismatches;
-        ++result.double_checks;
-        check.double_checked = true;
-        // Double-check: only now is the raw output state pulled in.
-        const TrainState claimed = source.fetch(j + 1);
-        result.proof_bytes += claimed.byte_size();
-        const bool out_hash_ok = digest_equal(
-            hash_state(claimed),
-            commitment.state_hashes[static_cast<std::size_t>(j + 1)]);
-        if (out_hash_ok) {
-          check.distance = trainable_distance(replay.model, claimed.model, mask);
-          check.passed = check.distance <= config_.beta;
+  // Transition j opens straight from the committed lists.
+  return verify_samples(
+      {}, config_, executor_, hasher_, commitment.root, source, step_of,
+      context, device, trace_parent,
+      [&](std::int64_t j, VerifyResult&) -> std::optional<TransitionProof> {
+        TransitionProof opened;
+        opened.in_hash = commitment.state_hashes[static_cast<std::size_t>(j)];
+        opened.out_hash =
+            commitment.state_hashes[static_cast<std::size_t>(j + 1)];
+        if (config_.use_lsh) {
+          opened.out_lsh =
+              commitment.lsh_digests[static_cast<std::size_t>(j + 1)];
         }
-      }
-    }
-    if (!check.passed) note_failure(result, classify_check(check));
-    all_passed = all_passed && check.passed;
-    result.checks.push_back(check);
-  }
-  result.accepted = all_passed;
-  record_verdict(result);
-  return result;
+        return opened;
+      });
 }
 
 }  // namespace rpol::core

@@ -40,15 +40,6 @@ struct VerifierConfig {
   std::uint64_t sampling_seed = 42;   // manager secret entropy
 };
 
-struct TransitionCheck {
-  std::int64_t transition = 0;
-  bool hash_ok = false;
-  bool lsh_matched = false;      // v2 only
-  bool double_checked = false;   // v2 only
-  double distance = 0.0;         // filled when a distance test ran
-  bool passed = false;
-};
-
 // Why a verification rejected (kNone when accepted). The first failing
 // condition wins; each rejection also bumps a `verify.reject.<reason>`
 // counter so traces can break verdicts down by cause.
@@ -59,9 +50,20 @@ enum class VerifyFailure : int {
   kHashMismatch,    // a fetched proof state failed its commitment hash check
   kDistance,        // re-execution distance above beta (v1 or double-check)
   kLshMismatch,     // LSH miss whose double-check also failed
+  kNonFinite,       // a replayed or claimed trainable weight is NaN or Inf
 };
 
 const char* verify_failure_name(VerifyFailure failure);
+
+struct TransitionCheck {
+  std::int64_t transition = 0;
+  bool hash_ok = false;
+  bool lsh_matched = false;      // v2 only
+  bool double_checked = false;   // v2 only
+  double distance = 0.0;         // filled when a distance test ran
+  bool passed = false;
+  VerifyFailure failure = VerifyFailure::kNone;  // why it failed, if it did
+};
 
 struct VerifyResult {
   bool accepted = false;
@@ -82,6 +84,36 @@ std::vector<std::int64_t> sample_transitions(std::uint64_t seed,
 
 // Digest binding a compact commitment for post-commitment sampling.
 Digest compact_commitment_binding(const CompactCommitment& compact);
+
+// The commitment pre-check every verdict path runs before reading an index:
+// the worker-chosen version must be the scheme's (v2 iff `use_lsh`) and the
+// chain must hold one entry per checkpoint boundary of the agreed `hp`.
+bool commitment_fits_task(CommitmentVersion version, std::int64_t checkpoints,
+                          bool use_lsh, const Hyperparams& hp);
+
+// Loads C_j (`input`) and runs steps [step_of[j], step_of[j+1]) under a
+// "reexecute" span; returns the replayed state theta'. `input` is released
+// before theta' is saved, so the two are never resident together.
+TrainState reexecute_transition(StepExecutor& executor, TrainState input,
+                                const std::vector<std::int64_t>& step_of,
+                                std::int64_t j, const data::DatasetView& data,
+                                const DeterministicSelector& selector,
+                                sim::DeviceExecution& device,
+                                const obs::TraceContext& parent,
+                                std::int64_t worker = -1);
+
+// Step 3c for every verdict path (Verifier, wire session, committee), on
+// the replayed state of transition j (step 3b is reexecute_transition).
+// RPoLv2 (`committed_lsh` and `hasher` set) passes an LSH group match of
+// the trainable weights, which must all be finite before they are hashed;
+// otherwise `fetch_claimed` runs once for C_{j+1}, already hash-checked
+// (nullopt if that check failed), and both states' trainable weights must
+// be finite and lie within `beta` of each other (over `mask`).
+TransitionCheck judge_transition(
+    std::int64_t j, const TrainState& replay,
+    const lsh::LshDigest* committed_lsh, const lsh::PStableLsh* hasher,
+    double beta, const std::vector<bool>& mask,
+    const std::function<std::optional<TrainState>()>& fetch_claimed);
 
 class Verifier {
  public:
@@ -126,8 +158,8 @@ class Verifier {
   // uploaded only the O(1) CompactCommitment; sampled transitions arrive
   // with logarithmic membership proofs generated on demand from the
   // worker-side full commitment (`full` plays that role here, as `trace`
-  // plays the proof store). `initial_membership` proves that leaf 0 of the
-  // committed tree is the state the manager distributed.
+  // plays the proof store). Leaf 0's membership proof binds C_0 to the
+  // state the manager distributed.
   VerifyResult verify_compact(const CompactCommitment& compact,
                               const Commitment& full, const EpochTrace& trace,
                               const EpochContext& context,
@@ -151,8 +183,6 @@ class Verifier {
   VerifierConfig config_;
   StepExecutor executor_;
   std::optional<lsh::PStableLsh> hasher_;  // rebuilt when lsh_config changes
-
-  const lsh::PStableLsh& hasher();
 };
 
 }  // namespace rpol::core

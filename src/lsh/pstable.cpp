@@ -8,6 +8,22 @@
 
 namespace rpol::lsh {
 
+namespace {
+
+// floor(v) as an int64 bucket, defined for every double: values at or past
+// the int64 range saturate to its ends, and NaN maps to INT64_MIN (the value
+// x86's truncating conversion produced when the cast was left undefined).
+// In-range values convert exactly as a plain cast would.
+std::int64_t bucket_of(double v) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  const double f = std::floor(v);
+  if (f >= kTwoTo63) return std::numeric_limits<std::int64_t>::max();
+  if (!(f >= -kTwoTo63)) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(f);
+}
+
+}  // namespace
+
 bool lsh_match(const LshDigest& a, const LshDigest& b) {
   if (a.groups.size() != b.groups.size()) return false;
   for (std::size_t g = 0; g < a.groups.size(); ++g) {
@@ -59,8 +75,8 @@ std::vector<std::vector<std::int64_t>> PStableLsh::buckets(
       for (std::int64_t d = 0; d < config_.dim; ++d) {
         dot += static_cast<double>(proj[d]) * x[static_cast<std::size_t>(d)];
       }
-      group[static_cast<std::size_t>(f)] = static_cast<std::int64_t>(
-          std::floor((dot + offsets_[static_cast<std::size_t>(row)]) / r));
+      group[static_cast<std::size_t>(f)] =
+          bucket_of((dot + offsets_[static_cast<std::size_t>(row)]) / r);
     }
   }
   return out;

@@ -48,8 +48,10 @@ class PStableLsh {
 
   const LshConfig& config() const { return config_; }
 
-  // Raw bucket values: l groups of k integers. Exposed for tests and for
-  // empirical collision-rate measurement.
+  // Raw bucket values: l groups of k integers, floor((a.x + b) / r) per
+  // hash. Defined for any input: a bucket past the int64 range saturates to
+  // INT64_MAX or INT64_MIN, and a NaN one (NaN or Inf weights) is INT64_MIN.
+  // Exposed for tests and for empirical collision-rate measurement.
   std::vector<std::vector<std::int64_t>> buckets(const std::vector<float>& x) const;
 
   // Group digests of the bucket values.

@@ -257,6 +257,36 @@ TEST(PStableLsh, OverflowingFamilySizeThrowsBeforeAllocating) {
                std::invalid_argument);
 }
 
+TEST(PStableLsh, BucketsOutsideInt64RangeAreDefined) {
+  // One-dimensional family: each hash's dot product is proj * x, so x and
+  // -x push every bucket past opposite ends of the int64 range. Those
+  // saturate, NaN maps to INT64_MIN, and in-range values floor as before
+  // (x = 0 leaves only the offset, which lies in [0, r)).
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const PStableLsh lsh({{1.0, 4, 2}, 1, 5});
+  for (const float big : {3e38F, kInf}) {
+    const auto up = lsh.buckets({big});
+    const auto down = lsh.buckets({-big});
+    for (std::size_t g = 0; g < up.size(); ++g) {
+      for (std::size_t f = 0; f < up[g].size(); ++f) {
+        EXPECT_TRUE((up[g][f] == kMax && down[g][f] == kMin) ||
+                    (up[g][f] == kMin && down[g][f] == kMax))
+            << big << " g=" << g << " f=" << f << ": " << up[g][f] << ", "
+            << down[g][f];
+      }
+    }
+  }
+  for (const auto& group :
+       lsh.buckets({std::numeric_limits<float>::quiet_NaN()})) {
+    for (const std::int64_t b : group) EXPECT_EQ(b, kMin);
+  }
+  for (const auto& group : lsh.buckets({0.0F})) {
+    for (const std::int64_t b : group) EXPECT_EQ(b, 0);
+  }
+}
+
 TEST(PStableLsh, EmpiricalMatchRateTracksAnalytic) {
   // Tuned for (alpha=0.5, beta=2.5): vectors at alpha should almost always
   // match; vectors at beta almost never. This is the end-to-end fuzzy

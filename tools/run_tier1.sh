@@ -6,11 +6,13 @@
 # can never change results), (4) RPOL_TRACE=1, (5) RPOL_LIVE=1 (background
 # flusher + flight recorder armed; the determinism suite proves bitwise
 # identity), (6) a bounded-memory pass with RPOL_CKPT_BUDGET squeezed to a
-# few KiB so the checkpoint stores spill and evict constantly, then (7) and
-# (8) under AddressSanitizer and UndefinedBehaviorSanitizer in separate
-# build trees. The main build is strict (-DRPOL_WERROR=ON), and an
-# RPOL_SIMD=OFF tree builds tensor_test and sim_test, whose golden digests
-# pin every normal variate to the scalar Box-Muller in both ISA builds.
+# few KiB so the checkpoint stores spill and evict constantly (the verdict
+# goldens run in it too, so verification from a spilling store must
+# reproduce the recorded digests), then (7) and (8) under AddressSanitizer
+# and UndefinedBehaviorSanitizer in separate build trees. The main build is
+# strict (-DRPOL_WERROR=ON), and an RPOL_SIMD=OFF tree builds tensor_test
+# and sim_test, whose golden digests pin every normal variate to the scalar
+# Box-Muller in both ISA builds.
 # All passes must be green: the runtime's determinism contract says neither
 # thread count, shard count, tracing, nor the checkpoint-store budget can
 # ever change results, and the fault-injection/fuzz suites push hostile
@@ -49,9 +51,10 @@ echo "    snapshots stream to a scratch file, results must not change)"
 rm -f "$BUILD_DIR/tier1_live_scratch.jsonl" "$BUILD_DIR/tier1_flight_scratch.jsonl"
 
 echo "==> tier-1 pass 6/8: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
-echo "    checkpoint; streaming suites must stay bitwise identical)"
+echo "    checkpoint; streaming suites and verdict goldens must stay bitwise"
+echo "    identical)"
 (cd "$BUILD_DIR" && RPOL_CKPT_BUDGET=4096 ctest --output-on-failure \
-  -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test' \
+  -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_verdict_golden_test' \
   -j "$(nproc)")
 
 echo "==> tier-1 Gaussian stream: RPOL_SIMD=OFF build (scalar Box-Muller only)"
