@@ -8,12 +8,9 @@
 //   storage W: 0.09GB / 4.5GB / 5.9GB
 //   capital: $2.13 / $8.49 / $5.46    (v2 ~35% cheaper than v1)
 
-#include <chrono>
-
 #include "bench_util.h"
 #include "core/costing.h"
 #include "fault/fault.h"
-#include "obs/live.h"
 #include "obs/obs.h"
 
 namespace {
@@ -141,46 +138,6 @@ int main() {
     recorder.add(p + ".upload_gb", "GB", gb(row.r->upload_bytes_total));
     recorder.add(p + ".storage_gb", "GB", gb(row.r->storage_bytes_per_worker));
     recorder.add(p + ".capital_usd", "USD", row.r->capital.total());
-  }
-
-  // Live-telemetry overhead: the same counter/histogram workload with the
-  // background flusher off vs on (1 ms cadence — far hotter than the 1 s
-  // default, an upper bound on the sampling tax). The hot path is identical
-  // in both arms (relaxed atomics); the flusher only adds contention on the
-  // registry mutex while it samples. Wall-clock, so advisory in bench-diff.
-  {
-    using clock = std::chrono::steady_clock;
-    constexpr int kOps = 200'000;
-    const auto workload = [] {
-      for (int i = 0; i < kOps; ++i) {
-        obs::count("bench.live.counter", 1);
-        obs::observe("bench.live.hist_ns", static_cast<std::uint64_t>(i));
-      }
-    };
-    workload();  // warm the metric handles
-    const auto t0 = clock::now();
-    workload();
-    const double off_s = std::chrono::duration<double>(clock::now() - t0).count();
-
-    obs::set_live_enabled(true);
-    obs::LiveFlusher::Options options;
-    options.path = "BENCH_table3_live.jsonl";
-    options.interval = std::chrono::milliseconds(1);
-    double on_s = 0.0;
-    {
-      obs::LiveFlusher flusher(options);
-      const auto t1 = clock::now();
-      workload();
-      on_s = std::chrono::duration<double>(clock::now() - t1).count();
-    }
-    obs::set_live_enabled(false);
-    std::remove(options.path.c_str());
-
-    const double factor = off_s > 0.0 ? on_s / off_s : 1.0;
-    std::printf("\nlive-telemetry overhead: %.2fx on a %d-op counter+histogram "
-                "workload (flusher at 1 ms)\n",
-                factor, kOps);
-    recorder.add("obs.live.overhead", "x", factor);
   }
 
   recorder.write();

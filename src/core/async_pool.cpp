@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "data/partition.h"
-#include "obs/alerts.h"
-#include "obs/live.h"
 #include "obs/obs.h"
 
 namespace rpol::core {
@@ -39,12 +37,12 @@ AsyncMiningPool::AsyncMiningPool(AsyncPoolConfig config, nn::ModelFactory factor
   fresh_optimizer_ = pristine.optimizer;
 
   // Every worker grabs the initial state at tick 0.
-  in_flight_.resize(workers_.size());
+  jobs_.resize(workers_.size());
   for (std::size_t w = 0; w < workers_.size(); ++w) {
-    in_flight_[w].base = current_state();
-    in_flight_[w].nonce = derive_seed(config_.seed, 0xB000ULL + w);
-    in_flight_[w].started_at_version = 0;
-    in_flight_[w].finish_tick = workers_[w].period;
+    jobs_[w].base = current_state();
+    jobs_[w].nonce = derive_seed(config_.seed, 0xB000ULL + w);
+    jobs_[w].started_at_version = 0;
+    jobs_[w].finish_tick = workers_[w].period;
   }
 }
 
@@ -56,7 +54,7 @@ AsyncRunReport AsyncMiningPool::run() {
   AsyncRunReport report;
   for (std::int64_t tick = 1; tick <= config_.ticks; ++tick) {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-      InFlight& job = in_flight_[w];
+      InFlight& job = jobs_[w];
       if (health_.evicted(w) || job.finish_tick != tick) continue;
 
       // Each submission roots its own causal tree (async epochs have no
@@ -135,10 +133,6 @@ AsyncRunReport AsyncMiningPool::run() {
       obs::count(!delivered ? "async.lost"
                             : (accepted ? "async.applied" : "async.rejected"),
                  1);
-      if (!delivered) {
-        obs::flight_record(obs::FlightKind::kFault, "async.lost",
-                           static_cast<std::int64_t>(w), tick);
-      }
 
       if (accepted) {
         const double discount = config_.eta *
@@ -172,10 +166,6 @@ AsyncRunReport AsyncMiningPool::run() {
       obs::observe("async.submission_latency_ns", outcome.latency_ns);
       if (health_.record(w, outcome)) {
         obs::count("async.eviction", 1);
-        obs::flight_record(obs::FlightKind::kEviction, "async.eviction",
-                           static_cast<std::int64_t>(w), tick);
-        obs::dump_flight_record();
-        obs::live_publish_health(health_);
         continue;  // never re-arms; finish_tick stays in the past
       }
 
@@ -189,9 +179,6 @@ AsyncRunReport AsyncMiningPool::run() {
     obs::Span eval_span("evaluate", obs::TraceContext{}, /*worker=*/-1, tick);
     manager_executor_.load_state(current_state());
     report.accuracy_curve.push_back(manager_executor_.evaluate(test_));
-    // End of a scheduler tick is the async pool's deterministic safe point
-    // for publishing health rows to the live flusher.
-    obs::live_publish_health(health_);
   }
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     report.evicted_workers += health_.evicted(w) ? 1 : 0;

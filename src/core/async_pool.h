@@ -101,7 +101,7 @@ class AsyncMiningPool {
   data::DatasetView test_;
   std::vector<data::DatasetView> partitions_;
   std::vector<AsyncWorkerSpec> workers_;
-  std::vector<InFlight> in_flight_;
+  std::vector<InFlight> jobs_;
 
   StepExecutor manager_executor_;
   std::unique_ptr<Verifier> verifier_;

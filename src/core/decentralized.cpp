@@ -102,14 +102,16 @@ DecentralizedResult DecentralizedVerifier::verify(
               derive_seed(node.run_seed,
                           (static_cast<std::uint64_t>(s) << 20) |
                               static_cast<std::uint64_t>(j)));
-          const TrainState replay = reexecute_transition(
+          const std::optional<TrainState> replay = reexecute_transition(
               executor_, proof_in, trace.step_of, j, *context.dataset,
               selector, device, trace_parent);
-          const std::int64_t count =
-              trace.step_of[static_cast<std::size_t>(j + 1)] -
-              trace.step_of[static_cast<std::size_t>(j)];
-          result.total_reexecuted_steps += count;
-          per_verifier_steps[v] += count;
+          if (replay.has_value()) {
+            const std::int64_t count =
+                trace.step_of[static_cast<std::size_t>(j + 1)] -
+                trace.step_of[static_cast<std::size_t>(j)];
+            result.total_reexecuted_steps += count;
+            per_verifier_steps[v] += count;
+          }
           const TransitionCheck check = judge_transition(
               j, replay, /*committed_lsh=*/nullptr, /*hasher=*/nullptr,
               config_.beta, mask,

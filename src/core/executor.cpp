@@ -83,6 +83,11 @@ void StepExecutor::load_state(const TrainState& state) {
   optimizer_->load_state_vector(state.optimizer);
 }
 
+bool StepExecutor::fits(const TrainState& state) {
+  return state.model.size() == model_.trainable_mask().size() &&
+         state.optimizer.size() == optimizer_->state_size();
+}
+
 float StepExecutor::run_steps(std::int64_t first_step, std::int64_t count,
                               const data::DatasetView& dataset,
                               const DeterministicSelector& selector,

@@ -73,6 +73,9 @@ class StepExecutor {
 
   TrainState save_state();
   void load_state(const TrainState& state);
+  // True when `state` has this executor's model and optimizer lengths, the
+  // only shape load_state() accepts.
+  bool fits(const TrainState& state);
 
   // Runs steps m = first_step .. first_step+count-1 with batches selected by
   // `selector` over `dataset`. `device` injects simulated hardware noise

@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "data/partition.h"
-#include "obs/alerts.h"
-#include "obs/live.h"
 #include "obs/obs.h"
 
 namespace rpol::core {
@@ -177,8 +175,6 @@ bool MiningPool::deliver_leg(EpochWorkspace& ws, std::size_t w, int leg,
   }
   ++slot.session_failures;
   obs::count("pool.session_failure", 1);
-  obs::flight_record(obs::FlightKind::kFault, "pool.session_failure",
-                     static_cast<std::int64_t>(w), ws.epoch);
   return false;
 }
 
@@ -188,7 +184,6 @@ std::unique_ptr<EpochWorkspace> MiningPool::prepare_epoch(std::int64_t epoch) {
   // Roots this epoch's causal tree: every span below (manager or worker
   // side) carries epoch_span.id() as its trace id.
   ws->epoch_span.emplace("epoch", obs::TraceContext{}, /*worker=*/-1, epoch);
-  obs::flight_record(obs::FlightKind::kMark, "epoch.begin", -1, epoch);
   ws->slots.resize(workers_.size());
 
   // One fault stream per (epoch, worker) link: individually reproducible,
@@ -461,18 +456,8 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
       outcome.latency_ns = slot.end_ns - slot.start_ns;
       obs::observe("pool.session_latency_ns", outcome.latency_ns);
     }
-    if (health_.record(w, outcome)) {
-      obs::count("pool.eviction", 1);
-      // An eviction is exactly the forensic moment the flight recorder
-      // exists for: mark it, then persist the ring.
-      obs::flight_record(obs::FlightKind::kEviction, "pool.eviction",
-                         static_cast<std::int64_t>(w), ws.epoch);
-      obs::dump_flight_record();
-    }
+    if (health_.record(w, outcome)) obs::count("pool.eviction", 1);
   }
-  // Publish a by-value copy of the health rows for the live flusher (a
-  // deterministic safe point: the registry is quiescent between epochs).
-  obs::live_publish_health(health_);
   report.evicted.resize(n);
   for (std::size_t w = 0; w < n; ++w) {
     report.evicted[w] = health_.evicted(w);
@@ -532,8 +517,6 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
   report.bytes_this_epoch = network_.total_bytes();
   ws.epoch_span->attr("session_failures", report.session_failures);
   ws.epoch_span->attr("evicted", report.evicted_count);
-  obs::flight_record(obs::FlightKind::kMark, "epoch.end", -1, ws.epoch,
-                     report.bytes_this_epoch);
   return report;
 }
 

@@ -5,7 +5,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "obs/alerts.h"
 #include "obs/mem.h"
 #include "obs/obs.h"
 
@@ -29,7 +28,7 @@ static_assert(kNumMessageTypes <= fault::kMaxMessageTypes,
 namespace {
 
 void mirror_to_registry(MessageType type, std::uint64_t bytes) {
-  if (!obs::telemetry_enabled()) return;
+  if (!obs::enabled()) return;
   obs::counter(std::string("bytes.") + message_type_name(type)).add(bytes);
 }
 
@@ -128,11 +127,6 @@ struct ExchangeDriver {
     obs::count(std::string("session.fail.") +
                    session_status_name(outcome.status),
                1);
-    // A hard-failed exchange is a forensic moment: record it and persist
-    // the flight ring so the tail of events that led here survives.
-    obs::flight_record(obs::FlightKind::kFault,
-                       session_status_name(outcome.status));
-    obs::dump_flight_record();
     return std::nullopt;
   }
 };
@@ -510,7 +504,7 @@ SessionOutcome run_protocol_session(
                                  announcement.initial_state_hash);
   for (std::size_t s = 0; all_passed && s < request.transitions.size(); ++s) {
     const std::int64_t j = request.transitions[s];
-    const TrainState replay = reexecute_transition(
+    const std::optional<TrainState> replay = reexecute_transition(
         manager_executor, std::move(manager_response->input_states[s]),
         step_of, j, worker_data, selector, manager_gpu, verify_span.context(),
         /*worker=*/0);

@@ -150,7 +150,7 @@ void ShardedPool::publish_admission_metrics(const EpochWorkspace& ws) const {
     obs::count("pool.admission.rejected",
                static_cast<std::uint64_t>(ws.admission_rejected));
   }
-  if (obs::telemetry_enabled()) {
+  if (obs::enabled()) {
     obs::gauge("pool.admission.max_queue_depth")
         .set(static_cast<double>(ws.max_queue_depth));
   }

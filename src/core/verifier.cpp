@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "obs/alerts.h"
 #include "obs/obs.h"
 
 namespace rpol::core {
@@ -16,8 +15,6 @@ namespace {
 // accept/reject decision.
 void record_verdict(const VerifyResult& result) {
   obs::count(result.accepted ? "verify.accept" : "verify.reject", 1);
-  obs::flight_record(obs::FlightKind::kMark,
-                     result.accepted ? "verify.accept" : "verify.reject");
   if (!result.accepted) {
     obs::count(std::string("verify.reject.") +
                    verify_failure_name(result.failure),
@@ -123,13 +120,13 @@ bool commitment_fits_task(CommitmentVersion version, std::int64_t checkpoints,
              static_cast<std::int64_t>(hp.checkpoint_boundaries().size());
 }
 
-TrainState reexecute_transition(StepExecutor& executor, TrainState input,
-                                const std::vector<std::int64_t>& step_of,
-                                std::int64_t j, const data::DatasetView& data,
-                                const DeterministicSelector& selector,
-                                sim::DeviceExecution& device,
-                                const obs::TraceContext& parent,
-                                std::int64_t worker) {
+std::optional<TrainState> reexecute_transition(
+    StepExecutor& executor, TrainState input,
+    const std::vector<std::int64_t>& step_of, std::int64_t j,
+    const data::DatasetView& data, const DeterministicSelector& selector,
+    sim::DeviceExecution& device, const obs::TraceContext& parent,
+    std::int64_t worker) {
+  if (!executor.fits(input)) return std::nullopt;
   const std::int64_t first = step_of[static_cast<std::size_t>(j)];
   const std::int64_t count = step_of[static_cast<std::size_t>(j + 1)] - first;
   obs::Span reexec("reexecute", parent, worker);
@@ -142,16 +139,20 @@ TrainState reexecute_transition(StepExecutor& executor, TrainState input,
 }
 
 TransitionCheck judge_transition(
-    std::int64_t j, const TrainState& replay,
+    std::int64_t j, const std::optional<TrainState>& replay,
     const lsh::LshDigest* committed_lsh, const lsh::PStableLsh* hasher,
     double beta, const std::vector<bool>& mask,
     const std::function<std::optional<TrainState>()>& fetch_claimed) {
   TransitionCheck check{.transition = j, .hash_ok = true};
+  if (!replay.has_value()) {
+    check.failure = VerifyFailure::kMalformed;
+    return check;
+  }
   if (committed_lsh != nullptr) {
     {  // the weight copy is gone before a double-check fetches C_{j+1}
       // A replay from a NaN C_j is NaN throughout; hashed, every bucket
       // would saturate to one value and match the worker's own NaN digests.
-      const std::vector<float> weights = extract_trainable(replay.model, mask);
+      const std::vector<float> weights = extract_trainable(replay->model, mask);
       if (!std::all_of(weights.begin(), weights.end(),
                        [](float w) { return std::isfinite(w); })) {
         check.failure = VerifyFailure::kNonFinite;
@@ -169,9 +170,13 @@ TransitionCheck judge_transition(
     check.failure = VerifyFailure::kHashMismatch;
     return check;
   }
+  if (claimed->model.size() != replay->model.size()) {
+    check.failure = VerifyFailure::kMalformed;
+    return check;
+  }
   // Squares of float-range weights cannot overflow the double sum, so a
   // non-finite distance means a NaN or Inf weight on either side.
-  check.distance = trainable_distance(replay.model, claimed->model, mask);
+  check.distance = trainable_distance(replay->model, claimed->model, mask);
   check.passed = check.distance <= beta;
   if (!std::isfinite(check.distance)) {
     check.failure = VerifyFailure::kNonFinite;
@@ -218,6 +223,7 @@ VerifyResult verify_samples(
     TransitionCheck check{.transition = j,
                           .failure = VerifyFailure::kHashMismatch};
     const std::optional<TransitionProof> opened = open(j, result);
+    bool bound = false;  // C_j hash-matched its opening
     std::optional<TrainState> replay;
     if (opened.has_value()) {
       // Fetch C_j and hash-check it against the opening. The fetch is a
@@ -225,19 +231,22 @@ VerifyResult verify_samples(
       // consumes, so at most one non-replay checkpoint is resident at once.
       TrainState proof_in = source.fetch(j);
       result.proof_bytes += proof_in.byte_size();
-      if (digest_equal(hash_state(proof_in), opened->in_hash)) {
+      bound = digest_equal(hash_state(proof_in), opened->in_hash);
+      if (bound) {
         replay = reexecute_transition(executor, std::move(proof_in), step_of,
                                       j, *context.dataset, selector, device,
                                       trace_parent);
+      }
+      if (replay.has_value()) {
         result.reexecuted_steps += step_of[static_cast<std::size_t>(j + 1)] -
                                    step_of[static_cast<std::size_t>(j)];
       }
     }
-    if (replay.has_value()) {
+    if (bound) {
       // The claimed C_{j+1} is fetched on demand only: always for RPoLv1,
       // on an LSH miss (the double-check) for RPoLv2.
       check = judge_transition(
-          j, *replay, config.use_lsh ? &opened->out_lsh : nullptr,
+          j, replay, config.use_lsh ? &opened->out_lsh : nullptr,
           config.use_lsh ? &lsh_family(hasher, config) : nullptr, config.beta,
           mask, [&]() -> std::optional<TrainState> {
             TrainState claimed = source.fetch(j + 1);

@@ -92,25 +92,28 @@ bool commitment_fits_task(CommitmentVersion version, std::int64_t checkpoints,
                           bool use_lsh, const Hyperparams& hp);
 
 // Loads C_j (`input`) and runs steps [step_of[j], step_of[j+1]) under a
-// "reexecute" span; returns the replayed state theta'. `input` is released
-// before theta' is saved, so the two are never resident together.
-TrainState reexecute_transition(StepExecutor& executor, TrainState input,
-                                const std::vector<std::int64_t>& step_of,
-                                std::int64_t j, const data::DatasetView& data,
-                                const DeterministicSelector& selector,
-                                sim::DeviceExecution& device,
-                                const obs::TraceContext& parent,
-                                std::int64_t worker = -1);
+// "reexecute" span; returns the replayed state theta', or nullopt without
+// running a step when C_j's model or optimizer length is not the
+// executor's. `input` is released before theta' is saved, so the two are
+// never resident together.
+std::optional<TrainState> reexecute_transition(
+    StepExecutor& executor, TrainState input,
+    const std::vector<std::int64_t>& step_of, std::int64_t j,
+    const data::DatasetView& data, const DeterministicSelector& selector,
+    sim::DeviceExecution& device, const obs::TraceContext& parent,
+    std::int64_t worker = -1);
 
 // Step 3c for every verdict path (Verifier, wire session, committee), on
 // the replayed state of transition j (step 3b is reexecute_transition).
-// RPoLv2 (`committed_lsh` and `hasher` set) passes an LSH group match of
-// the trainable weights, which must all be finite before they are hashed;
+// A missing replay (C_j of the wrong shape) fails as kMalformed. RPoLv2
+// (`committed_lsh` and `hasher` set) passes an LSH group match of the
+// trainable weights, which must all be finite before they are hashed;
 // otherwise `fetch_claimed` runs once for C_{j+1}, already hash-checked
-// (nullopt if that check failed), and both states' trainable weights must
-// be finite and lie within `beta` of each other (over `mask`).
+// (nullopt if that check failed). A claimed model whose length differs
+// from the replay's fails as kMalformed; otherwise both states' trainable
+// weights must be finite and lie within `beta` of each other (over `mask`).
 TransitionCheck judge_transition(
-    std::int64_t j, const TrainState& replay,
+    std::int64_t j, const std::optional<TrainState>& replay,
     const lsh::LshDigest* committed_lsh, const lsh::PStableLsh* hasher,
     double beta, const std::vector<bool>& mask,
     const std::function<std::optional<TrainState>()>& fetch_claimed);

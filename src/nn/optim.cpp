@@ -43,6 +43,13 @@ std::vector<float> Optimizer::state_vector() const {
   return out;
 }
 
+std::size_t Optimizer::state_size() const {
+  std::size_t n = 1;  // step_count_
+  for (const Tensor& t : slots_) n += static_cast<std::size_t>(t.numel());
+  for (const Tensor& t : slots2_) n += static_cast<std::size_t>(t.numel());
+  return n;
+}
+
 void Optimizer::load_state_vector(const std::vector<float>& state) {
   std::size_t offset = 0;
   if (state.empty()) throw std::invalid_argument("optimizer state empty");

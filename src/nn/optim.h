@@ -44,6 +44,9 @@ class Optimizer {
   // Flattened optimizer state (slot tensors + counters); empty for plain SGD.
   virtual std::vector<float> state_vector() const;
   virtual void load_state_vector(const std::vector<float>& state);
+  // Length of state_vector() (the step counter plus every slot), without
+  // building it.
+  std::size_t state_size() const;
 
  protected:
   std::vector<Param*> params_;           // trainable only

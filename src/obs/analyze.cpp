@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/json.h"
@@ -26,9 +25,8 @@ SpanRecord parse_span(const Json& obj) {
   SpanRecord s;
   s.id = require(obj, "id").as_u64();
   s.parent = require(obj, "parent").as_u64();
-  // v2 additions; absent in v1 files, where every span is trace-less.
-  if (const Json* t = obj.find("trace")) s.trace_id = t->as_u64();
-  if (const Json* l = obj.find("link")) s.link = l->as_u64();
+  s.trace_id = require(obj, "trace").as_u64();
+  s.link = require(obj, "link").as_u64();
   s.name = require(obj, "name").token;
   s.worker = require(obj, "worker").as_i64();
   s.epoch = require(obj, "epoch").as_i64();
@@ -78,70 +76,32 @@ const std::string* span_attr(const SpanRecord& s, std::string_view key) {
 
 Trace parse_trace_jsonl(std::istream& in, bool strict) {
   Trace trace;
-  std::string line;
   bool saw_meta = false;
-  std::size_t line_no = 0;
-  std::size_t line_start = 0;  // byte offset of the current line
-  constexpr std::size_t kMaxKeptErrors = 8;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // getline consumed the line plus its newline unless it stopped at EOF,
-    // in which case this is a final line the writer never terminated.
-    const bool unterminated_tail = in.eof();
-    const std::size_t this_line_start = line_start;
-    line_start += line.size() + (unterminated_tail ? 0 : 1);
-    if (line.empty()) continue;
-    try {
-      const Json obj = parse_json(line);
-      const std::string& type = require(obj, "type").token;
-      if (type == "meta") {
-        trace.schema = require(obj, "schema").token;
-        if (trace.schema != "rpol.trace.v1" &&
-            trace.schema != "rpol.trace.v2") {
-          // Not tolerable even in lenient mode: the whole file speaks a
-          // dialect this analyzer does not know.
-          throw std::runtime_error("unknown trace schema: " + trace.schema);
-        }
-        trace.wall_unix_ns = require(obj, "wall_unix_ns").as_u64();
-        saw_meta = true;
-      } else if (type == "counter") {
-        trace.counters[require(obj, "name").token] =
-            require(obj, "value").as_u64();
-      } else if (type == "gauge") {
-        trace.gauges[require(obj, "name").token] =
-            require(obj, "value").as_double();
-      } else if (type == "histogram") {
-        trace.histograms.push_back(parse_histogram(obj));
-      } else if (type == "span") {
-        trace.spans.push_back(parse_span(obj));
-      } else {
-        throw std::runtime_error("unknown record type '" + type + "'");
+  read_jsonl(in, strict, "trace", trace, [&](const Json& obj) {
+    const std::string& type = require(obj, "type").token;
+    if (type == "meta") {
+      trace.schema = require(obj, "schema").token;
+      if (trace.schema != "rpol.trace.v2") {
+        // Not tolerable even in lenient mode: the whole file speaks a
+        // dialect this analyzer does not know.
+        throw JsonlFatal("unknown trace schema: " + trace.schema);
       }
-    } catch (const std::exception& e) {
-      const std::string what =
-          "line " + std::to_string(line_no) + ": " + e.what();
-      const bool schema_error =
-          std::string_view(e.what()).find("unknown trace schema") !=
-          std::string_view::npos;
-      if (unterminated_tail && !schema_error) {
-        // Cut mid-record, not damaged: the writer crashed or is still
-        // appending. Tolerant mode reports it; strict mode pinpoints it.
-        if (strict) {
-          throw std::runtime_error(
-              "trace truncated mid-record at byte offset " +
-              std::to_string(this_line_start) + " (" + what + ")");
-        }
-        trace.truncated_tail = true;
-        trace.truncated_tail_offset = this_line_start;
-        break;
-      }
-      if (strict || schema_error) throw std::runtime_error(what);
-      ++trace.skipped_lines;
-      if (trace.parse_errors.size() < kMaxKeptErrors) {
-        trace.parse_errors.push_back(what);
-      }
+      trace.wall_unix_ns = require(obj, "wall_unix_ns").as_u64();
+      saw_meta = true;
+    } else if (type == "counter") {
+      trace.counters[require(obj, "name").token] =
+          require(obj, "value").as_u64();
+    } else if (type == "gauge") {
+      trace.gauges[require(obj, "name").token] =
+          require(obj, "value").as_double();
+    } else if (type == "histogram") {
+      trace.histograms.push_back(parse_histogram(obj));
+    } else if (type == "span") {
+      trace.spans.push_back(parse_span(obj));
+    } else {
+      throw std::runtime_error("unknown record type '" + type + "'");
     }
-  }
+  });
   if (!saw_meta) {
     throw std::runtime_error("not an rpol trace: no meta line found");
   }

@@ -2,8 +2,7 @@
 // into structured records and summarizes it — per-phase wall-time shares and
 // latency quantiles, per-worker train/verify time and verdicts, and
 // per-message-type byte shares. Backs the `rpol trace` CLI subcommand and
-// the exporter round-trip tests. Legacy "rpol.trace.v1" files (no
-// trace/link span fields) load too; the missing fields default to 0.
+// the exporter round-trip tests.
 //
 // Quantiles over span durations use sim::percentile (the same routine the
 // bench harness uses), so analyzer and bench numbers are computed by one
@@ -17,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/obs.h"
 
 namespace rpol::obs {
@@ -31,30 +31,22 @@ struct ParsedHistogram {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets;  // (le, count)
 };
 
-struct Trace {
+// Damage fields (skipped_lines, parse_errors, truncated_tail) come from the
+// shared JSONL reader (json.h).
+struct Trace : JsonlDamage {
   std::string schema;
   std::uint64_t wall_unix_ns = 0;
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::vector<ParsedHistogram> histograms;
   std::vector<SpanRecord> spans;
-  // Tolerant-mode damage report: lines that failed to parse (truncated
-  // writes, editor mangling) are skipped and counted here, with the first
-  // few error messages kept for diagnosis.
-  std::size_t skipped_lines = 0;
-  std::vector<std::string> parse_errors;  // "line N: why", capped
-  // A final line with no trailing newline that fails to parse is a write
-  // cut mid-record (a crash, or a reader racing the writer), not interior
-  // damage: tolerant mode flags it here instead of counting it skipped,
-  // and strict mode's error names the byte offset where it starts.
-  bool truncated_tail = false;
-  std::size_t truncated_tail_offset = 0;
 };
 
-// Parses one JSONL stream. A missing meta line or an unknown schema always
-// throws std::runtime_error — the file is not an rpol trace at all. Damaged
-// individual records are skipped and counted (Trace::skipped_lines) by
-// default; with strict=true any unparsable line throws instead.
+// Parses one JSONL stream, line by line. A missing meta line or a schema
+// other than "rpol.trace.v2" always throws std::runtime_error — the file is
+// not an rpol trace at all. Damaged individual records are skipped and
+// counted (Trace::skipped_lines) by default; with strict=true any
+// unparsable line throws instead.
 Trace parse_trace_jsonl(std::istream& in, bool strict = false);
 Trace load_trace_file(const std::string& path, bool strict = false);
 

@@ -61,49 +61,11 @@ double HealthReport::coverage_vs_rss_growth() const {
          static_cast<double>(rss.growth_bytes);
 }
 
-HealthReport parse_health_jsonl(std::string_view text, bool strict) {
-  constexpr std::size_t kMaxKeptErrors = 8;
-  HealthReport report;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t line_start = pos;
-    std::size_t end = text.find('\n', pos);
-    const bool has_newline = end != std::string_view::npos;
-    if (!has_newline) end = text.size();
-    const std::string_view line = text.substr(pos, end - pos);
-    pos = has_newline ? end + 1 : text.size();
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+namespace {
 
-    Json obj;
-    try {
-      obj = parse_json(line);
-    } catch (const std::exception& e) {
-      if (!has_newline) {
-        // Final line cut mid-record: the exporter crashed or a reader is
-        // racing the writer — not interior corruption.
-        if (strict) {
-          throw std::runtime_error(
-              "health export truncated mid-record at byte offset " +
-              std::to_string(line_start) + " (line " +
-              std::to_string(line_no) + "): " + e.what());
-        }
-        report.truncated_tail = true;
-        report.truncated_tail_offset = line_start;
-        break;
-      }
-      if (strict) {
-        throw std::runtime_error("health line " + std::to_string(line_no) +
-                                 ": " + e.what());
-      }
-      ++report.skipped_lines;
-      if (report.parse_errors.size() < kMaxKeptErrors) {
-        report.parse_errors.push_back("line " + std::to_string(line_no) +
-                                      ": " + e.what());
-      }
-      continue;
-    }
+HealthReport read_health(std::istream& in, bool strict) {
+  HealthReport report;
+  read_jsonl(in, strict, "health export", report, [&](const Json& obj) {
     const std::string type = string_field(obj, "type");
     if (type == "meta") {
       report.schema = string_field(obj, "schema");
@@ -132,16 +94,21 @@ HealthReport parse_health_jsonl(std::string_view text, bool strict) {
       report.rss.growth_bytes = u64_field(obj, "growth_bytes");
     }
     // Unknown types: skipped for forward compatibility.
-  }
+  });
   return report;
+}
+
+}  // namespace
+
+HealthReport parse_health_jsonl(std::string_view text, bool strict) {
+  std::istringstream in{std::string(text)};
+  return read_health(in, strict);
 }
 
 HealthReport load_health_file(const std::string& path, bool strict) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open health file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_health_jsonl(buf.str(), strict);
+  return read_health(in, strict);
 }
 
 namespace {

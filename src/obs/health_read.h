@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/health.h"
+#include "obs/json.h"
 
 namespace rpol::obs {
 
@@ -29,7 +30,9 @@ struct HealthMemRow {
   MemStats stats;
 };
 
-struct HealthReport {
+// Damage fields (skipped_lines, parse_errors, truncated_tail) come from the
+// shared JSONL reader (json.h), the same rule the trace reader applies.
+struct HealthReport : JsonlDamage {
   std::string schema;  // "rpol.health.v1"
   std::uint64_t wall_unix_ns = 0;
   int eviction_threshold = 0;
@@ -38,14 +41,6 @@ struct HealthReport {
   std::vector<HealthMemRow> mem;
   RssSampler::Summary rss;  // rss.valid == false when the line was absent
   bool has_rss = false;
-
-  // Tolerant-mode damage report (same shape as analyze.h's Trace): damaged
-  // interior lines are skipped and counted; an unparseable final line with
-  // no trailing newline is a write cut mid-record and is flagged apart.
-  std::size_t skipped_lines = 0;
-  std::vector<std::string> parse_errors;  // "line N: why", capped
-  bool truncated_tail = false;
-  std::size_t truncated_tail_offset = 0;
 
   // Sum of per-tag peak bytes: the instrumented ceiling to compare against
   // sampled RSS growth.

@@ -20,7 +20,7 @@ class JsonParser {
 
  private:
   [[noreturn]] void fail(const std::string& what) {
-    throw std::runtime_error("trace JSON parse error at byte " +
+    throw std::runtime_error("JSON parse error at byte " +
                              std::to_string(pos_) + ": " + what);
   }
 
@@ -200,5 +200,46 @@ const Json* Json::find(std::string_view key) const {
 }
 
 Json parse_json(std::string_view text) { return JsonParser(text).parse(); }
+
+void read_jsonl(std::istream& in, bool strict, std::string_view doc,
+                JsonlDamage& damage,
+                const std::function<void(const Json&)>& on_record) {
+  std::string line;
+  std::size_t line_no = 0;
+  std::size_t next_start = 0;  // byte offset of the next line
+  while (std::getline(in, line)) {
+    ++line_no;
+    // getline consumed the line plus its newline unless it stopped at EOF,
+    // in which case this is a final line the writer never terminated.
+    const bool unterminated = in.eof();
+    const std::size_t line_start = next_start;
+    next_start += line.size() + (unterminated ? 0 : 1);
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    const std::string where = "line " + std::to_string(line_no);
+    try {
+      on_record(parse_json(line));
+    } catch (const JsonlFatal& e) {
+      throw JsonlFatal(where + ": " + e.what());
+    } catch (const std::exception& e) {
+      const std::string what = where + ": " + e.what();
+      if (unterminated) {
+        if (strict) {
+          throw std::runtime_error(std::string(doc) +
+                                   " truncated mid-record at byte offset " +
+                                   std::to_string(line_start) + " (" + what +
+                                   ")");
+        }
+        damage.truncated_tail = true;
+        damage.truncated_tail_offset = line_start;
+        return;
+      }
+      if (strict) throw std::runtime_error(std::string(doc) + " " + what);
+      ++damage.skipped_lines;
+      if (damage.parse_errors.size() < JsonlDamage::kMaxKeptErrors) {
+        damage.parse_errors.push_back(what);
+      }
+    }
+  }
+}
 
 }  // namespace rpol::obs

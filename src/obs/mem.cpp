@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "obs/obs.h"
 
 namespace rpol::obs {
 
@@ -102,9 +101,6 @@ std::uint64_t mem_tagged_total() {
 }
 
 void mem_reset() {
-  // Same odd-generation bracket as Registry::reset(): a live snapshot
-  // never mixes pre- and post-reset tag values.
-  const detail::ResetBarrier barrier;
   for (auto& c : g_tags) {
     c.current.store(0, std::memory_order_relaxed);
     c.peak.store(0, std::memory_order_relaxed);

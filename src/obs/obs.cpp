@@ -9,7 +9,6 @@
 #include <map>
 #include <mutex>
 
-#include "obs/alerts.h"
 #include "obs/mem.h"
 
 namespace rpol::obs {
@@ -18,31 +17,15 @@ namespace {
 
 // -1 = follow RPOL_TRACE, 0 = forced off, 1 = forced on.
 std::atomic<int> g_override{-1};
-// Same trio of states for RPOL_LIVE.
-std::atomic<int> g_live_override{-1};
-
-bool env_flag(const char* name) {
-  const char* env = std::getenv(name);
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
 
 bool env_enabled() {
-  static const bool cached = env_flag("RPOL_TRACE");
+  static const bool cached = [] {
+    const char* env = std::getenv("RPOL_TRACE");
+    return env != nullptr && env[0] != '\0' &&
+           !(env[0] == '0' && env[1] == '\0');
+  }();
   return cached;
 }
-
-bool env_live_enabled() {
-  static const bool cached = env_flag("RPOL_LIVE");
-  return cached;
-}
-
-// Reset seqlock state. `seq` is odd while any reset runs; `depth` lets
-// reset_all() nest Registry::reset() + mem_reset() inside ONE odd window
-// (and makes concurrent resets from two threads share a window instead of
-// flapping the parity).
-std::atomic<std::uint64_t> g_reset_seq{0};
-std::atomic<int> g_reset_depth{0};
 
 std::chrono::steady_clock::time_point steady_anchor() {
   static const auto anchor = std::chrono::steady_clock::now();
@@ -79,42 +62,6 @@ bool enabled() {
 
 void set_enabled(bool on) {
   g_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-bool live_enabled() {
-  const int o = g_live_override.load(std::memory_order_relaxed);
-  if (o >= 0) return o != 0;
-  return env_live_enabled();
-}
-
-void set_live_enabled(bool on) {
-  g_live_override.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-std::uint64_t reset_generation() {
-  return g_reset_seq.load(std::memory_order_acquire);
-}
-
-namespace detail {
-
-void reset_barrier_begin() {
-  if (g_reset_depth.fetch_add(1, std::memory_order_acq_rel) == 0) {
-    g_reset_seq.fetch_add(1, std::memory_order_acq_rel);  // now odd
-  }
-}
-
-void reset_barrier_end() {
-  if (g_reset_depth.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    g_reset_seq.fetch_add(1, std::memory_order_release);  // even again
-  }
-}
-
-}  // namespace detail
-
-void reset_all() {
-  const detail::ResetBarrier barrier;
-  Registry::instance().reset();
-  mem_reset();
 }
 
 std::uint64_t now_ns() {
@@ -377,10 +324,6 @@ std::uint64_t Registry::next_span_id() {
 }
 
 void Registry::record_span(SpanRecord rec) {
-  // Feed the crash flight recorder before the record moves: a fatal signal
-  // mid-run then still shows which protocol scopes closed last.
-  flight_record(FlightKind::kSpanClose, rec.name, rec.worker, rec.epoch,
-                rec.dur_ns);
   const std::uint64_t bytes = span_record_bytes(rec);
   std::lock_guard<std::mutex> lock(impl_->mutex);
   impl_->spans.push_back(std::move(rec));
@@ -398,33 +341,7 @@ std::size_t Registry::span_count() const {
   return impl_->spans.size();
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> Registry::counter_values()
-    const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(impl_->counter_by_name.size());
-  for (const auto& [name, c] : impl_->counter_by_name) {
-    out.emplace_back(name, c->value());
-  }
-  return out;
-}
-
-std::vector<std::pair<std::string, Histogram::Snapshot>>
-Registry::histogram_snapshots() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<std::pair<std::string, Histogram::Snapshot>> out;
-  out.reserve(impl_->histogram_by_name.size());
-  for (const auto& [name, h] : impl_->histogram_by_name) {
-    out.emplace_back(name, h->snapshot());
-  }
-  return out;
-}
-
 void Registry::reset() {
-  // Odd-generation window: a flusher snapshot bracketed by
-  // stable_telemetry_read that overlaps this reset retries instead of
-  // mixing drained and undrained metrics.
-  const detail::ResetBarrier barrier;
   std::lock_guard<std::mutex> lock(impl_->mutex);
   for (Counter& c : impl_->counters) {
     c.drain();  // exchange, not store: concurrent adds land before or after

@@ -56,59 +56,6 @@ bool enabled();
 // Explicit override of the RPOL_TRACE default; wins until called again.
 void set_enabled(bool on);
 
-// True when live telemetry is on: RPOL_LIVE env (cached at first call)
-// unless overridden by set_live_enabled(). Orthogonal to enabled():
-// RPOL_LIVE=1 alone streams periodic snapshots without accumulating spans.
-bool live_enabled();
-void set_live_enabled(bool on);
-
-// True when either surface wants metric writes. Counters and histograms
-// feed both the export-at-exit trace and the live flusher, so their call
-// sites gate on this; spans stay gated on enabled() alone (a long-running
-// live service must not grow an unbounded span store).
-inline bool telemetry_enabled() { return enabled() || live_enabled(); }
-
-// ---------------------------------------------------------------------------
-// Reset-vs-reader seqlock (the Histogram guard, lifted to whole-registry
-// scope): Registry::reset(), mem_reset(), and reset_all() hold the
-// generation odd while they run. A multi-metric reader (the live flusher
-// building one snapshot line from several mutex acquisitions) brackets its
-// reads with reset_generation() and retries on a change, so a snapshot can
-// never mix pre-reset and post-reset values.
-
-// Current reset generation: odd while any reset is in progress.
-std::uint64_t reset_generation();
-
-namespace detail {
-// Nestable odd-window bracket around a reset; for obs-internal reset paths
-// (Registry::reset, mem_reset, reset_all) — not a public API.
-void reset_barrier_begin();
-void reset_barrier_end();
-struct ResetBarrier {
-  ResetBarrier() { reset_barrier_begin(); }
-  ~ResetBarrier() { reset_barrier_end(); }
-};
-}  // namespace detail
-
-// Resets the metric registry AND the tagged memory counters under one odd
-// generation window (the "between protocol runs" reset tests use).
-void reset_all();
-
-// Runs `fn` as a seqlock reader: waits out any in-progress reset, runs the
-// reads, and retries if a reset intervened. Returns false when no stable
-// read landed within `max_retries` attempts (a reset hammer that never
-// pauses); callers then skip this sample rather than emit a torn one.
-template <typename Fn>
-bool stable_telemetry_read(Fn&& fn, int max_retries = 64) {
-  for (int attempt = 0; attempt < max_retries; ++attempt) {
-    const std::uint64_t g1 = reset_generation();
-    if ((g1 & 1) != 0) continue;  // reset in progress: spin to the next try
-    fn();
-    if (reset_generation() == g1) return true;
-  }
-  return false;
-}
-
 // Nanoseconds since the registry's steady-clock anchor (process start).
 std::uint64_t now_ns();
 
@@ -195,7 +142,7 @@ class Histogram {
 
   // Consistent multi-word copy of the histogram state: taken under the
   // writer-exclusion guard, so count == sum over buckets always holds.
-  // This is what the exporter and window aggregation (window.h) read.
+  // This is what the exporter reads.
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t sum = 0;
@@ -316,15 +263,6 @@ class Registry {
   std::vector<SpanRecord> spans() const;  // snapshot copy
   std::size_t span_count() const;
 
-  // Name/value listings for samplers (the live flusher): one mutex
-  // acquisition each, sorted by name. Histogram snapshots are taken under
-  // the per-histogram writer-exclusion guard, so each entry is internally
-  // consistent; bracket calls with stable_telemetry_read to also make the
-  // listing consistent against reset().
-  std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
-  std::vector<std::pair<std::string, Histogram::Snapshot>> histogram_snapshots()
-      const;
-
   // Zeroes every metric and drops recorded spans; handles stay registered.
   void reset();
 
@@ -354,16 +292,15 @@ inline Histogram& histogram(std::string_view name) {
   return Registry::instance().histogram(name);
 }
 
-// Counts only while some telemetry surface is enabled (the common call-site
-// pattern): tracing, the live flusher, or both.
+// Counts only while tracing is enabled (the common call-site pattern).
 inline void count(std::string_view name, std::uint64_t v) {
-  if (telemetry_enabled()) counter(name).add(v);
+  if (enabled()) counter(name).add(v);
 }
 
 // Histogram-recording twin of count(): one gated relaxed-atomic check, then
 // the lock-free record path.
 inline void observe(std::string_view name, std::uint64_t v) {
-  if (telemetry_enabled()) histogram(name).record(v);
+  if (enabled()) histogram(name).record(v);
 }
 
 // If tracing is enabled, exports the registry to RPOL_TRACE_FILE (or

@@ -1,6 +1,6 @@
-// The transition judge under hostile input: an all-NaN checkpoint chain, a
-// commitment of the wrong version or chain length, and the judge's rule
-// itself called directly.
+// The transition judge under hostile input: an all-NaN checkpoint chain,
+// checkpoints of the wrong size, a commitment of the wrong version or chain
+// length, and the judge's rule itself called directly.
 
 #include <gtest/gtest.h>
 
@@ -170,6 +170,125 @@ TEST(JudgePool, NanFreeRiderNeverPoisonsTheGlobalModel) {
           << "pool seed " << pool_seed << " epoch " << epoch.epoch;
     }
     EXPECT_TRUE(all_finite(pool.global_model())) << "pool seed " << pool_seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Wrong-size checkpoints.
+
+// Commits correctly to an honest chain whose C_1..C_T are one float short,
+// in the model or (`short_optimizer`) in the optimizer vector. Replaying a
+// short C_j used to throw from load_state, and judging a short claimed
+// C_{j+1} from trainable_distance, so one worker's bytes crashed every
+// verdict path and the pool.
+class ShortStatePolicy : public WorkerPolicy {
+ public:
+  explicit ShortStatePolicy(bool short_optimizer)
+      : short_optimizer_(short_optimizer) {}
+  std::string name() const override { return "short_state"; }
+  EpochTrace produce_trace(StepExecutor& executor, const EpochContext& context,
+                           sim::DeviceExecution& device) override {
+    EpochTrace trace = HonestPolicy().produce_trace(executor, context, device);
+    for (std::size_t i = 1; i < trace.checkpoints.size(); ++i) {
+      TrainState& state = trace.checkpoints[i];
+      (short_optimizer_ ? state.optimizer : state.model).pop_back();
+    }
+    return trace;
+  }
+
+ private:
+  bool short_optimizer_;
+};
+
+TEST_F(JudgeFixture, ShortStatesRejectedByVerifyForEverySamplingSeed) {
+  const Digest initial_hash = hash_state(context.initial);
+  for (const bool short_optimizer : {false, true}) {
+    ShortStatePolicy policy(short_optimizer);
+    const EpochTrace trace = produce(policy);
+    const Commitment full = commit_v1(trace);
+    const CompactCommitment compact = compact_commitment(full);
+    for (std::uint64_t seed = 0; seed < kSamplingSeeds; ++seed) {
+      Verifier v = verifier(/*use_lsh=*/false, seed);
+      sim::DeviceExecution device(sim::device_g3090(), 1234);
+      VerifyResult listed;
+      ASSERT_NO_THROW(listed =
+                          v.verify(full, trace, context, initial_hash, device))
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      EXPECT_FALSE(listed.accepted)
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      EXPECT_EQ(listed.failure, VerifyFailure::kMalformed)
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      VerifyResult merkle;
+      ASSERT_NO_THROW(merkle = v.verify_compact(compact, full, trace, context,
+                                                initial_hash, device))
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      EXPECT_FALSE(merkle.accepted)
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      EXPECT_EQ(merkle.failure, VerifyFailure::kMalformed)
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+    }
+  }
+}
+
+TEST_F(JudgeFixture, ShortStatesRejectedBySessionForEverySamplingSeed) {
+  for (const bool short_optimizer : {false, true}) {
+    for (std::uint64_t seed = 0; seed < kSamplingSeeds; ++seed) {
+      SessionConfig cfg;
+      cfg.scheme = Scheme::kRPoLv1;
+      cfg.samples_q = 2;
+      cfg.beta = kBeta;
+      cfg.sampling_seed = seed;
+      ShortStatePolicy policy(short_optimizer);
+      SessionOutcome outcome;
+      ASSERT_NO_THROW(outcome = run_protocol_session(
+                          task.factory, task.hp, cfg, context.initial,
+                          /*nonce=*/505, view, policy, sim::device_ga10(),
+                          /*worker_seed=*/3, sim::device_g3090(),
+                          /*manager_seed=*/4))
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      EXPECT_FALSE(outcome.accepted)
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+      EXPECT_EQ(outcome.status, SessionStatus::kVerdictRejected)
+          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+    }
+  }
+}
+
+TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
+  const TinyTask task = TinyTask::make(/*seed=*/61, /*steps=*/10,
+                                       /*interval=*/3);
+  const data::TrainTestSplit split =
+      data::train_test_split(task.dataset, 0.25, 17);
+  for (const bool short_optimizer : {false, true}) {
+    PoolConfig cfg;
+    cfg.scheme = Scheme::kRPoLv1;
+    cfg.hp = task.hp;
+    cfg.epochs = 4;
+    cfg.samples_q = 3;
+    cfg.seed = 72;
+    std::vector<WorkerSpec> workers;
+    const auto devices = sim::all_devices();
+    for (std::size_t w = 0; w < 4; ++w) {
+      WorkerSpec spec;
+      if (w < 3) {
+        spec.policy = std::make_unique<HonestPolicy>();
+      } else {
+        spec.policy = std::make_unique<ShortStatePolicy>(short_optimizer);
+      }
+      spec.device = devices[w % devices.size()];
+      workers.push_back(std::move(spec));
+    }
+    MiningPool pool(cfg, task.factory, task.dataset, split.test,
+                    std::move(workers));
+    PoolRunReport report;
+    ASSERT_NO_THROW(report = pool.run())
+        << "short_optimizer=" << short_optimizer;
+    ASSERT_EQ(report.epochs.size(), 4U);
+    for (const EpochReport& epoch : report.epochs) {
+      EXPECT_FALSE(epoch.accepted[3])
+          << "short_optimizer=" << short_optimizer << " epoch " << epoch.epoch;
+    }
+    EXPECT_TRUE(all_finite(pool.global_model()));
   }
 }
 

@@ -1,7 +1,6 @@
 // Tests for the resource & health observability layer: tagged memory
-// accounting (obs/mem.h), windowed metric aggregation (obs/window.h), the
-// per-worker health registry (obs/health.h), and the rpol.health.v1
-// export/parse round trip (obs/health_read.h).
+// accounting (obs/mem.h), the per-worker health registry (obs/health.h),
+// and the rpol.health.v1 export/parse round trip (obs/health_read.h).
 
 #include <chrono>
 #include <cstdio>
@@ -14,7 +13,6 @@
 #include "obs/health_read.h"
 #include "obs/mem.h"
 #include "obs/obs.h"
-#include "obs/window.h"
 
 namespace rpol::obs {
 namespace {
@@ -123,71 +121,6 @@ TEST(RssSamplerTest, SamplesAndSummarizes) {
 #else
   EXPECT_FALSE(s.valid);
 #endif
-}
-
-// ---------------------------------------------------------------------------
-// Windowed aggregation
-
-TEST(CounterWindowTest, DeltaAndRateOverTheRing) {
-  CounterWindow w(4);
-  EXPECT_EQ(w.window_delta(), 0U);  // < 2 samples
-  w.sample(10);
-  w.sample(30);
-  w.sample(60);
-  EXPECT_EQ(w.window_delta(), 50U);
-  EXPECT_DOUBLE_EQ(w.rate_per_sample(), 25.0);
-  // Fill past capacity: the oldest readings fall out of the window.
-  w.sample(100);
-  w.sample(140);
-  EXPECT_EQ(w.size(), 4U);
-  EXPECT_EQ(w.oldest(), 30U);
-  EXPECT_EQ(w.latest(), 140U);
-  EXPECT_EQ(w.window_delta(), 110U);
-}
-
-TEST(CounterWindowTest, SaturatesWhenCounterWasDrainedMidWindow) {
-  CounterWindow w(4);
-  w.sample(500);
-  w.sample(20);  // counter drained between samples
-  EXPECT_EQ(w.window_delta(), 0U);
-}
-
-TEST(CounterWindowTest, ObservesARealCounter) {
-  Counter c("test.window.counter");
-  CounterWindow w(8);
-  w.sample(c);
-  c.add(5);
-  c.add(7);
-  w.sample(c);
-  EXPECT_EQ(w.window_delta(), 12U);
-}
-
-TEST(HistogramWindowTest, WindowedPercentileSeesOnlyWindowValues) {
-  Histogram h("test.window.hist");
-  HistogramWindow w(4);
-  // Old regime: tiny values, recorded before the window opens.
-  for (int i = 0; i < 100; ++i) h.record(1);
-  w.sample(h);
-  // New regime inside the window: large values.
-  for (int i = 0; i < 50; ++i) h.record(5000);
-  w.sample(h);
-
-  EXPECT_EQ(w.windowed_count(), 50U);
-  // The cumulative histogram's median is still 1, but the windowed median
-  // must reflect only the in-window values (bucketed, so approximate).
-  EXPECT_EQ(h.approx_percentile(50.0), 1U);
-  EXPECT_GE(w.windowed_percentile(50.0), 4096U);
-  EXPECT_DOUBLE_EQ(w.rate_per_sample(), 50.0);
-}
-
-TEST(HistogramWindowTest, EmptyAndSingleSampleAreZero) {
-  HistogramWindow w(3);
-  EXPECT_EQ(w.windowed_count(), 0U);
-  EXPECT_EQ(w.windowed_percentile(99.0), 0U);
-  Histogram h("test.window.hist2");
-  h.record(42);
-  w.sample(h);
-  EXPECT_EQ(w.windowed_count(), 0U);  // still < 2 snapshots
 }
 
 // ---------------------------------------------------------------------------

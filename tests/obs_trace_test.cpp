@@ -430,24 +430,6 @@ TEST_F(ObsTest, TruncatedFinalLineIsFlaggedNotFatal) {
   EXPECT_EQ(ok.counters.at("bytes.update"), 7U);
 }
 
-TEST_F(ObsTest, LegacyV1TracesStillLoad) {
-  // Pre-propagation exports have no trace/link span fields; they must load
-  // with both defaulting to 0 so old captures stay analyzable.
-  const std::string body =
-      "{\"type\":\"meta\",\"schema\":\"rpol.trace.v1\",\"wall_unix_ns\":9}\n"
-      "{\"type\":\"span\",\"id\":4,\"parent\":2,\"name\":\"train\","
-      "\"worker\":0,\"epoch\":1,\"start_ns\":10,\"dur_ns\":20,\"attrs\":{}}\n";
-  std::istringstream in(body);
-  const obs::Trace trace = obs::parse_trace_jsonl(in);
-  EXPECT_EQ(trace.schema, "rpol.trace.v1");
-  ASSERT_EQ(trace.spans.size(), 1U);
-  EXPECT_EQ(trace.spans[0].id, 4U);
-  EXPECT_EQ(trace.spans[0].parent, 2U);
-  EXPECT_EQ(trace.spans[0].trace_id, 0U);
-  EXPECT_EQ(trace.spans[0].link, 0U);
-  EXPECT_EQ(trace.skipped_lines, 0U);
-}
-
 // Reads `path` fully; print_trace_summary writes to FILE*, so the fault
 // counter tests route it through a scratch file.
 std::string slurp(const char* path) {
@@ -487,11 +469,6 @@ TEST_F(ObsTest, FaultCountersAppearInSummaryOnlyWhenNonzero) {
 
 TEST_F(ObsTest, DisabledRegistryRecordsNothing) {
   ASSERT_FALSE(obs::enabled());
-  // count() feeds both surfaces, so the live gate must be off too for the
-  // write to be suppressed (the tier-1 RPOL_LIVE=1 pass would otherwise
-  // correctly let it through).
-  const bool live_was_on = obs::live_enabled();
-  obs::set_live_enabled(false);
   obs::count("bytes.state", 100);  // guarded: must not register
   {
     obs::Span s("epoch");
@@ -505,7 +482,6 @@ TEST_F(ObsTest, DisabledRegistryRecordsNothing) {
   // but the export remains schema-valid either way.
   const std::vector<std::string> lines = export_lines();
   ASSERT_EQ(lines.size(), 1U);
-  obs::set_live_enabled(live_was_on);
 }
 
 TEST_F(ObsTest, ResetZeroesMetricsButKeepsHandles) {

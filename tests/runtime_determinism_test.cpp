@@ -29,8 +29,6 @@
 #include "data/synthetic.h"
 #include "nn/models.h"
 #include "obs/health.h"
-#include "obs/live.h"
-#include "obs/live_read.h"
 #include "obs/mem.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
@@ -715,121 +713,6 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
   ASSERT_FALSE(streamed_1t.accepted.empty());
   EXPECT_FALSE(streamed_1t.accepted[0][0]);
   EXPECT_TRUE(streamed_1t.accepted[0][1]);
-}
-
-// Live telemetry closes the write-only contract: a pool run with RPOL_LIVE
-// semantics on — flight recorder armed, health rows published every epoch,
-// and a background LiveFlusher sampling the registry and evaluating alert
-// rules at a fast cadence WHILE the protocol runs — must be bitwise
-// identical to a plain run, at 1 and 4 intra-op threads. The flusher reads
-// the same atomics the protocol writes and its alerts narrate decisions the
-// HealthRegistry already made; neither may move a single protocol byte.
-TEST(TrainingDeterminism, LivePoolRunIsBitwiseIdentical) {
-  auto run_pool = [](bool live, int threads) {
-    const ThreadGuard guard;
-    runtime::set_threads(threads);
-    obs::set_live_enabled(live);
-    obs::flight_reset();
-    obs::live_reset_health();
-    obs::reset_all();
-    const std::string live_path =
-        ::testing::TempDir() + "runtime_determinism_live_" +
-        std::to_string(threads) + "t.jsonl";
-    std::unique_ptr<obs::LiveFlusher> flusher;
-    if (live) {
-      obs::LiveFlusher::Options options;
-      options.path = live_path;
-      options.interval = std::chrono::milliseconds(5);
-      flusher = std::make_unique<obs::LiveFlusher>(options);
-    }
-
-    const testing::TinyTask task = testing::TinyTask::make(61, 10, 3);
-    const data::TrainTestSplit split =
-        data::train_test_split(task.dataset, 0.25, 17);
-    core::PoolConfig cfg;
-    cfg.hp = task.hp;
-    cfg.epochs = 3;
-    cfg.samples_q = 3;
-    cfg.seed = 71;
-    cfg.eviction_threshold = 2;
-    std::vector<core::WorkerSpec> workers;
-    const auto devices = sim::all_devices();
-    for (std::size_t w = 0; w < 3; ++w) {
-      core::WorkerSpec spec;
-      // One replay adversary: the live run must narrate a real eviction
-      // (flight events, alert-rule inputs) without changing it.
-      spec.policy =
-          w == 0 ? std::unique_ptr<core::WorkerPolicy>(
-                       std::make_unique<core::ReplayPolicy>())
-                 : std::unique_ptr<core::WorkerPolicy>(
-                       std::make_unique<core::HonestPolicy>());
-      spec.device = devices[w % devices.size()];
-      workers.push_back(std::move(spec));
-    }
-    core::MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                          std::move(workers));
-    const core::PoolRunReport report = pool.run();
-
-    struct Result {
-      std::vector<float> model;
-      double final_accuracy = 0.0;
-      std::uint64_t total_bytes = 0;
-      std::vector<bool> evicted;
-      std::vector<std::vector<bool>> accepted;
-      std::uint64_t live_snapshots = 0;
-      std::uint64_t flight_events = 0;
-    };
-    Result r;
-    r.model = pool.global_model();
-    r.final_accuracy = report.final_accuracy;
-    r.total_bytes = report.total_bytes;
-    for (std::size_t w = 0; w < 3; ++w) {
-      r.evicted.push_back(pool.health().evicted(w));
-    }
-    for (const auto& epoch : report.epochs) r.accepted.push_back(epoch.accepted);
-    if (flusher != nullptr) {
-      flusher->stop();
-      r.live_snapshots = flusher->snapshots_written();
-      // The stream on disk is well-formed even though it was appended
-      // concurrently with the run (strict: the flusher has stopped).
-      const obs::LiveDoc doc = obs::load_live_file(live_path, /*strict=*/true);
-      EXPECT_EQ(doc.schema, "rpol.live.v1");
-      EXPECT_EQ(static_cast<std::uint64_t>(doc.snapshots.size()),
-                r.live_snapshots);
-      std::remove(live_path.c_str());
-    }
-    r.flight_events = obs::flight_count();
-    obs::set_live_enabled(false);
-    obs::flight_reset();
-    obs::live_reset_health();
-    obs::reset_all();
-    return r;
-  };
-
-  const auto plain_1t = run_pool(false, 1);
-  const auto live_1t = run_pool(true, 1);
-  const auto plain_4t = run_pool(false, 4);
-  const auto live_4t = run_pool(true, 4);
-
-  // The live runs really streamed and recorded...
-  EXPECT_GT(live_1t.live_snapshots, 0u);
-  EXPECT_GT(live_4t.live_snapshots, 0u);
-  EXPECT_GT(live_1t.flight_events, 0u);
-  EXPECT_EQ(plain_1t.flight_events, 0u);  // gate held with live off
-  // ...and not one protocol byte moved, at either thread count.
-  const auto expect_same = [](const auto& a, const auto& b) {
-    EXPECT_EQ(a.model, b.model);
-    EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-    EXPECT_EQ(a.total_bytes, b.total_bytes);
-    EXPECT_EQ(a.evicted, b.evicted);
-    EXPECT_EQ(a.accepted, b.accepted);
-  };
-  expect_same(plain_1t, live_1t);
-  expect_same(plain_4t, live_4t);
-  expect_same(plain_1t, plain_4t);
-  // The adversary's eviction is part of the identical surface.
-  EXPECT_TRUE(live_1t.evicted[0]);
-  EXPECT_FALSE(live_1t.evicted[1]);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@
 //   trace       summarize a JSONL trace produced with RPOL_TRACE=1
 //   timeline    reconstruct per-epoch causal trees from a trace
 //   health      summarize an rpol.health.v1 file (worker scores + memory)
-//   watch       tail + render an rpol.live.v1 stream (RPOL_LIVE=1 runs)
-//   alerts      summarize the alerts in an rpol.live.v1 stream
 //   bench-diff  compare two rpol.bench.v1 files with a tolerance gate
 //   bench-merge overlay-merge rpol.bench.v1 files into one registry
 //
@@ -33,7 +31,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/costing.h"
@@ -46,8 +43,6 @@
 #include "obs/benchreg.h"
 #include "obs/health.h"
 #include "obs/health_read.h"
-#include "obs/live.h"
-#include "obs/live_read.h"
 #include "obs/mem.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
@@ -164,11 +159,6 @@ int cmd_simulate(const Args& args) {
   // fall inside the sampling window.
   std::optional<obs::RssSampler> rss;
   if (obs::enabled()) rss.emplace(std::chrono::milliseconds(10));
-  // Live telemetry (RPOL_LIVE=1): background flusher + alert engine + crash
-  // flight recorder. Pure observer — started before the pool so the first
-  // snapshots cover setup; nullptr when the surface is off.
-  std::unique_ptr<obs::LiveFlusher> live =
-      obs::maybe_start_live("rpol_live.jsonl");
   core::MiningPool pool(cfg, nn::mlp_factory(32, {32, 16}, 10, derive_seed(seed, 3)),
                         dataset, split.test, std::move(specs));
   std::printf("scheme=%s workers=%zu adversaries=%zu (%s) epochs=%ld\n",
@@ -207,15 +197,6 @@ int cmd_simulate(const Args& args) {
     std::printf("health written to %s (summarize with `rpol health --file "
                 "%s`)\n",
                 health_path.c_str(), health_path.c_str());
-  }
-  if (live != nullptr) {
-    live->stop();  // final snapshot covering the run's end state
-    std::printf("live stream written to %s (%llu snapshot(s), %llu alert(s); "
-                "render with `rpol watch --once --file %s`)\n",
-                live->path().c_str(),
-                static_cast<unsigned long long>(live->snapshots_written()),
-                static_cast<unsigned long long>(live->alerts_emitted()),
-                live->path().c_str());
   }
   return 0;
 }
@@ -285,44 +266,6 @@ int cmd_health(const Args& args) {
       obs::load_health_file(path, args.has("strict"));
   std::printf("health %s:\n", path.c_str());
   obs::print_health_report(report, stdout);
-  return 0;
-}
-
-int cmd_watch(const Args& args) {
-  const std::string path =
-      args.get("file", obs::live_file_path("rpol_live.jsonl"));
-  const bool once = args.has("once");
-  const long interval_ms = args.get_int("interval-ms", 1000);
-  const bool strict = args.has("strict");
-  for (;;) {
-    obs::LiveDoc doc;
-    bool loaded = false;
-    try {
-      doc = obs::load_live_file(path, strict);
-      loaded = true;
-    } catch (const std::exception& e) {
-      if (once || strict) throw;
-      // Not written yet (the run may still be starting): keep waiting.
-      std::printf("watching %s: %s\n", path.c_str(), e.what());
-    }
-    if (!once) std::printf("\x1b[2J\x1b[H");  // clear + home between frames
-    if (loaded) {
-      std::printf("watch %s:\n", path.c_str());
-      obs::print_live_report(doc, stdout);
-    }
-    if (once) return 0;
-    std::fflush(stdout);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(interval_ms < 1 ? 1 : interval_ms));
-  }
-}
-
-int cmd_alerts(const Args& args) {
-  const std::string path =
-      args.get("file", obs::live_file_path("rpol_live.jsonl"));
-  const obs::LiveDoc doc = obs::load_live_file(path, args.has("strict"));
-  std::printf("alerts %s:\n", path.c_str());
-  obs::print_alerts_summary(doc, stdout);
   return 0;
 }
 
@@ -473,8 +416,6 @@ void usage() {
       "  trace      --file rpol_trace.jsonl [--strict] [--verify-refs]\n"
       "  timeline   --file rpol_trace.jsonl [--export out.perfetto.json]\n"
       "  health     --file rpol_health.jsonl [--strict]\n"
-      "  watch      --file rpol_live.jsonl [--once] [--interval-ms N] [--strict]\n"
-      "  alerts     --file rpol_live.jsonl [--strict]\n"
       "  bench-diff <baseline.json> <current.json> [--tolerance 0.xx]\n"
       "             [--mem-tolerance 0.xx]\n"
       "  bench-merge --out merged.json <in.json>...\n");
@@ -497,8 +438,6 @@ int main(int argc, char** argv) {
     if (command == "trace") return cmd_trace(args);
     if (command == "timeline") return cmd_timeline(args);
     if (command == "health") return cmd_health(args);
-    if (command == "watch") return cmd_watch(args);
-    if (command == "alerts") return cmd_alerts(args);
     if (command == "bench-diff") return cmd_bench_diff(args);
     if (command == "bench-merge") return cmd_bench_merge(args);
     usage();

@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite in
-# eight passes — (1) pinned to a single compute thread, (2) RPOL_THREADS
+# seven passes — (1) pinned to a single compute thread, (2) RPOL_THREADS
 # unset (pool defaults to hardware_concurrency), (3) RPOL_SHARDS=3 (the
 # sharded pool manager resolves a multi-shard default; §6 says shard layout
-# can never change results), (4) RPOL_TRACE=1, (5) RPOL_LIVE=1 (background
-# flusher + flight recorder armed; the determinism suite proves bitwise
-# identity), (6) a bounded-memory pass with RPOL_CKPT_BUDGET squeezed to a
-# few KiB so the checkpoint stores spill and evict constantly (the verdict
-# goldens run in it too, so verification from a spilling store must
-# reproduce the recorded digests), then (7) and (8) under AddressSanitizer
-# and UndefinedBehaviorSanitizer in separate build trees. The main build is
+# can never change results), (4) RPOL_TRACE=1, (5) a bounded-memory pass
+# with RPOL_CKPT_BUDGET squeezed to a few KiB so the checkpoint stores
+# spill and evict constantly (the verdict goldens run in it too, so
+# verification from a spilling store must reproduce the recorded digests),
+# then (6) and (7) under AddressSanitizer and UndefinedBehaviorSanitizer in
+# separate build trees. The main build is
 # strict (-DRPOL_WERROR=ON), and an RPOL_SIMD=OFF tree builds tensor_test
 # and sim_test, whose golden digests pin every normal variate to the scalar
 # Box-Muller in both ISA builds.
@@ -20,7 +19,7 @@
 # bugs, not flakiness.
 #
 # Usage: tools/run_tier1.sh [build-dir]   (default: build)
-# Set RPOL_SKIP_SANITIZERS=1 to run only the six fast passes.
+# Set RPOL_SKIP_SANITIZERS=1 to run only the five fast passes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,28 +28,20 @@ BUILD_DIR="${1:-build}"
 cmake -B "$BUILD_DIR" -S . -DRPOL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-echo "==> tier-1 pass 1/8: RPOL_THREADS=1"
+echo "==> tier-1 pass 1/7: RPOL_THREADS=1"
 (cd "$BUILD_DIR" && RPOL_THREADS=1 ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 2/8: RPOL_THREADS unset (default thread count)"
+echo "==> tier-1 pass 2/7: RPOL_THREADS unset (default thread count)"
 (cd "$BUILD_DIR" && env -u RPOL_THREADS ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 3/8: RPOL_SHARDS=3 (sharded manager default; shard"
+echo "==> tier-1 pass 3/7: RPOL_SHARDS=3 (sharded manager default; shard"
 echo "    layout must never change results)"
 (cd "$BUILD_DIR" && RPOL_SHARDS=3 ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 4/8: RPOL_TRACE=1 (tracing on; results must not change)"
+echo "==> tier-1 pass 4/7: RPOL_TRACE=1 (tracing on; results must not change)"
 (cd "$BUILD_DIR" && RPOL_TRACE=1 ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 5/8: RPOL_LIVE=1 (live flusher + flight recorder armed;"
-echo "    snapshots stream to a scratch file, results must not change)"
-(cd "$BUILD_DIR" && RPOL_LIVE=1 RPOL_LIVE_INTERVAL_MS=50 \
-  RPOL_LIVE_FILE=tier1_live_scratch.jsonl \
-  RPOL_FLIGHT_FILE=tier1_flight_scratch.jsonl \
-  ctest --output-on-failure -j "$(nproc)")
-rm -f "$BUILD_DIR/tier1_live_scratch.jsonl" "$BUILD_DIR/tier1_flight_scratch.jsonl"
-
-echo "==> tier-1 pass 6/8: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
+echo "==> tier-1 pass 5/7: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
 echo "    checkpoint; streaming suites and verdict goldens must stay bitwise"
 echo "    identical)"
 (cd "$BUILD_DIR" && RPOL_CKPT_BUDGET=4096 ctest --output-on-failure \
@@ -94,18 +85,18 @@ if [[ -f BENCH_baseline.json ]]; then
 fi
 
 if [[ "${RPOL_SKIP_SANITIZERS:-0}" == "1" ]]; then
-  echo "==> tier-1 OK: six fast configurations green (sanitizers skipped)"
+  echo "==> tier-1 OK: five fast configurations green (sanitizers skipped)"
   exit 0
 fi
 
-echo "==> tier-1 pass 7/8: AddressSanitizer (RPOL_SANITIZE=address)"
+echo "==> tier-1 pass 6/7: AddressSanitizer (RPOL_SANITIZE=address)"
 cmake -B "${BUILD_DIR}-asan" -S . -DRPOL_SANITIZE=address
 cmake --build "${BUILD_DIR}-asan" -j "$(nproc)"
 (cd "${BUILD_DIR}-asan" && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 8/8: UndefinedBehaviorSanitizer (RPOL_SANITIZE=undefined)"
+echo "==> tier-1 pass 7/7: UndefinedBehaviorSanitizer (RPOL_SANITIZE=undefined)"
 cmake -B "${BUILD_DIR}-ubsan" -S . -DRPOL_SANITIZE=undefined
 cmake --build "${BUILD_DIR}-ubsan" -j "$(nproc)"
 (cd "${BUILD_DIR}-ubsan" && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 OK: all eight configurations green"
+echo "==> tier-1 OK: all seven configurations green"
