@@ -265,8 +265,8 @@ core::Commitment seed_commit_v2(const core::EpochTrace& trace,
 }
 
 // Seed-shaped proof generation: rebuilds the state tree AND re-hashes every
-// LSH leaf for each transition, exactly like pre-pipeline
-// make_transition_proof.
+// LSH leaf for each transition, exactly like the proof generation that
+// predates CommitmentIndex.
 std::vector<Digest> seed_transition_proof(const core::Commitment& full,
                                           std::size_t transition) {
   const auto state_levels = seed_merkle_levels(full.state_hashes);
@@ -711,8 +711,8 @@ void run_crypto_harness() {
 // Streaming bounded-memory harness (core.stream.*): one epoch's checkpoint
 // pipeline at 10x the crypto harness's checkpoint count (40 vs 4), under a
 // hot-cache budget a fraction of the epoch's footprint. Commit phase streams
-// every checkpoint through CommitmentBuilder + CheckpointStore (hash, fold,
-// spill, evict); verify phase fetches sampled transition endpoints back
+// every checkpoint through CommitmentBuilder + CheckpointStore (hash, spill,
+// evict) and derives the compact roots; verify phase fetches sampled transition endpoints back
 // through the store (mostly cold reloads) and re-checks them against the
 // commitment. Each record carries env.peak_rss_bytes, so the tier-1
 // bench-diff's --mem-tolerance gates the bounded-memory claim: if streaming
@@ -753,7 +753,7 @@ void run_stream_harness() {
       store->append(state);
     }
     full = builder.finish();
-    compact = builder.compact();
+    compact = core::compact_commitment(full);
     benchmark::DoNotOptimize(compact);
   });
 

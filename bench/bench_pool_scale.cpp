@@ -81,7 +81,6 @@ RegimeResult run_regime(const ScaleConfig& scale,
   cfg.base.eviction_threshold = 3;
   cfg.shards = scale.shards;
   cfg.queue_capacity = 64;
-  cfg.verify_batch = 16;
   cfg.overflow = core::AdmissionPolicy::kRequeue;
 
   std::vector<core::WorkerSpec> workers;
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
   const RegimeResult network_bound = run_regime(scale, &plan);
 
   std::printf("\n%zu workers over %d shards, %lld epochs, queue cap 64 "
-              "(requeue), verify waves of 16\n\n",
+              "(requeue)\n\n",
               scale.workers, scale.shards,
               static_cast<long long>(scale.epochs));
   print_regime("verifier_bound", verifier_bound);

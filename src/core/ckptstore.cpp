@@ -82,7 +82,7 @@ void CheckpointStore::cache_locked(std::int64_t index, TrainState state) const {
   mem_.set(hot_bytes_);
 }
 
-void CheckpointStore::append(const TrainState& state) {
+void CheckpointStore::append(TrainState state) {
   const Bytes encoded = serialize_state(state);
   std::lock_guard<std::mutex> lock(mu_);
   file_.clear();
@@ -100,7 +100,8 @@ void CheckpointStore::append(const TrainState& state) {
   records_.push_back(rec);
   spill_bytes_ += rec.length;
   logical_bytes_ += rec.state_bytes;
-  cache_locked(static_cast<std::int64_t>(records_.size()) - 1, state);
+  cache_locked(static_cast<std::int64_t>(records_.size()) - 1,
+               std::move(state));
 }
 
 std::int64_t CheckpointStore::num_checkpoints() const {
@@ -173,9 +174,9 @@ class CommitAndSpillSink final : public CheckpointSink {
  public:
   CommitAndSpillSink(CommitmentBuilder& builder, CheckpointStore& store)
       : builder_(builder), store_(store) {}
-  void append(const TrainState& state) override {
+  void append(TrainState state) override {
     builder_.add_checkpoint(state);
-    store_.append(state);
+    store_.append(std::move(state));
   }
 
  private:
@@ -188,19 +189,14 @@ class CommitAndSpillSink final : public CheckpointSink {
 StreamedEpoch run_streamed_epoch(WorkerPolicy& policy, StepExecutor& executor,
                                  const EpochContext& context,
                                  sim::DeviceExecution& device,
-                                 CommitmentVersion version,
-                                 const lsh::PStableLsh* hasher,
-                                 const std::vector<bool>* mask,
+                                 CommitmentBuilder& builder,
                                  CkptStoreConfig store_config) {
   StreamedEpoch out;
   out.store = std::make_unique<CheckpointStore>(store_config);
-  CommitmentBuilder builder(version, hasher, mask);
   CommitAndSpillSink sink(builder, *out.store);
   StreamedTraceInfo info = policy.stream_trace(executor, context, device, sink);
   out.step_of = std::move(info.step_of);
   out.mean_loss = info.mean_loss;
-  out.commitment = builder.finish();
-  out.compact = builder.compact();
   return out;
 }
 

@@ -71,7 +71,7 @@ class CheckpointStore final : public CheckpointSource, public CheckpointSink {
 
   // CheckpointSink: serializes the state to the spill file, then caches it
   // hot (evicting LRU entries first so the budget is never exceeded).
-  void append(const TrainState& state) override;
+  void append(TrainState state) override;
 
   // CheckpointSource.
   std::int64_t num_checkpoints() const override;
@@ -126,27 +126,22 @@ class CheckpointStore final : public CheckpointSource, public CheckpointSink {
 
 // ---------------------------------------------------------------------------
 // Streamed worker epoch: drives WorkerPolicy::stream_trace with a sink that
-// forwards each fresh checkpoint to BOTH a CommitmentBuilder (hash + fold,
-// then forget) and a CheckpointStore (spill + bounded hot cache). The result
-// carries everything the pool's commit/verify/aggregate phases need without
-// an EpochTrace ever existing.
+// forwards each fresh checkpoint to BOTH the caller's CommitmentBuilder
+// (hash, then forget) and a new CheckpointStore (spill + bounded hot cache).
+// The caller seals the commitment with builder.finish() — after checking
+// builder.fits_mask() — so no EpochTrace ever exists.
 
 struct StreamedEpoch {
   std::unique_ptr<CheckpointStore> store;  // plays the worker's proof store
   std::vector<std::int64_t> step_of;
   float mean_loss = 0.0F;
-  Commitment commitment;       // identical to commit_v1/v2 over the sequence
-  CompactCommitment compact;   // identical to CommitmentIndex::compact()
 };
 
-// `version`/`hasher`/`mask` follow the CommitmentBuilder contract (hasher
-// required for v2). Throws what the policy or builder throws.
+// Throws what the policy throws.
 StreamedEpoch run_streamed_epoch(WorkerPolicy& policy, StepExecutor& executor,
                                  const EpochContext& context,
                                  sim::DeviceExecution& device,
-                                 CommitmentVersion version,
-                                 const lsh::PStableLsh* hasher = nullptr,
-                                 const std::vector<bool>* mask = nullptr,
+                                 CommitmentBuilder& builder,
                                  CkptStoreConfig store_config = {});
 
 }  // namespace rpol::core

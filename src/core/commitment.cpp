@@ -14,14 +14,6 @@ namespace {
 // pre-sized slot, preserving bitwise thread-count invariance.
 constexpr std::int64_t kLeafGrain = 1;
 
-void hash_state_range(const EpochTrace& trace, std::vector<Digest>& out,
-                      std::int64_t lo, std::int64_t hi) {
-  for (std::int64_t j = lo; j < hi; ++j) {
-    out[static_cast<std::size_t>(j)] =
-        hash_state(trace.checkpoints[static_cast<std::size_t>(j)]);
-  }
-}
-
 // Hashes every LSH digest into its domain-separated Merkle leaf, in parallel.
 std::vector<Digest> hash_lsh_leaves(const std::vector<lsh::LshDigest>& digests) {
   std::vector<Digest> leaves(digests.size());
@@ -54,6 +46,13 @@ std::uint64_t EpochTrace::storage_bytes() const {
   std::uint64_t total = 0;
   for (const auto& c : checkpoints) total += c.byte_size();
   return total;
+}
+
+TrainState EpochTrace::fetch(std::int64_t index) const {
+  if (index < 0 || index >= num_checkpoints()) {
+    throw std::out_of_range("checkpoint index out of range");
+  }
+  return checkpoints[static_cast<std::size_t>(index)];
 }
 
 Bytes serialize_state(const TrainState& state) {
@@ -110,38 +109,16 @@ std::uint64_t Commitment::byte_size() const {
 }
 
 Commitment commit_v1(const EpochTrace& trace) {
-  if (trace.checkpoints.empty()) throw std::invalid_argument("empty trace");
-  Commitment c;
-  c.version = CommitmentVersion::kV1;
-  c.state_hashes.resize(trace.checkpoints.size());
-  runtime::parallel_for(0, static_cast<std::int64_t>(trace.checkpoints.size()),
-                        kLeafGrain, [&](std::int64_t lo, std::int64_t hi) {
-                          hash_state_range(trace, c.state_hashes, lo, hi);
-                        });
-  c.root = commitment_root(c);
-  return c;
+  CommitmentBuilder builder(CommitmentVersion::kV1);
+  builder.add_checkpoints(trace.checkpoints);
+  return builder.finish();
 }
 
 Commitment commit_v2(const EpochTrace& trace, const lsh::PStableLsh& hasher,
                      const std::vector<bool>* mask) {
-  if (trace.checkpoints.empty()) throw std::invalid_argument("empty trace");
-  Commitment c;
-  c.version = CommitmentVersion::kV2;
-  const auto n = static_cast<std::int64_t>(trace.checkpoints.size());
-  c.state_hashes.resize(trace.checkpoints.size());
-  c.lsh_digests.resize(trace.checkpoints.size());
-  // PStableLsh::hash is const and stateless per call, so fanning both the
-  // SHA and LSH leaf work across checkpoints is safe and deterministic.
-  runtime::parallel_for(0, n, kLeafGrain, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t j = lo; j < hi; ++j) {
-      const auto& state = trace.checkpoints[static_cast<std::size_t>(j)];
-      c.state_hashes[static_cast<std::size_t>(j)] = hash_state(state);
-      c.lsh_digests[static_cast<std::size_t>(j)] = hasher.hash(
-          mask != nullptr ? extract_trainable(state.model, *mask) : state.model);
-    }
-  });
-  c.root = commitment_root(c);
-  return c;
+  CommitmentBuilder builder(CommitmentVersion::kV2, &hasher, mask);
+  builder.add_checkpoints(trace.checkpoints);
+  return builder.finish();
 }
 
 Digest commitment_root(const Commitment& commitment) {
@@ -155,11 +132,6 @@ Digest commitment_root(const Commitment& commitment) {
     h.update(encoded);
   }
   return h.finish();
-}
-
-Digest commitment_merkle_root(const Commitment& commitment) {
-  MerkleTree tree(commitment.state_hashes);
-  return tree.root();
 }
 
 Digest lsh_leaf_digest(const lsh::LshDigest& digest) {
@@ -223,39 +195,60 @@ CommitmentBuilder::CommitmentBuilder(CommitmentVersion version,
   acc_.version = version_;
 }
 
-void CommitmentBuilder::add_checkpoint(const TrainState& state) {
-  const Digest state_hash = hash_state(state);
-  acc_.state_hashes.push_back(state_hash);
-  state_acc_.push(state_hash);
+bool CommitmentBuilder::append_slots(std::span<const TrainState> states) {
+  if (version_ == CommitmentVersion::kV2 && mask_ != nullptr) {
+    for (const TrainState& state : states) {
+      if (state.model.size() != mask_->size()) fits_mask_ = false;
+    }
+  }
+  if (!fits_mask_) return false;
+  const std::size_t n = acc_.state_hashes.size() + states.size();
+  acc_.state_hashes.resize(n);
+  if (version_ == CommitmentVersion::kV2) acc_.lsh_digests.resize(n);
+  return true;
+}
+
+void CommitmentBuilder::hash_leaf(const TrainState& state, std::size_t index) {
+  acc_.state_hashes[index] = hash_state(state);
   if (version_ == CommitmentVersion::kV2) {
-    lsh::LshDigest digest = hasher_->hash(
+    acc_.lsh_digests[index] = hasher_->hash(
         mask_ != nullptr ? extract_trainable(state.model, *mask_)
                          : state.model);
-    lsh_acc_.push(lsh_leaf_digest(digest));
-    acc_.lsh_digests.push_back(std::move(digest));
   }
-  mem_.set(acc_.byte_size() + state_acc_.byte_size() + lsh_acc_.byte_size());
+}
+
+void CommitmentBuilder::add_checkpoint(const TrainState& state) {
+  if (!append_slots({&state, 1})) return;
+  hash_leaf(state, acc_.state_hashes.size() - 1);
+  mem_.set(acc_.byte_size());
+}
+
+void CommitmentBuilder::add_checkpoints(std::span<const TrainState> states) {
+  const std::size_t first = acc_.state_hashes.size();
+  if (!append_slots(states)) return;
+  // PStableLsh::hash is const and stateless per call, and each index writes
+  // only its own slot, so fanning leaves across the pool is deterministic.
+  runtime::parallel_for(
+      0, static_cast<std::int64_t>(states.size()), kLeafGrain,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t j = lo; j < hi; ++j) {
+          const auto i = static_cast<std::size_t>(j);
+          hash_leaf(states[i], first + i);
+        }
+      });
+  mem_.set(acc_.byte_size());
 }
 
 Commitment CommitmentBuilder::finish() const {
+  if (!fits_mask_) {
+    throw std::invalid_argument("trainable mask size mismatch");
+  }
   if (acc_.state_hashes.empty()) {
     throw std::invalid_argument("empty trace");
   }
   Commitment out = acc_;
   out.root = commitment_root(out);
   return out;
-}
-
-CompactCommitment CommitmentBuilder::compact() const {
-  if (acc_.state_hashes.empty()) {
-    throw std::invalid_argument("empty commitment");
-  }
-  CompactCommitment compact;
-  compact.version = version_;
-  compact.num_checkpoints = count();
-  compact.state_root = state_acc_.root();
-  if (version_ == CommitmentVersion::kV2) compact.lsh_root = lsh_acc_.root();
-  return compact;
 }
 
 std::uint64_t TransitionProof::byte_size() const {
@@ -265,15 +258,6 @@ std::uint64_t TransitionProof::byte_size() const {
                     out_lsh_membership.siblings.size());
   total += 32ULL * out_lsh.groups.size();
   return total;
-}
-
-TransitionProof make_transition_proof(const Commitment& full,
-                                      std::int64_t transition) {
-  const auto count = static_cast<std::int64_t>(full.state_hashes.size());
-  if (transition < 0 || transition + 1 >= count) {
-    throw std::out_of_range("transition index out of range");
-  }
-  return CommitmentIndex(full).prove_transition(transition);
 }
 
 bool verify_transition_proof(const CompactCommitment& compact,

@@ -14,10 +14,16 @@
 //     transferring output weights.
 // The commitment root is either the ordered hash list's digest or a Merkle
 // root over it (both constructions from the paper are provided).
+//
+// CommitmentBuilder is the only code that turns checkpoints into a
+// commitment: the batch wrappers commit_v1/commit_v2 feed it a whole trace,
+// the streaming pipeline (core/ckptstore.h) one checkpoint at a time, and
+// CommitmentIndex derives every Merkle root and proof from its output.
 
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "core/executor.h"
 #include "crypto/merkle.h"
@@ -26,8 +32,10 @@
 
 namespace rpol::core {
 
-// The checkpoint sequence a worker produced in one epoch.
-struct EpochTrace {
+// The checkpoint sequence a worker produced in one epoch, held in memory:
+// the in-memory custody, a sink while a policy trains and a source while
+// the manager verifies (the spill-backed twin is core::CheckpointStore).
+struct EpochTrace final : CheckpointSource, CheckpointSink {
   std::vector<TrainState> checkpoints;   // size = num_transitions + 1
   std::vector<std::int64_t> step_of;     // global step index of each checkpoint
   float mean_loss = 0.0F;
@@ -36,6 +44,14 @@ struct EpochTrace {
     return static_cast<std::int64_t>(checkpoints.size()) - 1;
   }
   std::uint64_t storage_bytes() const;
+
+  void append(TrainState state) override {
+    checkpoints.push_back(std::move(state));
+  }
+  std::int64_t num_checkpoints() const override {
+    return static_cast<std::int64_t>(checkpoints.size());
+  }
+  TrainState fetch(std::int64_t index) const override;
 };
 
 // Canonical serialization of a TrainState (model + optimizer vectors).
@@ -61,23 +77,21 @@ struct Commitment {
   std::uint64_t byte_size() const;
 };
 
-// Builds a v1 commitment over the trace.
+// Builds a v1 commitment over the trace (CommitmentBuilder over every
+// checkpoint).
 Commitment commit_v1(const EpochTrace& trace);
 
 // Builds a v2 commitment; `hasher` must be the epoch's manager-distributed
 // LSH family and hashes each checkpoint's trainable WEIGHT vector —
 // `mask` selects the trainable subset of the model state (pass the model's
 // trainable_mask(); nullptr means every element is a weight). Optimizer
-// slots and buffers are covered by the SHA hashes only.
+// slots and buffers are covered by the SHA hashes only. Throws
+// std::invalid_argument when a checkpoint's model does not fit `mask`.
 Commitment commit_v2(const EpochTrace& trace, const lsh::PStableLsh& hasher,
                      const std::vector<bool>* mask = nullptr);
 
 // Root over the ordered hash list (+ LSH digests for v2).
 Digest commitment_root(const Commitment& commitment);
-
-// Alternative Merkle-tree root over the state hashes (Sec. V-B's second
-// construction); verifiable per-leaf with MerkleTree::prove/verify.
-Digest commitment_merkle_root(const Commitment& commitment);
 
 // Integrity check: recomputes the root from the lists.
 bool commitment_consistent(const Commitment& commitment);
@@ -97,7 +111,9 @@ struct CompactCommitment {
   std::uint64_t byte_size() const { return 8 + 32 + 32 + 1; }
 };
 
-// Collapses a full commitment into its compact form.
+// Collapses a full commitment into its compact form (CommitmentIndex's
+// roots). The Merkle state root is Sec. V-B's second construction,
+// verifiable per leaf with MerkleTree::prove/verify.
 CompactCommitment compact_commitment(const Commitment& full);
 
 // Everything the manager needs to check one sampled transition under the
@@ -113,13 +129,6 @@ struct TransitionProof {
 
   std::uint64_t byte_size() const;
 };
-
-// Builds the membership proofs from the worker-side full commitment.
-// Convenience wrapper: builds a throwaway CommitmentIndex, so each call pays
-// O(n) hashing. Callers proving more than one transition (the verifier's
-// sampled loop, batch provers) should build a CommitmentIndex once instead.
-TransitionProof make_transition_proof(const Commitment& full,
-                                      std::int64_t transition);
 
 // Memoized Merkle trees over a full commitment. Builds the state tree (and,
 // for v2, the LSH-leaf tree) exactly once — with parallel leaf hashing and
@@ -139,7 +148,7 @@ class CommitmentIndex {
   // Equivalent to compact_commitment(full()), from the memoized trees.
   CompactCommitment compact() const;
 
-  // Equivalent to make_transition_proof(full(), transition); throws
+  // Membership proofs of transition `transition`'s endpoints; throws
   // std::out_of_range on a bad index.
   TransitionProof prove_transition(std::int64_t transition) const;
 
@@ -153,16 +162,16 @@ class CommitmentIndex {
 };
 
 // ---------------------------------------------------------------------------
-// Streaming commitment construction (ROADMAP item 5): checkpoints are hashed
-// and folded AS THEY ARE PRODUCED, so only the 32-byte digests (plus two
-// O(log n) Merkle frontiers) stay resident — never the checkpoint states.
-// The worker trains a transition, feeds the fresh state here, and can drop
-// (or spill, core/ckptstore.h) the state immediately.
+// Commitment construction. The one leaf function is SHA-256 of the state
+// plus, for v2, the LSH digest of its trainable weights; the builder keeps
+// the O(n) digest lists (never the states) and finish() seals them. The
+// streaming worker feeds each fresh state here and can drop (or spill,
+// core/ckptstore.h) it immediately; commit_v1/commit_v2 feed a whole trace.
+// Compact roots come from compact_commitment(finish()).
 //
 // Equivalence contract (§6, pinned by tests/core_commitment_golden_test):
-// for any checkpoint sequence, finish() is bitwise identical to
-// commit_v1/commit_v2 over the materialized trace, and compact() matches
-// CommitmentIndex::compact() roots.
+// for any checkpoint sequence, finish() is the same bits whether the states
+// arrived one at a time, in batches, or at any thread count.
 class CommitmentBuilder {
  public:
   // v1: hasher == nullptr. v2: `hasher` is the epoch's manager-distributed
@@ -173,31 +182,36 @@ class CommitmentBuilder {
                              const lsh::PStableLsh* hasher = nullptr,
                              const std::vector<bool>* mask = nullptr);
 
-  // Hashes the checkpoint (SHA + LSH for v2) and folds the leaves into the
-  // running accumulators. The state is not retained.
+  // Appends the checkpoint's leaf. The state is not retained.
   void add_checkpoint(const TrainState& state);
+  // Appends every state's leaf, hashing the states in parallel (one per
+  // task); the same bits as add_checkpoint over each in order.
+  void add_checkpoints(std::span<const TrainState> states);
 
-  std::int64_t count() const {
-    return static_cast<std::int64_t>(acc_.state_hashes.size());
-  }
+  // False once a v2 checkpoint's model length differed from the mask's:
+  // that state has no trainable weights to hash, so the sequence cannot be
+  // committed. The builder ignores every later checkpoint. A worker that
+  // produced such a state submitted a malformed epoch.
+  bool fits_mask() const { return fits_mask_; }
 
   // Seals the sequence so far into a full Commitment (ordered lists + root,
   // exactly as commitment_root computes it). Non-destructive: more
   // checkpoints may be added and finish() called again. Throws
-  // std::invalid_argument when no checkpoint was added.
+  // std::invalid_argument when no checkpoint was added or !fits_mask().
   Commitment finish() const;
 
-  // The streamed compact roots — identical to compact_commitment(finish())
-  // but O(log n) from the frontiers, with no tree ever materialized.
-  CompactCommitment compact() const;
-
  private:
+  // The leaf function: writes the leaf of `state` into slot `index`.
+  void hash_leaf(const TrainState& state, std::size_t index);
+  // Grows the digest lists by one slot per state; false (and no slot) once
+  // any state seen so far did not fit the mask.
+  bool append_slots(std::span<const TrainState> states);
+
   CommitmentVersion version_;
   const lsh::PStableLsh* hasher_;
   const std::vector<bool>* mask_;
+  bool fits_mask_ = true;
   Commitment acc_;                // digest lists only; root filled by finish()
-  MerkleAccumulator state_acc_;   // over the state hashes
-  MerkleAccumulator lsh_acc_;     // v2: over the domain-separated LSH leaves
   // Resident digest bytes charged to the merkle tag while the builder lives.
   obs::MemScope mem_{obs::MemTag::kMerkle};
 };

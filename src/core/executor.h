@@ -34,12 +34,15 @@ struct TrainState {
   }
 };
 
-// Read-only random access to an ordered checkpoint sequence. Two
-// realizations: the in-memory EpochTrace (adapter in core/verifier.cpp) and
-// the spill-to-disk CheckpointStore (core/ckptstore.h). fetch() returns a
-// COPY so a spill-backed source can serve evicted checkpoints from disk;
-// callers hold at most the checkpoints they are actively re-executing,
-// which is what makes verification memory-bounded (ROADMAP item 5).
+// Custody of an epoch's ordered checkpoint sequence has two realizations,
+// each both a sink and a source: the in-memory EpochTrace
+// (core/commitment.h) and the spill-to-disk CheckpointStore
+// (core/ckptstore.h).
+
+// Read-only random access to the sequence. fetch() returns a COPY so a
+// spill-backed source can serve evicted checkpoints from disk; callers hold
+// at most the checkpoints they are actively re-executing, which is what
+// makes verification memory-bounded (ROADMAP item 5).
 class CheckpointSource {
  public:
   virtual ~CheckpointSource() = default;
@@ -47,6 +50,15 @@ class CheckpointSource {
   // Checkpoint `index` in [0, num_checkpoints()); throws std::out_of_range
   // outside that window.
   virtual TrainState fetch(std::int64_t index) const = 0;
+};
+
+// Receives checkpoints one at a time, in order, as a policy produces them.
+// The state is taken by value, so a producer that is done with it moves it
+// in and no custody copies a checkpoint it could have moved.
+class CheckpointSink {
+ public:
+  virtual ~CheckpointSink() = default;
+  virtual void append(TrainState state) = 0;
 };
 
 // Extracts the trainable-weight subvector of a model state (mask from

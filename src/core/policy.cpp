@@ -11,10 +11,11 @@ std::vector<std::int64_t> checkpoint_steps(const Hyperparams& hp) {
 }
 }  // namespace
 
-EpochTrace run_honest_transitions(StepExecutor& executor,
-                                  const EpochContext& context,
-                                  sim::DeviceExecution& device,
-                                  std::int64_t transitions_to_run) {
+float run_honest_transitions(StepExecutor& executor,
+                             const EpochContext& context,
+                             sim::DeviceExecution& device,
+                             std::int64_t transitions_to_run,
+                             CheckpointSink& sink) {
   if (context.dataset == nullptr) throw std::invalid_argument("missing dataset");
   const auto steps = checkpoint_steps(executor.hyperparams());
   const auto total_transitions = static_cast<std::int64_t>(steps.size()) - 1;
@@ -23,10 +24,8 @@ EpochTrace run_honest_transitions(StepExecutor& executor,
   }
   const DeterministicSelector selector(context.nonce);
 
-  EpochTrace trace;
-  trace.step_of = steps;
   executor.load_state(context.initial);
-  trace.checkpoints.push_back(context.initial);
+  sink.append(context.initial);
 
   double loss_acc = 0.0;
   for (std::int64_t j = 0; j < transitions_to_run; ++j) {
@@ -34,13 +33,12 @@ EpochTrace run_honest_transitions(StepExecutor& executor,
     const std::int64_t count = steps[static_cast<std::size_t>(j + 1)] - first;
     loss_acc += executor.run_steps(first, count, *context.dataset, selector,
                                    &device);
-    trace.checkpoints.push_back(executor.save_state());
+    sink.append(executor.save_state());
   }
-  trace.mean_loss =
-      transitions_to_run > 0
-          ? static_cast<float>(loss_acc / static_cast<double>(transitions_to_run))
-          : 0.0F;
-  return trace;
+  return transitions_to_run > 0
+             ? static_cast<float>(loss_acc /
+                                  static_cast<double>(transitions_to_run))
+             : 0.0F;
 }
 
 StreamedTraceInfo WorkerPolicy::stream_trace(StepExecutor& executor,
@@ -51,7 +49,7 @@ StreamedTraceInfo WorkerPolicy::stream_trace(StepExecutor& executor,
   // identical to produce_trace by construction, but NOT bounded-memory —
   // policies with a sequential structure override this.
   EpochTrace trace = produce_trace(executor, context, device);
-  for (const TrainState& state : trace.checkpoints) sink.append(state);
+  for (TrainState& state : trace.checkpoints) sink.append(std::move(state));
   StreamedTraceInfo info;
   info.step_of = std::move(trace.step_of);
   info.mean_loss = trace.mean_loss;
@@ -61,40 +59,24 @@ StreamedTraceInfo WorkerPolicy::stream_trace(StepExecutor& executor,
 EpochTrace HonestPolicy::produce_trace(StepExecutor& executor,
                                        const EpochContext& context,
                                        sim::DeviceExecution& device) {
-  const auto steps = checkpoint_steps(executor.hyperparams());
-  return run_honest_transitions(executor, context, device,
-                                static_cast<std::int64_t>(steps.size()) - 1);
+  // The streamed epoch, with the in-memory trace as its sink.
+  EpochTrace trace;
+  StreamedTraceInfo info =
+      HonestPolicy::stream_trace(executor, context, device, trace);
+  trace.step_of = std::move(info.step_of);
+  trace.mean_loss = info.mean_loss;
+  return trace;
 }
 
 StreamedTraceInfo HonestPolicy::stream_trace(StepExecutor& executor,
                                              const EpochContext& context,
                                              sim::DeviceExecution& device,
                                              CheckpointSink& sink) {
-  // Mirrors run_honest_transitions step for step — same load_state /
-  // run_steps / save_state sequence, so the emitted checkpoints are bitwise
-  // identical (§6) — but each checkpoint leaves the policy immediately.
-  if (context.dataset == nullptr) throw std::invalid_argument("missing dataset");
-  const auto steps = checkpoint_steps(executor.hyperparams());
-  const auto transitions = static_cast<std::int64_t>(steps.size()) - 1;
-  const DeterministicSelector selector(context.nonce);
-
   StreamedTraceInfo info;
-  info.step_of = steps;
-  executor.load_state(context.initial);
-  sink.append(context.initial);
-
-  double loss_acc = 0.0;
-  for (std::int64_t j = 0; j < transitions; ++j) {
-    const std::int64_t first = steps[static_cast<std::size_t>(j)];
-    const std::int64_t count = steps[static_cast<std::size_t>(j + 1)] - first;
-    loss_acc += executor.run_steps(first, count, *context.dataset, selector,
-                                   &device);
-    sink.append(executor.save_state());
-  }
-  info.mean_loss =
-      transitions > 0
-          ? static_cast<float>(loss_acc / static_cast<double>(transitions))
-          : 0.0F;
+  info.step_of = checkpoint_steps(executor.hyperparams());
+  info.mean_loss = run_honest_transitions(
+      executor, context, device,
+      static_cast<std::int64_t>(info.step_of.size()) - 1, sink);
   return info;
 }
 
@@ -170,7 +152,10 @@ EpochTrace SpoofPolicy::produce_trace(StepExecutor& executor,
   const auto total = static_cast<std::int64_t>(steps.size()) - 1;
   const auto honest = static_cast<std::int64_t>(
       std::ceil(honest_fraction_ * static_cast<double>(total)));
-  EpochTrace trace = run_honest_transitions(executor, context, device, honest);
+  EpochTrace trace;
+  trace.step_of = steps;
+  trace.mean_loss =
+      run_honest_transitions(executor, context, device, honest, trace);
 
   // Fabricate the remaining checkpoints by trajectory extrapolation. The
   // optimizer state is carried over unchanged — the attacker does not spend

@@ -30,16 +30,6 @@ struct EpochContext {
   const data::DatasetView* dataset = nullptr;
 };
 
-// Receives checkpoints one at a time as a policy produces them. The
-// streaming pipeline (core/ckptstore.h) implements it by folding each state
-// into a CommitmentBuilder and parking the bytes in a spill-backed
-// CheckpointStore, so a streaming producer never owns the full chain.
-class CheckpointSink {
- public:
-  virtual ~CheckpointSink() = default;
-  virtual void append(const TrainState& state) = 0;
-};
-
 // Trace metadata that travels alongside a streamed checkpoint sequence —
 // everything EpochTrace carries except the checkpoints themselves.
 struct StreamedTraceInfo {
@@ -59,11 +49,13 @@ class WorkerPolicy {
                                    sim::DeviceExecution& device) = 0;
 
   // Streams the epoch's checkpoints through `sink` instead of returning a
-  // materialized EpochTrace. The default implementation calls
-  // produce_trace and replays it — correct for every policy, bounded for
-  // none. HonestPolicy overrides it with a loop whose resident set is one
-  // checkpoint; both paths emit bitwise-identical states in the same order
-  // (§6, proven by tests/runtime_determinism_test.cpp).
+  // materialized EpochTrace (the streaming pipeline, core/ckptstore.h, tees
+  // them into a CommitmentBuilder and a spill-backed CheckpointStore). The
+  // default implementation calls produce_trace and replays it — correct for
+  // every policy, bounded for none. HonestPolicy streams its one training
+  // loop straight into the sink, so its resident set is one checkpoint;
+  // both paths emit bitwise-identical states in the same order (§6, proven
+  // by tests/runtime_determinism_test.cpp).
   virtual StreamedTraceInfo stream_trace(StepExecutor& executor,
                                          const EpochContext& context,
                                          sim::DeviceExecution& device,
@@ -78,8 +70,8 @@ class HonestPolicy : public WorkerPolicy {
   std::string name() const override { return "honest"; }
   EpochTrace produce_trace(StepExecutor& executor, const EpochContext& context,
                            sim::DeviceExecution& device) override;
-  // Truly streaming honest epoch: each checkpoint goes to the sink the
-  // moment it is saved and is never retained by the policy.
+  // Runs run_honest_transitions into `sink`: each checkpoint leaves the
+  // policy the moment it is saved.
   StreamedTraceInfo stream_trace(StepExecutor& executor,
                                  const EpochContext& context,
                                  sim::DeviceExecution& device,
@@ -151,11 +143,14 @@ class StaleReplayPolicy : public WorkerPolicy {
 std::vector<float> spoof_next_weights(
     const std::vector<const std::vector<float>*>& history, double lambda);
 
-// Shared helper: the canonical honest transition loop. Starts from
-// context.initial and appends one checkpoint per transition.
-EpochTrace run_honest_transitions(StepExecutor& executor,
-                                  const EpochContext& context,
-                                  sim::DeviceExecution& device,
-                                  std::int64_t transitions_to_run);
+// The one honest training loop: appends context.initial, then trains the
+// first `transitions_to_run` transitions and appends each resulting
+// checkpoint to `sink` as soon as it is saved. Returns the mean training
+// loss over the transitions run (0 when none).
+float run_honest_transitions(StepExecutor& executor,
+                             const EpochContext& context,
+                             sim::DeviceExecution& device,
+                             std::int64_t transitions_to_run,
+                             CheckpointSink& sink);
 
 }  // namespace rpol::core

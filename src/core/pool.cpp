@@ -21,6 +21,18 @@ enum : int {
   kLegProofResponse = 5,
 };
 
+// A worker's checkpoint custody: the spill-backed store in streaming pools,
+// the in-memory trace otherwise, with the step list that travels with it.
+struct Custody {
+  const CheckpointSource& source;
+  const std::vector<std::int64_t>& step_of;
+};
+
+Custody custody_of(const EpochWorkspace::WorkerSlot& slot) {
+  if (slot.streamed.store) return {*slot.streamed.store, slot.streamed.step_of};
+  return {slot.trace, slot.trace.step_of};
+}
+
 }  // namespace
 
 std::string scheme_name(Scheme scheme) {
@@ -281,24 +293,22 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
       derive_seed(config_.seed, 0xE0000000ULL +
                                     static_cast<std::uint64_t>(ws.epoch) * 4096ULL +
                                     static_cast<std::uint64_t>(w)));
+  const bool v2 = config_.scheme == Scheme::kRPoLv2;
+  CommitmentBuilder builder(
+      v2 ? CommitmentVersion::kV2 : CommitmentVersion::kV1,
+      v2 ? &*ws.worker_hasher : nullptr, v2 ? ws.trainable_mask : nullptr);
   if (config_.streaming) {
     // Train + commit fused: the sink hashes each checkpoint into the
-    // commitment and spills it the moment it exists, so worker residency
+    // builder and spills it the moment it exists, so worker residency
     // is one state + the store's hot cache (charged to the ckptstore
     // tag by the store itself, never to the checkpoint tag).
     obs::Span s("train", *ws.epoch_span, static_cast<int>(w), ws.epoch);
     CkptStoreConfig scfg;
     scfg.budget_bytes = config_.ckpt_budget_bytes;
-    slot.streamed = run_streamed_epoch(
-        *workers_[w].policy, *worker_executors_[w], ctx, device,
-        config_.scheme == Scheme::kRPoLv2 ? CommitmentVersion::kV2
-                                          : CommitmentVersion::kV1,
-        ws.worker_hasher ? &*ws.worker_hasher : nullptr,
-        config_.scheme == Scheme::kRPoLv2 ? ws.trainable_mask : nullptr, scfg);
+    slot.streamed = run_streamed_epoch(*workers_[w].policy,
+                                       *worker_executors_[w], ctx, device,
+                                       builder, scfg);
     s.attr("storage_bytes", slot.streamed.store->total_bytes());
-    slot.commitment = std::move(slot.streamed.commitment);
-    slot.mem_merkle += slot.commitment.byte_size();
-    obs::mem_add(obs::MemTag::kMerkle, slot.commitment.byte_size());
   } else {
     {
       obs::Span s("train", *ws.epoch_span, static_cast<int>(w), ws.epoch);
@@ -308,23 +318,29 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
       slot.mem_checkpoint += slot.trace.storage_bytes();
       obs::mem_add(obs::MemTag::kCheckpoint, slot.trace.storage_bytes());
     }
-    {
-      obs::Span s("commit", *ws.epoch_span, static_cast<int>(w), ws.epoch);
-      slot.commitment =
-          config_.scheme == Scheme::kRPoLv2
-              ? commit_v2(slot.trace, *ws.worker_hasher, ws.trainable_mask)
-              : commit_v1(slot.trace);
-      slot.mem_merkle += slot.commitment.byte_size();
-      obs::mem_add(obs::MemTag::kMerkle, slot.commitment.byte_size());
-    }
+    obs::Span s("commit", *ws.epoch_span, static_cast<int>(w), ws.epoch);
+    builder.add_checkpoints(slot.trace.checkpoints);
   }
+  if (!builder.fits_mask()) {
+    // A checkpoint whose model does not fit the trainable mask has no LSH
+    // leaf, so the worker cannot commit. The submission ends like its
+    // RPoLv1 twin, whose short state the judge finds malformed: rejected,
+    // one verify-rejection strike, no aggregation — without reaching the
+    // verifier.
+    slot.accepted = false;
+    slot.status = SessionStatus::kVerdictRejected;
+    slot.rejected = 1;
+    slot.end_ns = obs::now_ns();
+    return;
+  }
+  slot.commitment = builder.finish();
+  slot.mem_merkle += slot.commitment.byte_size();
+  obs::mem_add(obs::MemTag::kMerkle, slot.commitment.byte_size());
 
   // Upload: final model update + commitment (compact mode uploads only
-  // the Merkle roots). The streamed compact roots are identical to
-  // compact_commitment's (CommitmentBuilder contract).
+  // the Merkle roots).
   if (config_.compact_commitments) {
-    slot.compact = config_.streaming ? slot.streamed.compact
-                                     : compact_commitment(slot.commitment);
+    slot.compact = compact_commitment(slot.commitment);
   }
   const std::uint64_t commitment_bytes = config_.compact_commitments
                                              ? slot.compact->byte_size()
@@ -350,34 +366,25 @@ void MiningPool::verify_worker(EpochWorkspace& ws, std::size_t w,
                                Verifier& verifier) {
   if (!ws.needs_rpol) return;  // kBaseline skips step 3 entirely
   EpochWorkspace::WorkerSlot& slot = ws.slots[w];
-  if (!slot.participated) return;
+  if (!slot.awaits_verdict()) return;
   sim::DeviceExecution manager_device(
       ws.verify_device,
       derive_seed(config_.seed,
                   0xF0000000ULL + static_cast<std::uint64_t>(ws.epoch) * 4096ULL +
                       static_cast<std::uint64_t>(w)));
   obs::Span s("verify", *ws.epoch_span, static_cast<int>(w), ws.epoch);
-  VerifyResult vr;
-  if (config_.streaming) {
-    // Sampled checkpoints are fetched back through the spill-backed
-    // store; decisions are bitwise identical to the trace overloads.
-    vr = config_.compact_commitments
-             ? verifier.verify_compact(
-                   *slot.compact, slot.commitment, *slot.streamed.store,
-                   slot.streamed.step_of, slot.context, ws.initial_hash,
-                   manager_device, s.context())
-             : verifier.verify(slot.commitment, *slot.streamed.store,
-                               slot.streamed.step_of, slot.context,
-                               ws.initial_hash, manager_device, s.context());
-  } else {
-    vr = config_.compact_commitments
-             ? verifier.verify_compact(*slot.compact, slot.commitment,
-                                       slot.trace, slot.context,
-                                       ws.initial_hash, manager_device,
-                                       s.context())
-             : verifier.verify(slot.commitment, slot.trace, slot.context,
-                               ws.initial_hash, manager_device, s.context());
-  }
+  // Sampled checkpoints are fetched through the worker's custody; the
+  // verdicts are bitwise the same from either kind (§6).
+  const Custody custody = custody_of(slot);
+  const VerifyResult vr =
+      config_.compact_commitments
+          ? verifier.verify_compact(*slot.compact, slot.commitment,
+                                    custody.source, custody.step_of,
+                                    slot.context, ws.initial_hash,
+                                    manager_device, s.context())
+          : verifier.verify(slot.commitment, custody.source, custody.step_of,
+                            slot.context, ws.initial_hash, manager_device,
+                            s.context());
   s.attr("accepted", vr.accepted);
   s.attr("double_checks", vr.double_checks);
   s.attr("lsh_mismatches", vr.lsh_mismatches);
@@ -479,17 +486,12 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
     std::vector<float> next = global_model_;
     for (std::size_t w = 0; w < n; ++w) {
       if (!report.accepted[w]) continue;
-      const EpochWorkspace::WorkerSlot& slot = ws.slots[w];
-      // Streaming: the final checkpoint comes back through the store,
-      // bitwise identical to the state the worker saved (round-trip
-      // contract), so aggregation output matches the in-memory path.
-      std::vector<float> fetched;
-      if (config_.streaming) {
-        const CheckpointStore& store = *slot.streamed.store;
-        fetched = store.fetch(store.num_checkpoints() - 1).model;
-      }
-      const std::vector<float>& worker_final =
-          config_.streaming ? fetched : slot.trace.checkpoints.back().model;
+      // The final checkpoint comes back through the worker's custody; a
+      // spilled one round-trips bitwise, so aggregation is the same in
+      // both custody modes.
+      const CheckpointSource& source = custody_of(ws.slots[w]).source;
+      const std::vector<float> worker_final =
+          source.fetch(source.num_checkpoints() - 1).model;
       for (std::size_t d = 0; d < next.size(); ++d) {
         next[d] += weight * (worker_final[d] - global_model_[d]);
       }
@@ -543,7 +545,7 @@ EpochReport MiningPool::run_epoch(std::int64_t epoch) {
     DecentralizedVerifier dec(factory_, config_.hp, dcfg);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       EpochWorkspace::WorkerSlot& slot = ws->slots[w];
-      if (!slot.participated) continue;
+      if (!slot.awaits_verdict()) continue;
       std::vector<VerifierNode> committee;
       for (std::size_t v = 0; v < workers_.size(); ++v) {
         if (v == w) continue;

@@ -46,7 +46,8 @@ std::string scheme_name(Scheme scheme);
 //                      verified;
 //   kVerdictRejected   all messages arrived but verification failed (hash
 //                      mismatch, distance above beta, LSH + double-check
-//                      miss);
+//                      miss), or the worker could not commit (an RPoLv2
+//                      state that does not fit the trainable mask);
 //   kDecodeRejected    a message stayed undecodable (or over the size cap)
 //                      for the whole retry budget — malformed beyond what
 //                      transport noise explains within budget;
@@ -206,7 +207,7 @@ struct EpochWorkspace {
     SessionStatus status = SessionStatus::kAccepted;
     std::int64_t session_failures = 0;
     std::int64_t retransmissions = 0;
-    std::int64_t rejected = 0;           // 1 when a verdict rejected
+    std::int64_t rejected = 0;           // 1 when rejected (verdict or commit)
     std::int64_t lsh_mismatches = 0;
     std::int64_t double_checks = 0;
     std::int64_t reexecuted_steps = 0;
@@ -223,6 +224,11 @@ struct EpochWorkspace {
     // by the workspace destructor.
     std::uint64_t mem_checkpoint = 0;
     std::uint64_t mem_merkle = 0;
+
+    // Delivered and not yet judged: false for lost sessions and for
+    // submissions rejected before verification (a v2 checkpoint that does
+    // not fit the trainable mask cannot be committed).
+    bool awaits_verdict() const { return participated && rejected == 0; }
   };
   std::vector<WorkerSlot> slots;
 

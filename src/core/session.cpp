@@ -315,12 +315,24 @@ SessionOutcome run_protocol_session(
 
     {
       obs::Span s("commit", worker_span, /*worker=*/0);
+      bool fits_mask = true;
       if (use_lsh) {
+        // The LSH family is freed before any wire buffer is built.
         const lsh::PStableLsh hasher(*worker_view->lsh);
-        commitment =
-            commit_v2(trace, hasher, &worker_executor.trainable_mask());
+        CommitmentBuilder builder(CommitmentVersion::kV2, &hasher,
+                                  &worker_executor.trainable_mask());
+        builder.add_checkpoints(trace.checkpoints);
+        fits_mask = builder.fits_mask();
+        if (fits_mask) commitment = builder.finish();
       } else {
         commitment = commit_v1(trace);
+      }
+      if (!fits_mask) {
+        // No LSH leaf exists for a model that does not fit the trainable
+        // mask, so the worker cannot commit: rejected like the RPoLv1 twin
+        // whose short state the judge finds malformed, with nothing sent.
+        outcome.status = SessionStatus::kVerdictRejected;
+        return finish(std::move(outcome));
       }
       commit_wire = encode_commitment(commitment);
       if (byzantine == fault::Byzantine::kOversizedPayload) {

@@ -79,7 +79,9 @@ void ShardedPool::admit_and_verify_shard(EpochWorkspace& ws, int shard) {
   std::deque<std::size_t> backlog;
   for (std::size_t w = r.begin; w < r.end; ++w) {
     EpochWorkspace::WorkerSlot& slot = ws.slots[w];
-    if (!slot.participated) continue;  // lost sessions never reach the queue
+    // Lost sessions and submissions rejected before verification never
+    // reach the queue.
+    if (!slot.awaits_verdict()) continue;
     if (queue.size() < cap) {
       queue.push_back(w);
       ++tally.enqueued;
@@ -98,26 +100,19 @@ void ShardedPool::admit_and_verify_shard(EpochWorkspace& ws, int shard) {
     }
   }
 
-  // Drain in waves of verify_batch, readmitting from the backlog as
-  // capacity frees (kRequeue keeps submissions alive; kReject already shed
-  // its overflow at arrival, so its backlog is empty).
-  const std::size_t wave = cfg_.verify_batch == 0
-                               ? std::numeric_limits<std::size_t>::max()
-                               : cfg_.verify_batch;
+  // Drain in order, readmitting from the backlog as capacity frees
+  // (kRequeue keeps submissions alive; kReject already shed its overflow at
+  // arrival, so its backlog is empty).
   while (!queue.empty()) {
-    std::size_t in_wave = 0;
-    while (!queue.empty() && in_wave < wave) {
-      const std::size_t w = queue.front();
-      queue.pop_front();
-      pool_.verify_worker(ws, w, verifier);
-      ++in_wave;
-      while (!backlog.empty() && queue.size() < cap) {
-        queue.push_back(backlog.front());
-        backlog.pop_front();
-        ++tally.enqueued;  // a requeued submission enqueues twice by design
-        tally.max_depth = std::max(tally.max_depth,
-                                   static_cast<std::int64_t>(queue.size()));
-      }
+    const std::size_t w = queue.front();
+    queue.pop_front();
+    pool_.verify_worker(ws, w, verifier);
+    while (!backlog.empty() && queue.size() < cap) {
+      queue.push_back(backlog.front());
+      backlog.pop_front();
+      ++tally.enqueued;  // a requeued submission enqueues twice by design
+      tally.max_depth = std::max(tally.max_depth,
+                                 static_cast<std::int64_t>(queue.size()));
     }
   }
 }

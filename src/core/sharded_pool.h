@@ -28,9 +28,9 @@
 //                 Shed submissions are excluded from aggregation but do NOT
 //                 strike the worker's health record (manager overload is
 //                 not worker misbehavior — finish_epoch skips them).
-//     The verifier drains the queue in waves of verify_batch (0 = drain
-//     everything). Counters surface as EpochReport::admission_* and the
-//     pool.admission.* metrics (docs/observability.md).
+//     The verifier drains the queue in worker order. Counters surface as
+//     EpochReport::admission_* and the pool.admission.* metrics
+//     (docs/observability.md).
 //
 //   * EPOCH PIPELINING  (pipeline = true) Epoch N+1's training overlaps
 //     epoch N's verification: prepare_epoch(N+1) snapshots the global model
@@ -67,8 +67,6 @@ struct ShardedPoolConfig {
   // Per-shard submission-queue capacity; 0 = unbounded.
   std::size_t queue_capacity = 0;
   AdmissionPolicy overflow = AdmissionPolicy::kRequeue;
-  // Verifier wave size when draining a queue; 0 = drain everything.
-  std::size_t verify_batch = 0;
 };
 
 // Shard-count resolution used by the constructor, exposed for tests and

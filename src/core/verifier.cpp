@@ -37,26 +37,6 @@ VerifyResult reject_unsampled(VerifyResult result, VerifyFailure failure) {
   return result;
 }
 
-// In-memory adapter: lets the EpochTrace overloads delegate to the
-// streaming implementations, so both paths share one decision procedure
-// (bitwise-identical verdicts by construction).
-class TraceSource final : public CheckpointSource {
- public:
-  explicit TraceSource(const EpochTrace& trace) : trace_(&trace) {}
-  std::int64_t num_checkpoints() const override {
-    return static_cast<std::int64_t>(trace_->checkpoints.size());
-  }
-  TrainState fetch(std::int64_t index) const override {
-    if (index < 0 || index >= num_checkpoints()) {
-      throw std::out_of_range("checkpoint index out of range");
-    }
-    return trace_->checkpoints[static_cast<std::size_t>(index)];
-  }
-
- private:
-  const EpochTrace* trace_;
-};
-
 }  // namespace
 
 const char* verify_failure_name(VerifyFailure failure) {
@@ -276,17 +256,6 @@ VerifyResult verify_samples(
 
 VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       const Commitment& full,
-                                      const EpochTrace& trace,
-                                      const EpochContext& context,
-                                      const Digest& expected_initial_hash,
-                                      sim::DeviceExecution& device,
-                                      const obs::TraceContext& trace_parent) {
-  return verify_compact(compact, full, TraceSource(trace), trace.step_of,
-                        context, expected_initial_hash, device, trace_parent);
-}
-
-VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
-                                      const Commitment& full,
                                       const CheckpointSource& source,
                                       const std::vector<std::int64_t>& step_of,
                                       const EpochContext& context,
@@ -329,16 +298,6 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
         if (!verify_transition_proof(compact, proof)) return std::nullopt;
         return proof;
       });
-}
-
-VerifyResult Verifier::verify(const Commitment& commitment,
-                              const EpochTrace& trace,
-                              const EpochContext& context,
-                              const Digest& expected_initial_hash,
-                              sim::DeviceExecution& device,
-                              const obs::TraceContext& trace_parent) {
-  return verify(commitment, TraceSource(trace), trace.step_of, context,
-                expected_initial_hash, device, trace_parent);
 }
 
 VerifyResult Verifier::verify(const Commitment& commitment,

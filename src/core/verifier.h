@@ -129,26 +129,17 @@ class Verifier {
   void set_beta(double beta) { config_.beta = beta; }
   void set_lsh_config(const lsh::LshConfig& cfg) { config_.lsh_config = cfg; }
 
-  // Verifies one worker epoch. `trace` plays the role of the worker-side
-  // proof store the manager requests samples from; only the fetched
-  // checkpoints count toward proof_bytes. `expected_initial_hash` is the
-  // hash of the state the manager handed out at epoch start.
-  // `trace_parent` (observability only) parents the verifier's re-execution
-  // spans under the caller's verify span so they join the epoch's causal
-  // tree; the default roots them standalone (legacy behavior, still
-  // orphan-free).
-  VerifyResult verify(const Commitment& commitment, const EpochTrace& trace,
-                      const EpochContext& context,
-                      const Digest& expected_initial_hash,
-                      sim::DeviceExecution& device,
-                      const obs::TraceContext& trace_parent = {});
-
-  // Streaming variant: checkpoints are fetched one at a time through
-  // `source` (e.g. a spill-backed core::CheckpointStore), so the manager
-  // never holds the full chain — only the sampled states it is actively
-  // re-executing. `step_of` plays EpochTrace::step_of. Decisions are
-  // bitwise identical to the in-memory overload over the same sequence
-  // (the trace overload delegates here; §6).
+  // Verifies one worker epoch. `source` plays the worker-side proof store
+  // the manager requests samples from — the in-memory EpochTrace or a
+  // spill-backed core::CheckpointStore, bitwise the same verdicts (§6) —
+  // and is fetched one checkpoint at a time, so the manager holds only the
+  // sampled states it is re-executing; only the fetched checkpoints count
+  // toward proof_bytes. `step_of` holds the checkpoint boundaries the
+  // worker claims. `expected_initial_hash` is the hash of the state the
+  // manager handed out at epoch start. `trace_parent` (observability only)
+  // parents the verifier's re-execution spans under the caller's verify
+  // span so they join the epoch's causal tree; the default roots them
+  // standalone.
   VerifyResult verify(const Commitment& commitment,
                       const CheckpointSource& source,
                       const std::vector<std::int64_t>& step_of,
@@ -156,22 +147,22 @@ class Verifier {
                       const Digest& expected_initial_hash,
                       sim::DeviceExecution& device,
                       const obs::TraceContext& trace_parent = {});
+  // The in-memory trace as source, with its own step_of.
+  VerifyResult verify(const Commitment& commitment, const EpochTrace& trace,
+                      const EpochContext& context,
+                      const Digest& expected_initial_hash,
+                      sim::DeviceExecution& device,
+                      const obs::TraceContext& trace_parent = {}) {
+    return verify(commitment, trace, trace.step_of, context,
+                  expected_initial_hash, device, trace_parent);
+  }
 
   // Compact-commitment variant (Sec. V-B's Merkle construction): the worker
   // uploaded only the O(1) CompactCommitment; sampled transitions arrive
   // with logarithmic membership proofs generated on demand from the
-  // worker-side full commitment (`full` plays that role here, as `trace`
+  // worker-side full commitment (`full` plays that role here, as `source`
   // plays the proof store). Leaf 0's membership proof binds C_0 to the
   // state the manager distributed.
-  VerifyResult verify_compact(const CompactCommitment& compact,
-                              const Commitment& full, const EpochTrace& trace,
-                              const EpochContext& context,
-                              const Digest& expected_initial_hash,
-                              sim::DeviceExecution& device,
-                              const obs::TraceContext& trace_parent = {});
-
-  // Streaming variant of the compact path (same delegation contract as the
-  // streaming verify overload above).
   VerifyResult verify_compact(const CompactCommitment& compact,
                               const Commitment& full,
                               const CheckpointSource& source,
@@ -180,6 +171,15 @@ class Verifier {
                               const Digest& expected_initial_hash,
                               sim::DeviceExecution& device,
                               const obs::TraceContext& trace_parent = {});
+  VerifyResult verify_compact(const CompactCommitment& compact,
+                              const Commitment& full, const EpochTrace& trace,
+                              const EpochContext& context,
+                              const Digest& expected_initial_hash,
+                              sim::DeviceExecution& device,
+                              const obs::TraceContext& trace_parent = {}) {
+    return verify_compact(compact, full, trace, trace.step_of, context,
+                          expected_initial_hash, device, trace_parent);
+  }
 
  private:
   Hyperparams hp_;

@@ -16,61 +16,11 @@ constexpr std::size_t kParallelPairGrain = 64;
 
 Digest merkle_parent(const Digest& left, const Digest& right) {
   Sha256 h;
-  return merkle_parent_reusing(h, left, right);
-}
-
-Digest merkle_parent_reusing(Sha256& h, const Digest& left,
-                             const Digest& right) {
   const std::uint8_t domain = 0x01;
   h.update(&domain, 1);
   h.update(left.data(), left.size());
   h.update(right.data(), right.size());
   return h.finish();
-}
-
-void MerkleAccumulator::push(const Digest& leaf) {
-  Digest carry = leaf;
-  std::size_t level = 0;
-  while (level < frontier_.size() && frontier_[level].has_value()) {
-    carry = merkle_parent_reusing(hasher_, *frontier_[level], carry);
-    frontier_[level].reset();
-    ++level;
-  }
-  if (level == frontier_.size()) frontier_.emplace_back();
-  frontier_[level] = carry;
-  ++count_;
-}
-
-Digest MerkleAccumulator::root() const {
-  if (count_ == 0) throw std::invalid_argument("Merkle root needs >= 1 leaf");
-  // Index of the highest occupied frontier level; everything above a level
-  // is "higher" context deciding whether a lone node self-pairs (it is the
-  // odd tail of its level) or already IS the root.
-  std::size_t top = 0;
-  for (std::size_t k = 0; k < frontier_.size(); ++k) {
-    if (frontier_[k].has_value()) top = k;
-  }
-  // Fold bottom-up. `ragged` is the trailing node of the current level that
-  // came from the ragged (self-paired) edge below; frontier_[k] is that
-  // level's pending complete-subtree root sitting LEFT of it.
-  std::optional<Digest> ragged;
-  for (std::size_t k = 0; k <= top; ++k) {
-    const bool higher = k < top;
-    if (frontier_[k].has_value()) {
-      if (ragged.has_value()) {
-        ragged = merkle_parent_reusing(hasher_, *frontier_[k], *ragged);
-      } else if (higher) {
-        // Odd tail of this level: Bitcoin-style self-pair, exactly what
-        // MerkleTree does for the last node of an odd-sized level.
-        ragged = merkle_parent_reusing(hasher_, *frontier_[k], *frontier_[k]);
-      } else {
-        return *frontier_[k];  // the lone pending subtree is the root
-      }
-    } else if (ragged.has_value() && higher) {
-      ragged = merkle_parent_reusing(hasher_, *ragged, *ragged);
-    }
-  }
-  return *ragged;
 }
 
 MerkleTree::MerkleTree(std::vector<Digest> leaves) {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "crypto/sha256.h"
@@ -58,43 +57,5 @@ class MerkleTree {
 // Domain-separated internal-node hash: SHA256(0x01 || left || right).
 // Leaves are expected to be pre-hashed with their own domain by callers.
 Digest merkle_parent(const Digest& left, const Digest& right);
-
-// Same parent hash computed through a caller-owned hasher. Relies on the
-// documented finish()-resets-state reuse contract (sha256.h): `h` may carry
-// no buffered input when called, and is left reset on return, so streaming
-// folds can push many parents through one Sha256 instance.
-Digest merkle_parent_reusing(Sha256& h, const Digest& left,
-                             const Digest& right);
-
-// Streaming Merkle root: leaves are folded as they arrive, holding only the
-// O(log n) frontier of pending subtree roots instead of every level.
-// root() reproduces MerkleTree's ragged-edge self-pairing exactly, so for
-// any leaf sequence push(l_0..l_{n-1}); root() is bitwise identical to
-// MerkleTree({l_0..l_{n-1}}).root() — the equivalence the golden-digest
-// suite pins. Proofs still need the full tree; accumulators answer only the
-// root (that is what bounded-memory commitment construction uses).
-class MerkleAccumulator {
- public:
-  // Folds the next leaf into the frontier: O(1) amortized parent hashes.
-  void push(const Digest& leaf);
-
-  std::size_t leaf_count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  // Collapses the frontier into the root (throws std::invalid_argument when
-  // no leaf was pushed). Non-destructive: more leaves may be pushed after.
-  Digest root() const;
-
-  // Resident frontier bytes — what memory accounting should charge.
-  std::size_t byte_size() const { return frontier_.size() * sizeof(Digest); }
-
- private:
-  // frontier_[k] = the pending (unpaired) subtree root at level k; like a
-  // binary counter, push() carries through occupied levels.
-  std::vector<std::optional<Digest>> frontier_;
-  std::size_t count_ = 0;
-  // One hasher reused across every parent fold (finish() resets it).
-  mutable Sha256 hasher_;
-};
 
 }  // namespace rpol

@@ -83,23 +83,6 @@ MemStats mem_stats(MemTag tag) {
   return s;
 }
 
-std::vector<MemStats> mem_stats_all() {
-  std::vector<MemStats> out;
-  out.reserve(kNumMemTags);
-  for (int i = 0; i < kNumMemTags; ++i) {
-    out.push_back(mem_stats(static_cast<MemTag>(i)));
-  }
-  return out;
-}
-
-std::uint64_t mem_tagged_total() {
-  std::uint64_t sum = 0;
-  for (int i = 0; i < kNumMemTags; ++i) {
-    sum += g_tags[i].current.load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
 void mem_reset() {
   for (auto& c : g_tags) {
     c.current.store(0, std::memory_order_relaxed);
@@ -139,17 +122,13 @@ RssSample read_proc_rss() {
 
 struct RssSampler::Impl {
   std::chrono::milliseconds interval;
-  std::size_t window_capacity;
 
   mutable std::mutex mutex;
   std::condition_variable cv;
   bool stopping = false;
   bool stopped = false;
 
-  // All below guarded by mutex.
-  std::vector<std::uint64_t> ring;  // bounded at window_capacity
-  std::size_t ring_next = 0;
-  Summary acc;
+  Summary acc;  // guarded by mutex
 
   std::thread thread;
 
@@ -167,12 +146,6 @@ struct RssSampler::Impl {
     acc.last_bytes = s.vm_rss_bytes;
     if (s.vm_rss_bytes < acc.min_bytes) acc.min_bytes = s.vm_rss_bytes;
     if (s.vm_rss_bytes > acc.peak_bytes) acc.peak_bytes = s.vm_rss_bytes;
-    if (ring.size() < window_capacity) {
-      ring.push_back(s.vm_rss_bytes);
-    } else if (!ring.empty()) {
-      ring[ring_next] = s.vm_rss_bytes;
-      ring_next = (ring_next + 1) % ring.size();
-    }
   }
 
   void run() {
@@ -186,11 +159,9 @@ struct RssSampler::Impl {
   }
 };
 
-RssSampler::RssSampler(std::chrono::milliseconds interval, std::size_t window)
-    : impl_(new Impl) {
+RssSampler::RssSampler(std::chrono::milliseconds interval) : impl_(new Impl) {
   impl_->interval = interval.count() > 0 ? interval
                                          : std::chrono::milliseconds(1);
-  impl_->window_capacity = window > 0 ? window : 1;
   impl_->thread = std::thread([this] { impl_->run(); });
 }
 
@@ -219,21 +190,6 @@ RssSampler::Summary RssSampler::summary() const {
   s.growth_bytes =
       s.peak_bytes > s.baseline_bytes ? s.peak_bytes - s.baseline_bytes : 0;
   return s;
-}
-
-std::vector<std::uint64_t> RssSampler::window() const {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  std::vector<std::uint64_t> out;
-  out.reserve(impl_->ring.size());
-  if (impl_->ring.size() < impl_->window_capacity) {
-    out = impl_->ring;  // not yet wrapped: already oldest-first
-  } else {
-    for (std::size_t i = 0; i < impl_->ring.size(); ++i) {
-      out.push_back(
-          impl_->ring[(impl_->ring_next + i) % impl_->ring.size()]);
-    }
-  }
-  return out;
 }
 
 }  // namespace rpol::obs

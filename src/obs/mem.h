@@ -14,10 +14,9 @@
 //
 //   * Process RSS — read_proc_rss() parses VmRSS / VmHWM out of
 //     /proc/self/status (zeros off Linux), and RssSampler runs a background
-//     thread that samples VmRSS on a fixed interval into a bounded ring,
-//     yielding baseline / peak / growth over the sampled window. Comparing
-//     RSS growth against the tagged-counter total is how `rpol health`
-//     judges accounting coverage.
+//     thread that samples VmRSS on a fixed interval, yielding baseline /
+//     peak / growth over its lifetime. Comparing RSS growth against the
+//     tagged-counter total is how `rpol health` judges accounting coverage.
 //
 // Determinism contract: exactly like obs.h, everything here is write-only
 // telemetry. No protocol decision, kernel, or hash ever reads these
@@ -31,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace rpol::obs {
 
@@ -70,10 +68,6 @@ void mem_add(MemTag tag, std::uint64_t bytes);
 void mem_sub(MemTag tag, std::uint64_t bytes);
 
 MemStats mem_stats(MemTag tag);
-// All tags in enum order (including zero-valued ones).
-std::vector<MemStats> mem_stats_all();
-// Sum of current bytes across all tags.
-std::uint64_t mem_tagged_total();
 // Zeroes every tag (tests); live MemScopes keep their balances, so only
 // call between protocol runs.
 void mem_reset();
@@ -138,9 +132,8 @@ struct RssSample {
 
 RssSample read_proc_rss();
 
-// Background peak-RSS sampler: one thread reading VmRSS every `interval`
-// into a bounded ring (windowed view) while tracking the exact min / max
-// over its whole lifetime. Sampling is pure observation — it touches no
+// Background peak-RSS sampler: one thread reading VmRSS every `interval`,
+// tracking the exact min / max over its whole lifetime. Sampling is pure observation — it touches no
 // registry or protocol state.
 class RssSampler {
  public:
@@ -156,8 +149,7 @@ class RssSampler {
   };
 
   explicit RssSampler(
-      std::chrono::milliseconds interval = std::chrono::milliseconds(10),
-      std::size_t window = 64);
+      std::chrono::milliseconds interval = std::chrono::milliseconds(10));
   ~RssSampler();
   RssSampler(const RssSampler&) = delete;
   RssSampler& operator=(const RssSampler&) = delete;
@@ -167,9 +159,6 @@ class RssSampler {
   void stop();
 
   Summary summary() const;
-  // Snapshot of the most recent samples, oldest first (bounded by the
-  // window size passed at construction).
-  std::vector<std::uint64_t> window() const;
 
  private:
   struct Impl;

@@ -222,16 +222,30 @@ struct StreamFixture : public ::testing::Test {
     return policy.produce_trace(exec, context, device);
   }
 
-  StreamedEpoch honest_streamed(CommitmentVersion version,
-                                const lsh::PStableLsh* hasher,
-                                const std::vector<bool>* mask,
-                                std::uint64_t run_seed = 1,
-                                std::uint64_t budget = 1) {
+  // A streamed epoch and the commitment its builder sealed.
+  struct Streamed {
+    StreamedEpoch epoch;
+    Commitment commitment;
+  };
+
+  Streamed stream(WorkerPolicy& policy, CommitmentVersion version,
+                  const lsh::PStableLsh* hasher, const std::vector<bool>* mask,
+                  std::uint64_t run_seed = 1, std::uint64_t budget = 1) {
     StepExecutor exec(task.factory, task.hp);
     sim::DeviceExecution device(sim::device_ga10(), run_seed);
+    CommitmentBuilder builder(version, hasher, mask);
+    Streamed out;
+    out.epoch = run_streamed_epoch(policy, exec, context, device, builder,
+                                   budget_config(budget));
+    out.commitment = builder.finish();
+    return out;
+  }
+
+  Streamed honest_streamed(CommitmentVersion version,
+                           const lsh::PStableLsh* hasher,
+                           const std::vector<bool>* mask) {
     HonestPolicy policy;
-    return run_streamed_epoch(policy, exec, context, device, version, hasher,
-                              mask, budget_config(budget));
+    return stream(policy, version, hasher, mask);
   }
 
   TinyTask task{TinyTask::make()};
@@ -243,11 +257,11 @@ TEST_F(StreamFixture, StreamedCommitMatchesBatchV1) {
   const EpochTrace trace = honest_trace();
   const Commitment batch = commit_v1(trace);
   // Budget 1 byte: every checkpoint round-trips through the spill file.
-  const StreamedEpoch streamed =
+  const Streamed streamed =
       honest_streamed(CommitmentVersion::kV1, nullptr, nullptr);
 
-  EXPECT_EQ(streamed.step_of, trace.step_of);
-  EXPECT_EQ(streamed.mean_loss, trace.mean_loss);
+  EXPECT_EQ(streamed.epoch.step_of, trace.step_of);
+  EXPECT_EQ(streamed.epoch.mean_loss, trace.mean_loss);
   ASSERT_EQ(streamed.commitment.state_hashes.size(),
             batch.state_hashes.size());
   for (std::size_t i = 0; i < batch.state_hashes.size(); ++i) {
@@ -255,17 +269,19 @@ TEST_F(StreamFixture, StreamedCommitMatchesBatchV1) {
                              batch.state_hashes[i]));
   }
   EXPECT_TRUE(digest_equal(streamed.commitment.root, batch.root));
-  // Compact roots match the tree-built ones (O(log n) frontiers vs full
-  // Merkle tree).
+  // Compact roots match the batch commitment's.
   const CompactCommitment tree_compact = compact_commitment(batch);
-  EXPECT_TRUE(digest_equal(streamed.compact.state_root,
-                           tree_compact.state_root));
-  EXPECT_EQ(streamed.compact.num_checkpoints, tree_compact.num_checkpoints);
+  const CompactCommitment streamed_compact =
+      compact_commitment(streamed.commitment);
+  EXPECT_TRUE(
+      digest_equal(streamed_compact.state_root, tree_compact.state_root));
+  EXPECT_EQ(streamed_compact.num_checkpoints, tree_compact.num_checkpoints);
   // The spilled states come back bitwise equal to the trace's.
-  ASSERT_EQ(streamed.store->num_checkpoints(),
+  ASSERT_EQ(streamed.epoch.store->num_checkpoints(),
             static_cast<std::int64_t>(trace.checkpoints.size()));
   for (std::size_t i = 0; i < trace.checkpoints.size(); ++i) {
-    const TrainState got = streamed.store->fetch(static_cast<std::int64_t>(i));
+    const TrainState got =
+        streamed.epoch.store->fetch(static_cast<std::int64_t>(i));
     EXPECT_EQ(got.model, trace.checkpoints[i].model);
     EXPECT_EQ(got.optimizer, trace.checkpoints[i].optimizer);
   }
@@ -285,7 +301,7 @@ TEST_F(StreamFixture, StreamedCommitMatchesBatchV2) {
 
   const EpochTrace trace = honest_trace();
   const Commitment batch = commit_v2(trace, hasher, &mask);
-  const StreamedEpoch streamed =
+  const Streamed streamed =
       honest_streamed(CommitmentVersion::kV2, &hasher, &mask);
 
   EXPECT_TRUE(digest_equal(streamed.commitment.root, batch.root));
@@ -295,15 +311,17 @@ TEST_F(StreamFixture, StreamedCommitMatchesBatchV2) {
                                batch.lsh_digests[i]));
   }
   const CompactCommitment tree_compact = compact_commitment(batch);
-  EXPECT_TRUE(digest_equal(streamed.compact.state_root,
-                           tree_compact.state_root));
-  EXPECT_TRUE(digest_equal(streamed.compact.lsh_root, tree_compact.lsh_root));
+  const CompactCommitment streamed_compact =
+      compact_commitment(streamed.commitment);
+  EXPECT_TRUE(
+      digest_equal(streamed_compact.state_root, tree_compact.state_root));
+  EXPECT_TRUE(digest_equal(streamed_compact.lsh_root, tree_compact.lsh_root));
 }
 
 TEST_F(StreamFixture, SourceVerifyMatchesTraceVerify) {
   const EpochTrace trace = honest_trace();
   const Commitment commitment = commit_v1(trace);
-  const StreamedEpoch streamed =
+  const Streamed streamed =
       honest_streamed(CommitmentVersion::kV1, nullptr, nullptr);
   const Digest initial_hash = hash_state(context.initial);
 
@@ -317,9 +335,9 @@ TEST_F(StreamFixture, SourceVerifyMatchesTraceVerify) {
   const VerifyResult via_trace = verifier.verify(
       commitment, trace, context, initial_hash, dev_a);
   sim::DeviceExecution dev_b(sim::device_g3090(), 1234);
-  const VerifyResult via_source = verifier.verify(
-      commitment, *streamed.store, streamed.step_of, context, initial_hash,
-      dev_b);
+  const VerifyResult via_source =
+      verifier.verify(commitment, *streamed.epoch.store,
+                      streamed.epoch.step_of, context, initial_hash, dev_b);
 
   EXPECT_EQ(via_trace.accepted, via_source.accepted);
   EXPECT_EQ(via_trace.failure, via_source.failure);
@@ -342,17 +360,13 @@ TEST_F(StreamFixture, DefaultStreamTraceFallbackMatchesProduceTrace) {
   sim::DeviceExecution dev_a(sim::device_ga10(), 9);
   const EpochTrace trace = replay.produce_trace(exec_a, context, dev_a);
 
-  StepExecutor exec_b(task.factory, task.hp);
-  sim::DeviceExecution dev_b(sim::device_ga10(), 9);
-  const StreamedEpoch streamed =
-      run_streamed_epoch(replay, exec_b, context, dev_b,
-                         CommitmentVersion::kV1, nullptr, nullptr,
-                         budget_config(1));
-  EXPECT_EQ(streamed.step_of, trace.step_of);
-  ASSERT_EQ(streamed.store->num_checkpoints(),
+  const Streamed streamed = stream(replay, CommitmentVersion::kV1, nullptr,
+                                  nullptr, /*run_seed=*/9);
+  EXPECT_EQ(streamed.epoch.step_of, trace.step_of);
+  ASSERT_EQ(streamed.epoch.store->num_checkpoints(),
             static_cast<std::int64_t>(trace.checkpoints.size()));
   for (std::size_t i = 0; i < trace.checkpoints.size(); ++i) {
-    EXPECT_EQ(streamed.store->fetch(static_cast<std::int64_t>(i)).model,
+    EXPECT_EQ(streamed.epoch.store->fetch(static_cast<std::int64_t>(i)).model,
               trace.checkpoints[i].model);
   }
   EXPECT_TRUE(

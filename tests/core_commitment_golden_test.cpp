@@ -209,8 +209,8 @@ TEST(CommitmentGolden, TransitionProofTranscripts) {
   Commitment v2_8 = commit_v2(make_trace(8), hasher);
   for (const auto& g : kProofGoldens) {
     const Commitment& full = g.n == 5 ? v2_5 : v2_8;
-    const TransitionProof proof =
-        make_transition_proof(full, static_cast<std::int64_t>(g.j));
+    const TransitionProof proof = CommitmentIndex(full).prove_transition(
+        static_cast<std::int64_t>(g.j));
     EXPECT_EQ(proof_transcript_hex(proof), g.hex)
         << "n=" << g.n << " j=" << g.j;
     // The memoized index must produce the identical proof.
@@ -258,10 +258,6 @@ TEST(CommitmentGolden, IndexMatchesOneShotWrappers) {
   EXPECT_TRUE(digest_equal(a.state_root, b.state_root));
   EXPECT_TRUE(digest_equal(a.lsh_root, b.lsh_root));
 
-  for (std::int64_t j = 0; j + 1 < 7; ++j) {
-    EXPECT_EQ(proof_transcript_hex(index.prove_transition(j)),
-              proof_transcript_hex(make_transition_proof(full, j)));
-  }
   // Every proof must verify against the compact roots it was built for.
   for (std::int64_t j = 0; j + 1 < 7; ++j) {
     EXPECT_TRUE(verify_transition_proof(a, index.prove_transition(j)));
@@ -277,12 +273,10 @@ TEST(CommitmentGolden, IndexExceptionBehavior) {
   const CommitmentIndex index(full);
   EXPECT_THROW(index.prove_transition(-1), std::out_of_range);
   EXPECT_THROW(index.prove_transition(3), std::out_of_range);
-  EXPECT_THROW(make_transition_proof(full, -1), std::out_of_range);
-  EXPECT_THROW(make_transition_proof(full, 3), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
-// Streaming construction: CommitmentBuilder folds checkpoints one at a time
+// Streaming construction: CommitmentBuilder hashes checkpoints one at a time
 // and must land on the exact same pinned roots as the batch builders — the
 // §6 equivalence contract for the bounded-memory epoch path.
 
@@ -303,10 +297,10 @@ TEST(CommitmentGolden, StreamedBuilderMatchesPinnedRoots) {
     const Commitment v2 = b2.finish();
     EXPECT_EQ(digest_to_hex(v2.root), g.v2_root) << "n=" << g.n;
 
-    // Streamed O(log n) compact roots vs the pinned tree roots.
-    const CompactCommitment c1 = b1.compact();
+    // Compact roots of the streamed commitment vs the pinned tree roots.
+    const CompactCommitment c1 = compact_commitment(b1.finish());
     EXPECT_EQ(digest_to_hex(c1.state_root), g.state_root) << "n=" << g.n;
-    const CompactCommitment c2 = b2.compact();
+    const CompactCommitment c2 = compact_commitment(b2.finish());
     EXPECT_EQ(digest_to_hex(c2.state_root), g.state_root) << "n=" << g.n;
     EXPECT_EQ(digest_to_hex(c2.lsh_root), g.lsh_root) << "n=" << g.n;
 
@@ -331,24 +325,24 @@ TEST(CommitmentGolden, StreamedProofTranscriptsMatchBatch) {
   const Commitment v2_8 = b8.finish();
   for (const auto& g : kProofGoldens) {
     const Commitment& full = g.n == 5 ? v2_5 : v2_8;
-    EXPECT_EQ(proof_transcript_hex(
-                  make_transition_proof(full, static_cast<std::int64_t>(g.j))),
+    EXPECT_EQ(proof_transcript_hex(CommitmentIndex(full).prove_transition(
+                  static_cast<std::int64_t>(g.j))),
               g.hex)
         << "n=" << g.n << " j=" << g.j;
   }
   // Interleaved finish(): sealing early then adding more checkpoints must
-  // not perturb the final roots (the accumulators are pure folds).
+  // not perturb the final roots (finish() only copies the digest lists).
   CommitmentBuilder inc(CommitmentVersion::kV2, &hasher);
   for (std::size_t i = 0; i < t8.checkpoints.size(); ++i) {
     inc.add_checkpoint(t8.checkpoints[i]);
     (void)inc.finish();
-    (void)inc.compact();
+    (void)compact_commitment(inc.finish());
   }
   EXPECT_EQ(digest_to_hex(inc.finish().root), digest_to_hex(v2_8.root));
-  EXPECT_EQ(digest_to_hex(inc.compact().state_root),
-            digest_to_hex(b8.compact().state_root));
-  EXPECT_EQ(digest_to_hex(inc.compact().lsh_root),
-            digest_to_hex(b8.compact().lsh_root));
+  EXPECT_EQ(digest_to_hex(compact_commitment(inc.finish()).state_root),
+            digest_to_hex(compact_commitment(b8.finish()).state_root));
+  EXPECT_EQ(digest_to_hex(compact_commitment(inc.finish()).lsh_root),
+            digest_to_hex(compact_commitment(b8.finish()).lsh_root));
 }
 
 TEST(CommitmentGolden, StreamedBuilderExceptionBehavior) {
@@ -356,7 +350,7 @@ TEST(CommitmentGolden, StreamedBuilderExceptionBehavior) {
                std::invalid_argument);
   CommitmentBuilder empty(CommitmentVersion::kV1);
   EXPECT_THROW((void)empty.finish(), std::invalid_argument);
-  EXPECT_THROW((void)empty.compact(), std::invalid_argument);
+  EXPECT_THROW((void)compact_commitment(empty.finish()), std::invalid_argument);
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ TEST_F(CompactFixture, AllTransitionsProveAndVerifyV1) {
   const CompactCommitment compact = compact_commitment(full_v1);
   EXPECT_EQ(compact.num_checkpoints, 8);
   for (std::int64_t j = 0; j + 1 < compact.num_checkpoints; ++j) {
-    const TransitionProof proof = make_transition_proof(full_v1, j);
+    const TransitionProof proof = CommitmentIndex(full_v1).prove_transition(j);
     EXPECT_TRUE(verify_transition_proof(compact, proof)) << "transition " << j;
     // The proven hashes are the real checkpoint hashes.
     EXPECT_TRUE(digest_equal(
@@ -56,7 +56,7 @@ TEST_F(CompactFixture, AllTransitionsProveAndVerifyV1) {
 TEST_F(CompactFixture, AllTransitionsProveAndVerifyV2) {
   const CompactCommitment compact = compact_commitment(full_v2);
   for (std::int64_t j = 0; j + 1 < compact.num_checkpoints; ++j) {
-    const TransitionProof proof = make_transition_proof(full_v2, j);
+    const TransitionProof proof = CommitmentIndex(full_v2).prove_transition(j);
     EXPECT_TRUE(verify_transition_proof(compact, proof)) << "transition " << j;
     EXPECT_TRUE(proof.out_lsh ==
                 full_v2.lsh_digests[static_cast<std::size_t>(j + 1)]);
@@ -69,38 +69,38 @@ TEST_F(CompactFixture, CompactBeatsHashListForLongEpochs) {
   // once epochs are long and q is small.
   const CompactCommitment compact = compact_commitment(full_v1);
   EXPECT_LT(compact.byte_size(), full_v1.byte_size());
-  const TransitionProof proof = make_transition_proof(full_v1, 3);
+  const TransitionProof proof = CommitmentIndex(full_v1).prove_transition(3);
   // log2(8) = 3 levels => 3 siblings per membership proof.
   EXPECT_EQ(proof.in_membership.siblings.size(), 3u);
 }
 
 TEST_F(CompactFixture, WrongTransitionIndexRejected) {
   const CompactCommitment compact = compact_commitment(full_v1);
-  TransitionProof proof = make_transition_proof(full_v1, 2);
+  TransitionProof proof = CommitmentIndex(full_v1).prove_transition(2);
   proof.transition = 3;  // relabel a valid proof
   EXPECT_FALSE(verify_transition_proof(compact, proof));
 }
 
 TEST_F(CompactFixture, TamperedHashRejected) {
   const CompactCommitment compact = compact_commitment(full_v1);
-  TransitionProof proof = make_transition_proof(full_v1, 1);
+  TransitionProof proof = CommitmentIndex(full_v1).prove_transition(1);
   proof.out_hash[0] ^= 1;
   EXPECT_FALSE(verify_transition_proof(compact, proof));
 }
 
 TEST_F(CompactFixture, TamperedMembershipRejected) {
   const CompactCommitment compact = compact_commitment(full_v1);
-  TransitionProof proof = make_transition_proof(full_v1, 1);
+  TransitionProof proof = CommitmentIndex(full_v1).prove_transition(1);
   proof.in_membership.siblings[0][5] ^= 1;
   EXPECT_FALSE(verify_transition_proof(compact, proof));
 }
 
 TEST_F(CompactFixture, SwappedLshDigestRejectedV2) {
   const CompactCommitment compact = compact_commitment(full_v2);
-  TransitionProof proof = make_transition_proof(full_v2, 1);
+  TransitionProof proof = CommitmentIndex(full_v2).prove_transition(1);
   // Substitute the LSH digest of a different checkpoint (with its proof
   // left pointing at position 2): position binding must catch it.
-  const TransitionProof other = make_transition_proof(full_v2, 4);
+  const TransitionProof other = CommitmentIndex(full_v2).prove_transition(4);
   proof.out_lsh = other.out_lsh;
   EXPECT_FALSE(verify_transition_proof(compact, proof));
   proof.out_lsh_membership = other.out_lsh_membership;
@@ -108,10 +108,12 @@ TEST_F(CompactFixture, SwappedLshDigestRejectedV2) {
 }
 
 TEST_F(CompactFixture, OutOfRangeInputsThrowOrFail) {
-  EXPECT_THROW(make_transition_proof(full_v1, -1), std::out_of_range);
-  EXPECT_THROW(make_transition_proof(full_v1, 7), std::out_of_range);
+  EXPECT_THROW(CommitmentIndex(full_v1).prove_transition(-1),
+               std::out_of_range);
+  EXPECT_THROW(CommitmentIndex(full_v1).prove_transition(7),
+               std::out_of_range);
   const CompactCommitment compact = compact_commitment(full_v1);
-  TransitionProof proof = make_transition_proof(full_v1, 0);
+  TransitionProof proof = CommitmentIndex(full_v1).prove_transition(0);
   proof.transition = 99;
   EXPECT_FALSE(verify_transition_proof(compact, proof));
 }

@@ -180,7 +180,9 @@ TEST(JudgePool, NanFreeRiderNeverPoisonsTheGlobalModel) {
 // in the model or (`short_optimizer`) in the optimizer vector. Replaying a
 // short C_j used to throw from load_state, and judging a short claimed
 // C_{j+1} from trainable_distance, so one worker's bytes crashed every
-// verdict path and the pool.
+// verdict path and the pool. Under RPoLv2 a short model does not fit the
+// trainable mask, so the worker cannot even commit it; its v2 commit used
+// to throw from extract_trainable and stop the pool or the session.
 class ShortStatePolicy : public WorkerPolicy {
  public:
   explicit ShortStatePolicy(bool short_optimizer)
@@ -199,6 +201,23 @@ class ShortStatePolicy : public WorkerPolicy {
  private:
   bool short_optimizer_;
 };
+
+// Three honest workers and, at index 3, one ShortStatePolicy worker.
+std::vector<WorkerSpec> short_state_workers(bool short_optimizer) {
+  std::vector<WorkerSpec> workers;
+  const auto devices = sim::all_devices();
+  for (std::size_t w = 0; w < 4; ++w) {
+    WorkerSpec spec;
+    if (w < 3) {
+      spec.policy = std::make_unique<HonestPolicy>();
+    } else {
+      spec.policy = std::make_unique<ShortStatePolicy>(short_optimizer);
+    }
+    spec.device = devices[w % devices.size()];
+    workers.push_back(std::move(spec));
+  }
+  return workers;
+}
 
 TEST_F(JudgeFixture, ShortStatesRejectedByVerifyForEverySamplingSeed) {
   const Digest initial_hash = hash_state(context.initial);
@@ -231,25 +250,31 @@ TEST_F(JudgeFixture, ShortStatesRejectedByVerifyForEverySamplingSeed) {
 }
 
 TEST_F(JudgeFixture, ShortStatesRejectedBySessionForEverySamplingSeed) {
-  for (const bool short_optimizer : {false, true}) {
-    for (std::uint64_t seed = 0; seed < kSamplingSeeds; ++seed) {
-      SessionConfig cfg;
-      cfg.scheme = Scheme::kRPoLv1;
-      cfg.samples_q = 2;
-      cfg.beta = kBeta;
-      cfg.sampling_seed = seed;
-      ShortStatePolicy policy(short_optimizer);
-      SessionOutcome outcome;
-      ASSERT_NO_THROW(outcome = run_protocol_session(
-                          task.factory, task.hp, cfg, context.initial,
-                          /*nonce=*/505, view, policy, sim::device_ga10(),
-                          /*worker_seed=*/3, sim::device_g3090(),
-                          /*manager_seed=*/4))
-          << "short_optimizer=" << short_optimizer << " seed=" << seed;
-      EXPECT_FALSE(outcome.accepted)
-          << "short_optimizer=" << short_optimizer << " seed=" << seed;
-      EXPECT_EQ(outcome.status, SessionStatus::kVerdictRejected)
-          << "short_optimizer=" << short_optimizer << " seed=" << seed;
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    for (const bool short_optimizer : {false, true}) {
+      for (std::uint64_t seed = 0; seed < kSamplingSeeds; ++seed) {
+        SessionConfig cfg;
+        cfg.scheme = scheme;
+        cfg.samples_q = 2;
+        cfg.beta = kBeta;
+        cfg.sampling_seed = seed;
+        if (scheme == Scheme::kRPoLv2) cfg.lsh = lsh_config;
+        ShortStatePolicy policy(short_optimizer);
+        SessionOutcome outcome;
+        ASSERT_NO_THROW(outcome = run_protocol_session(
+                            task.factory, task.hp, cfg, context.initial,
+                            /*nonce=*/505, view, policy, sim::device_ga10(),
+                            /*worker_seed=*/3, sim::device_g3090(),
+                            /*manager_seed=*/4))
+            << scheme_name(scheme) << " short_optimizer=" << short_optimizer
+            << " seed=" << seed;
+        EXPECT_FALSE(outcome.accepted)
+            << scheme_name(scheme) << " short_optimizer=" << short_optimizer
+            << " seed=" << seed;
+        EXPECT_EQ(outcome.status, SessionStatus::kVerdictRejected)
+            << scheme_name(scheme) << " short_optimizer=" << short_optimizer
+            << " seed=" << seed;
+      }
     }
   }
 }
@@ -266,20 +291,8 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
     cfg.epochs = 4;
     cfg.samples_q = 3;
     cfg.seed = 72;
-    std::vector<WorkerSpec> workers;
-    const auto devices = sim::all_devices();
-    for (std::size_t w = 0; w < 4; ++w) {
-      WorkerSpec spec;
-      if (w < 3) {
-        spec.policy = std::make_unique<HonestPolicy>();
-      } else {
-        spec.policy = std::make_unique<ShortStatePolicy>(short_optimizer);
-      }
-      spec.device = devices[w % devices.size()];
-      workers.push_back(std::move(spec));
-    }
     MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                    std::move(workers));
+                    short_state_workers(short_optimizer));
     PoolRunReport report;
     ASSERT_NO_THROW(report = pool.run())
         << "short_optimizer=" << short_optimizer;
@@ -289,6 +302,50 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
           << "short_optimizer=" << short_optimizer << " epoch " << epoch.epoch;
     }
     EXPECT_TRUE(all_finite(pool.global_model()));
+  }
+}
+
+// The RPoLv2 twin, with in-memory and streaming custody: every epoch ends
+// in one verify-rejection strike for the short-state worker, whose update
+// never reaches the global model.
+TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv2Pool) {
+  const TinyTask task = TinyTask::make(/*seed=*/61, /*steps=*/10,
+                                       /*interval=*/3);
+  const data::TrainTestSplit split =
+      data::train_test_split(task.dataset, 0.25, 17);
+  for (const bool streaming : {false, true}) {
+    for (const bool short_optimizer : {false, true}) {
+      PoolConfig cfg;
+      cfg.scheme = Scheme::kRPoLv2;
+      cfg.hp = task.hp;
+      cfg.epochs = 3;
+      cfg.samples_q = 3;
+      cfg.seed = 72;
+      cfg.eviction_threshold = 4;  // judged in every epoch, never evicted
+      cfg.streaming = streaming;
+      MiningPool pool(cfg, task.factory, task.dataset, split.test,
+                      short_state_workers(short_optimizer));
+      PoolRunReport report;
+      ASSERT_NO_THROW(report = pool.run())
+          << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
+      ASSERT_EQ(report.epochs.size(), 3U);
+      for (const EpochReport& epoch : report.epochs) {
+        EXPECT_TRUE(epoch.participated[3])
+            << "streaming=" << streaming << " short_optimizer="
+            << short_optimizer << " epoch " << epoch.epoch;
+        EXPECT_FALSE(epoch.accepted[3])
+            << "streaming=" << streaming << " short_optimizer="
+            << short_optimizer << " epoch " << epoch.epoch;
+        EXPECT_EQ(epoch.status[3], SessionStatus::kVerdictRejected)
+            << "streaming=" << streaming << " short_optimizer="
+            << short_optimizer << " epoch " << epoch.epoch;
+      }
+      EXPECT_EQ(pool.health().consecutive_rejections(3), 3)
+          << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
+      EXPECT_EQ(pool.health().consecutive_losses(3), 0)
+          << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
+      EXPECT_TRUE(all_finite(pool.global_model()));
+    }
   }
 }
 

@@ -179,7 +179,7 @@ TEST_F(ProtocolFixture, CommitV2AddsLshDigests) {
 TEST_F(ProtocolFixture, MerkleRootAlternativeWorks) {
   const EpochTrace trace = honest_trace();
   const Commitment c = commit_v1(trace);
-  const Digest root = commitment_merkle_root(c);
+  const Digest root = compact_commitment(c).state_root;
   MerkleTree tree(c.state_hashes);
   const MerkleProof proof = tree.prove(1);
   EXPECT_TRUE(MerkleTree::verify(root, c.state_hashes[1], proof));

@@ -139,7 +139,6 @@ TEST_F(ShardedFixture, RequeuePolicyIsLosslessAndBitwiseEqualToUnbounded) {
 
   ShardedPoolConfig tight = config(2, 1);
   tight.queue_capacity = 1;  // every shard holds 2 workers: 1 must wait
-  tight.verify_batch = 1;
   tight.overflow = AdmissionPolicy::kRequeue;
   ShardedPool pool = make_pool(std::move(tight));
   const EpochReport epoch = pool.run_epoch(0);
@@ -271,7 +270,6 @@ SoakResult run_soak(std::size_t num_workers) {
   cfg.base.eviction_threshold = 3;
   cfg.shards = 8;
   cfg.queue_capacity = 64;
-  cfg.verify_batch = 16;
   cfg.overflow = AdmissionPolicy::kRequeue;
 
   std::vector<WorkerSpec> workers;

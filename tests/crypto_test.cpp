@@ -219,52 +219,6 @@ TEST(Merkle, OutOfRangeProofThrows) {
   EXPECT_THROW(tree.prove(1), std::out_of_range);
 }
 
-TEST(Merkle, AccumulatorMatchesTreeRootAtEveryCount) {
-  // The streaming accumulator must reproduce MerkleTree's root — including
-  // the Bitcoin-style self-pairing of ragged edges at every level — for
-  // every leaf count, and its root() must be non-destructive so it can be
-  // queried mid-stream.
-  MerkleAccumulator acc;
-  std::vector<Digest> leaves;
-  EXPECT_TRUE(acc.empty());
-  EXPECT_THROW(acc.root(), std::invalid_argument);
-  for (int n = 1; n <= 40; ++n) {
-    leaves.push_back(leaf_digest(n - 1));
-    acc.push(leaves.back());
-    EXPECT_EQ(acc.leaf_count(), static_cast<std::size_t>(n));
-    EXPECT_TRUE(digest_equal(acc.root(), MerkleTree(leaves).root()))
-        << "n=" << n;
-    // Query again: root() folded frontiers into a scratch path, so a second
-    // call (and further pushes) must see untouched state.
-    EXPECT_TRUE(digest_equal(acc.root(), MerkleTree(leaves).root()))
-        << "repeat n=" << n;
-  }
-  // O(log n) frontier: 40 leaves fit in 6 levels.
-  EXPECT_LE(acc.byte_size(), 6 * sizeof(Digest));
-}
-
-TEST(Merkle, ParentReuseSurvivesInterleavedDigests) {
-  // Regression for the incremental-fold helpers: merkle_parent_reusing
-  // relies on Sha256::finish() resetting the hasher for reuse. Interleave
-  // parent folds with unrelated digests on the SAME hasher object and
-  // assert every fold still matches a fresh-hasher merkle_parent.
-  Sha256 reused;
-  const Digest a = leaf_digest(1);
-  const Digest b = leaf_digest(2);
-  for (int round = 0; round < 5; ++round) {
-    const Digest folded = merkle_parent_reusing(reused, a, b);
-    EXPECT_TRUE(digest_equal(folded, merkle_parent(a, b))) << round;
-    // Unrelated work on the same hasher between folds...
-    reused.update(std::string("interleaved-") + std::to_string(round));
-    const Digest other = reused.finish();
-    EXPECT_FALSE(digest_equal(other, folded));
-    // ...must not perturb the next fold (finish() reset the state again).
-    EXPECT_TRUE(
-        digest_equal(merkle_parent_reusing(reused, b, a), merkle_parent(b, a)))
-        << round;
-  }
-}
-
 TEST(Merkle, ParallelBuildMatchesSerialFold) {
   // The pooled per-level construction must equal a serial bottom-up fold at
   // leaf counts below, at, and above the parallel grain (64 pairs), odd and

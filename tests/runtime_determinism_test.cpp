@@ -246,7 +246,7 @@ TrainRun train_fixture_model(int threads) {
     run.checkpoint_bytes.push_back(core::serialize_state(s));
   }
   run.commitment = core::commit_v1(trace);
-  run.merkle_root = core::commitment_merkle_root(run.commitment);
+  run.merkle_root = core::compact_commitment(run.commitment).state_root;
   return run;
 }
 
@@ -601,9 +601,10 @@ TEST(TrainingDeterminism, HealthScoredPoolRunIsBitwiseIdentical) {
 // stores, all under a live RssSampler — must be bitwise identical to the
 // materialize-everything path: same global model floats, same accuracy,
 // same verdicts and evictions, same WAN bytes. And it must hold at 1 and 4
-// intra-op threads (§6: thread-count invariance composes with streaming).
+// intra-op threads (§6: thread-count invariance composes with streaming),
+// for list and for compact commitments (both of verify_worker's calls).
 TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
-  auto run_pool = [](bool streaming, int threads) {
+  auto run_pool = [](bool streaming, int threads, bool compact) {
     const ThreadGuard guard;
     runtime::set_threads(threads);
     obs::set_enabled(true);
@@ -621,7 +622,7 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
     cfg.samples_q = 3;
     cfg.seed = 71;
     cfg.eviction_threshold = 2;
-    cfg.compact_commitments = true;  // exercise the streamed O(log n) roots
+    cfg.compact_commitments = compact;
     cfg.streaming = streaming;
     // Small enough that eviction/spill actually happens every epoch (a
     // TinyTask checkpoint serializes to ~3 KiB; 5 checkpoints per trace).
@@ -676,43 +677,46 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
     return r;
   };
 
-  const auto memory_1t = run_pool(false, 1);
-  const auto streamed_1t = run_pool(true, 1);
-  const auto memory_4t = run_pool(false, 4);
-  const auto streamed_4t = run_pool(true, 4);
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compact commitments" : "list commitments");
+    const auto memory_1t = run_pool(false, 1, compact);
+    const auto streamed_1t = run_pool(true, 1, compact);
+    const auto memory_4t = run_pool(false, 4, compact);
+    const auto streamed_4t = run_pool(true, 4, compact);
 
-  // The streamed runs really streamed: hot checkpoint bytes were charged to
-  // the ckptstore tag and pinned under the configured budget — per worker
-  // store, so the global tag peaks at most at workers x budget (the
-  // single-store bound is tests/core_ckptstore_test.cpp's job) — while the
-  // in-memory runs never touched the tag.
-  EXPECT_GT(streamed_1t.ckpt_total_bytes, 0U);
-  EXPECT_LE(streamed_1t.ckpt_peak_bytes, 3U * 8U * 1024U);
-  EXPECT_EQ(memory_1t.ckpt_total_bytes, 0U);
+    // The streamed runs really streamed: hot checkpoint bytes were charged
+    // to the ckptstore tag and pinned under the configured budget — per
+    // worker store, so the global tag peaks at most at workers x budget (the
+    // single-store bound is tests/core_ckptstore_test.cpp's job) — while the
+    // in-memory runs never touched the tag.
+    EXPECT_GT(streamed_1t.ckpt_total_bytes, 0U);
+    EXPECT_LE(streamed_1t.ckpt_peak_bytes, 3U * 8U * 1024U);
+    EXPECT_EQ(memory_1t.ckpt_total_bytes, 0U);
 #ifdef __linux__
-  EXPECT_TRUE(streamed_1t.rss_sampled);
+    EXPECT_TRUE(streamed_1t.rss_sampled);
 #endif
 
-  // Bitwise equivalence, in-memory vs streamed, at each thread count.
-  const auto expect_same = [](const auto& a, const auto& b) {
-    EXPECT_EQ(a.model, b.model);
-    EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-    EXPECT_EQ(a.total_bytes, b.total_bytes);
-    EXPECT_EQ(a.evicted, b.evicted);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.epoch_accuracy, b.epoch_accuracy);
-  };
-  expect_same(memory_1t, streamed_1t);
-  expect_same(memory_4t, streamed_4t);
-  // ...and across thread counts (the full 2x2 grid collapses to one result).
-  expect_same(memory_1t, memory_4t);
+    // Bitwise equivalence, in-memory vs streamed, at each thread count.
+    const auto expect_same = [](const auto& a, const auto& b) {
+      EXPECT_EQ(a.model, b.model);
+      EXPECT_EQ(a.final_accuracy, b.final_accuracy);
+      EXPECT_EQ(a.total_bytes, b.total_bytes);
+      EXPECT_EQ(a.evicted, b.evicted);
+      EXPECT_EQ(a.accepted, b.accepted);
+      EXPECT_EQ(a.epoch_accuracy, b.epoch_accuracy);
+    };
+    expect_same(memory_1t, streamed_1t);
+    expect_same(memory_4t, streamed_4t);
+    // ...and across thread counts (the 2x2 grid collapses to one result).
+    expect_same(memory_1t, memory_4t);
 
-  // The adversary was rejected and evicted in every configuration.
-  EXPECT_TRUE(streamed_1t.evicted[0]);
-  EXPECT_FALSE(streamed_1t.evicted[1]);
-  ASSERT_FALSE(streamed_1t.accepted.empty());
-  EXPECT_FALSE(streamed_1t.accepted[0][0]);
-  EXPECT_TRUE(streamed_1t.accepted[0][1]);
+    // The adversary was rejected and evicted in every configuration.
+    EXPECT_TRUE(streamed_1t.evicted[0]);
+    EXPECT_FALSE(streamed_1t.evicted[1]);
+    ASSERT_FALSE(streamed_1t.accepted.empty());
+    EXPECT_FALSE(streamed_1t.accepted[0][0]);
+    EXPECT_TRUE(streamed_1t.accepted[0][1]);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -812,7 +816,6 @@ TEST(TrainingDeterminism, ShardedPoolMatchesLegacyBitwiseAtAnyShardCount) {
     cfg.base = base_config(task);
     cfg.shards = shards;
     cfg.queue_capacity = queue_capacity;
-    cfg.verify_batch = 2;
     cfg.overflow = core::AdmissionPolicy::kRequeue;
     core::ShardedPool pool(std::move(cfg), task.factory, task.dataset,
                            split.test, make_workers());

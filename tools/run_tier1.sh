@@ -6,7 +6,9 @@
 # can never change results), (4) RPOL_TRACE=1, (5) a bounded-memory pass
 # with RPOL_CKPT_BUDGET squeezed to a few KiB so the checkpoint stores
 # spill and evict constantly (the verdict goldens run in it too, so
-# verification from a spilling store must reproduce the recorded digests),
+# verification from a spilling store must reproduce the recorded digests,
+# and the judge suite, whose streaming pools must still reject a wrong-size
+# RPoLv2 worker from a spilling store),
 # then (6) and (7) under AddressSanitizer and UndefinedBehaviorSanitizer in
 # separate build trees. The main build is
 # strict (-DRPOL_WERROR=ON), and an RPOL_SIMD=OFF tree builds tensor_test
@@ -43,9 +45,10 @@ echo "==> tier-1 pass 4/7: RPOL_TRACE=1 (tracing on; results must not change)"
 
 echo "==> tier-1 pass 5/7: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
 echo "    checkpoint; streaming suites and verdict goldens must stay bitwise"
-echo "    identical)"
+echo "    identical, and the judge suite's streaming pools must still reject"
+echo "    wrong-size workers)"
 (cd "$BUILD_DIR" && RPOL_CKPT_BUDGET=4096 ctest --output-on-failure \
-  -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_verdict_golden_test' \
+  -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_verdict_golden_test|core_judge_test' \
   -j "$(nproc)")
 
 echo "==> tier-1 Gaussian stream: RPOL_SIMD=OFF build (scalar Box-Muller only)"
