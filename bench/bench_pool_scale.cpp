@@ -16,8 +16,7 @@
 // carries peak_rss_bytes automatically.
 //
 // Scale knobs: --workers N (default 1024, the ISSUE's >= 1k floor),
-// --epochs N (default 2), --shards N (default 8; RPOL_SHARDS also applies
-// when unset, matching ShardedPoolConfig resolution).
+// --epochs N (default 2), --shards N (default 8).
 
 #include <chrono>
 #include <cstring>

@@ -119,9 +119,7 @@ TrainState CheckpointStore::read_record(const Record& rec) const {
     throw std::runtime_error("checkpoint spill read failed: " + path_);
   }
   std::size_t offset = 0;
-  TrainState state;
-  state.model = deserialize_floats(buf, offset);
-  state.optimizer = deserialize_floats(buf, offset);
+  TrainState state = deserialize_state(buf, offset);
   if (offset != buf.size()) {
     throw std::runtime_error("checkpoint spill record corrupt: " + path_);
   }

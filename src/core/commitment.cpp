@@ -58,11 +58,16 @@ TrainState EpochTrace::fetch(std::int64_t index) const {
 Bytes serialize_state(const TrainState& state) {
   Bytes out;
   out.reserve(16 + 4 * (state.model.size() + state.optimizer.size()));
-  Bytes model_bytes = serialize_floats(state.model);
-  Bytes opt_bytes = serialize_floats(state.optimizer);
-  out.insert(out.end(), model_bytes.begin(), model_bytes.end());
-  out.insert(out.end(), opt_bytes.begin(), opt_bytes.end());
+  append_floats(out, state.model);
+  append_floats(out, state.optimizer);
   return out;
+}
+
+TrainState deserialize_state(const Bytes& in, std::size_t& offset) {
+  TrainState state;
+  state.model = deserialize_floats(in, offset);
+  state.optimizer = deserialize_floats(in, offset);
+  return state;
 }
 
 void update_with_floats(Sha256& h, const std::vector<float>& v) {

@@ -54,8 +54,13 @@ struct EpochTrace final : CheckpointSource, CheckpointSink {
   TrainState fetch(std::int64_t index) const override;
 };
 
-// Canonical serialization of a TrainState (model + optimizer vectors).
+// Canonical serialization of a TrainState (model + optimizer vectors),
+// written into one buffer.
 Bytes serialize_state(const TrainState& state);
+// Inverse of serialize_state, reading from `offset` and advancing it. Throws
+// on a truncated buffer or a float count the buffer cannot hold; bytes
+// after the state are left for the caller to judge.
+TrainState deserialize_state(const Bytes& in, std::size_t& offset);
 // SHA-256 over the canonical serialization. Streams the length prefix and
 // float payload straight into the hasher (no intermediate Bytes buffer);
 // byte-identical to sha256(serialize_state(state)).

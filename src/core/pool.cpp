@@ -156,14 +156,13 @@ double MiningPool::evaluate_global() {
 
 bool MiningPool::deliver_leg(EpochWorkspace& ws, std::size_t w, int leg,
                              const char* counter, std::uint64_t bytes,
-                             bool upload, std::size_t fanout) {
+                             bool upload) {
   // One protocol leg under the fault environment. Every transmission
   // attempt — retransmissions and duplicates included — counts the full leg
   // toward the worker's byte tally: that is what the sender actually
   // transmitted. The tallies replay into sim::Network in worker order at
   // finish_epoch (its counters are shared, so shard threads must not touch
-  // them mid-epoch); `fanout` only ever shaped the unused timing estimate.
-  (void)fanout;
+  // them mid-epoch).
   EpochWorkspace::WorkerSlot& slot = ws.slots[w];
   const bool faulty = slot.injector.has_value();
   const int attempts = faulty ? config_.retry.max_attempts : 1;
@@ -237,14 +236,12 @@ std::unique_ptr<EpochWorkspace> MiningPool::prepare_epoch(std::int64_t epoch) {
     ws->alpha = last_calibration_.alpha;
     ws->beta = last_calibration_.beta;
     ws->lsh_params = last_calibration_.lsh.params;
-    verifier_->set_beta(ws->beta);
     if (config_.scheme == Scheme::kRPoLv2) {
       lsh::LshConfig lsh_config;
       lsh_config.params = last_calibration_.lsh.params;
       lsh_config.dim = manager_executor_.model().num_trainable_parameters();
       lsh_config.seed = derive_seed(
           config_.seed, 0xD0000000ULL + static_cast<std::uint64_t>(epoch));
-      verifier_->set_lsh_config(lsh_config);
       ws->lsh_config = lsh_config;
     }
   }
@@ -280,7 +277,7 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
 
   // Global model out to the worker.
   if (!deliver_leg(ws, w, kLegState, "bytes.state", ws.model_bytes,
-                   /*upload=*/false, workers_.size())) {
+                   /*upload=*/false)) {
     slot.participated = false;
     slot.accepted = false;
     slot.status = SessionStatus::kTimeout;
@@ -347,9 +344,9 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
                                              : slot.commitment.byte_size();
   const bool uploaded =
       deliver_leg(ws, w, kLegUpdate, "bytes.update", ws.model_bytes,
-                  /*upload=*/true, workers_.size()) &&
+                  /*upload=*/true) &&
       deliver_leg(ws, w, kLegCommitment, "bytes.commitment", commitment_bytes,
-                  /*upload=*/true, workers_.size());
+                  /*upload=*/true);
   if (!uploaded) {
     slot.participated = false;
     slot.accepted = false;
@@ -395,7 +392,7 @@ void MiningPool::verify_worker(EpochWorkspace& ws, std::size_t w,
   // Proofs fetched on demand; losing them means the manager cannot
   // reach a verdict, which fails the session rather than rejecting it.
   if (!deliver_leg(ws, w, kLegProofResponse, "bytes.proof_response",
-                   vr.proof_bytes, /*upload=*/true, 1)) {
+                   vr.proof_bytes, /*upload=*/true)) {
     slot.participated = false;
     slot.accepted = false;
     slot.status = SessionStatus::kTimeout;
@@ -569,6 +566,7 @@ EpochReport MiningPool::run_epoch(std::int64_t epoch) {
       slot.end_ns = obs::now_ns();
     }
   } else if (ws->needs_rpol) {
+    configure_epoch_verifier(*ws, *verifier_);
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       verify_worker(*ws, w, *verifier_);
     }

@@ -342,8 +342,7 @@ class MiningPool {
   // to the budget, tallies bytes/retransmissions into the worker's slot
   // (deferred; see EpochWorkspace), returns false when the budget is spent.
   bool deliver_leg(EpochWorkspace& ws, std::size_t w, int leg,
-                   const char* counter, std::uint64_t bytes, bool upload,
-                   std::size_t fanout);
+                   const char* counter, std::uint64_t bytes, bool upload);
 };
 
 }  // namespace rpol::core

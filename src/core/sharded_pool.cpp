@@ -1,7 +1,6 @@
 #include "core/sharded_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <stdexcept>
@@ -12,17 +11,9 @@
 namespace rpol::core {
 
 int resolve_shards(int configured, std::size_t workers) {
-  int s = configured;
-  if (s <= 0) {
-    s = 1;
-    if (const char* env = std::getenv("RPOL_SHARDS")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) s = parsed;
-    }
-  }
   const int max_shards =
       static_cast<int>(std::max<std::size_t>(workers, 1));
-  return std::clamp(s, 1, max_shards);
+  return std::clamp(configured, 1, max_shards);
 }
 
 ShardedPool::ShardedPool(ShardedPoolConfig config, nn::ModelFactory factory,

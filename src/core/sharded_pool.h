@@ -59,9 +59,8 @@ enum class AdmissionPolicy : int {
 
 struct ShardedPoolConfig {
   PoolConfig base;
-  // Manager shard count. 0 resolves RPOL_SHARDS from the environment
-  // (default 1); always clamped to [1, num_workers].
-  int shards = 0;
+  // Manager shard count, clamped to [1, num_workers].
+  int shards = 1;
   // Overlap epoch N's verification with epoch N+1's training.
   bool pipeline = false;
   // Per-shard submission-queue capacity; 0 = unbounded.
@@ -70,8 +69,7 @@ struct ShardedPoolConfig {
 };
 
 // Shard-count resolution used by the constructor, exposed for tests and
-// harnesses: `configured` wins when positive, else RPOL_SHARDS, else 1;
-// the result is clamped to [1, workers].
+// harnesses: `configured` clamped to [1, workers].
 int resolve_shards(int configured, std::size_t workers);
 
 // Contiguous half-open worker range [begin, end) owned by one shard.

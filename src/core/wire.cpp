@@ -479,10 +479,7 @@ TrainState ChunkedStateAssembler::take() {
 }
 
 TrainState decode_train_state(const Bytes& in, std::size_t& offset) {
-  TrainState state;
-  state.model = deserialize_floats(in, offset);
-  state.optimizer = deserialize_floats(in, offset);
-  return state;
+  return deserialize_state(in, offset);
 }
 
 Bytes encode_proof_response(const ProofResponse& msg) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "runtime/thread_pool.h"
 
@@ -14,51 +15,8 @@ namespace {
 // pool; per-element accumulation stays serial and fixed-order, so results
 // are bit-identical for any RPOL_THREADS setting.
 
-// Rearranges a GEMM output of shape (C, N*H*W) — column index ordered as
-// (img*H + y)*W + x — into NCHW.
-Tensor gemm_out_to_nchw(const Tensor& gemm_out, std::int64_t n, std::int64_t c,
-                        std::int64_t h, std::int64_t w) {
-  Tensor out({n, c, h, w});
-  const std::int64_t hw = h * w;
-  const std::int64_t cols = n * hw;
-  const float* src = gemm_out.data();
-  float* dst = out.data();
-  runtime::parallel_for(0, c, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* s = src + ch * cols + img * hw;
-        float* d = dst + (img * c + ch) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) d[i] = s[i];
-      }
-    }
-  });
-  return out;
-}
-
-// Inverse of gemm_out_to_nchw.
-Tensor nchw_to_gemm_out(const Tensor& nchw) {
-  const std::int64_t n = nchw.dim(0), c = nchw.dim(1);
-  const std::int64_t h = nchw.dim(2), w = nchw.dim(3);
-  const std::int64_t hw = h * w;
-  const std::int64_t cols = n * hw;
-  Tensor out({c, cols});
-  const float* src = nchw.data();
-  float* dst = out.data();
-  runtime::parallel_for(0, c, 1, [&](std::int64_t c0, std::int64_t c1) {
-    for (std::int64_t ch = c0; ch < c1; ++ch) {
-      for (std::int64_t img = 0; img < n; ++img) {
-        const float* s = src + (img * c + ch) * hw;
-        float* d = dst + ch * cols + img * hw;
-        for (std::int64_t i = 0; i < hw; ++i) d[i] = s[i];
-      }
-    }
-  });
-  return out;
-}
-
 // Bias gradient: db[oc] += sum over (img, y, x) of dY, accumulated in
-// double in exactly the j = (img*oh + y)*ow + x order the gemm-layout
-// version of this loop used, so both conv paths produce identical bits.
+// double in ascending j = (img*oh + y)*ow + x order.
 void conv_bias_grad_nchw(const Tensor& grad_output, std::int64_t out_channels,
                          Tensor& bias_grad) {
   const std::int64_t n = grad_output.dim(0);
@@ -85,6 +43,12 @@ void conv_bias_grad_nchw(const Tensor& grad_output, std::int64_t out_channels,
 
 Conv2d::Conv2d(Conv2dSpec spec, Rng& rng, bool bias, std::string name)
     : spec_(spec), has_bias_(bias), name_(std::move(name)) {
+  if (!layout::direct_conv_supports(spec_)) {
+    throw std::invalid_argument(name_ + ": no direct kernel for a " +
+                                std::to_string(spec_.kernel) + "x" +
+                                std::to_string(spec_.kernel) +
+                                " convolution (1x1 and 3x3 only)");
+  }
   const std::int64_t fan_in = spec_.in_channels * spec_.kernel * spec_.kernel;
   const float he_std = std::sqrt(2.0F / static_cast<float>(fan_in));
   weight_ = Param(name_ + ".weight",
@@ -100,76 +64,39 @@ Shape Conv2d::output_shape(const Shape& input_shape) const {
           spec_.out_size(input_shape[3])};
 }
 
+const layout::ConvWeightPack& Conv2d::weight_pack() {
+  return pack_cache_.get(weight_.value, weight_.version,
+                         [this](const Tensor& w) {
+                           return layout::make_conv_weight_pack(w, spec_);
+                         });
+}
+
 Tensor Conv2d::forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
-  used_direct_ =
-      layout::direct_conv_enabled() && layout::direct_conv_supports(spec_);
-  if (used_direct_) {
-    cached_cols_.clear_keep_capacity();
-    const layout::ConvWeightPack& pack = pack_cache_.get(
-        weight_.value, weight_.version, [this](const Tensor& w) {
-          return layout::make_conv_weight_pack(w, spec_);
-        });
-    cached_input_blocked_ = layout::nchw_to_nchw8c(input, spec_.padding);
-    account_scratch();
-    Tensor out_blocked = layout::conv2d_direct_forward(
-        cached_input_blocked_, pack.blocked,
-        has_bias_ ? bias_.value : Tensor(), spec_, input.dim(2), input.dim(3));
-    return layout::nchw8c_to_nchw(out_blocked, spec_.out_channels);
-  }
-  cached_input_blocked_.clear_keep_capacity();
-  im2col_into(input, spec_, cached_cols_);
+  const layout::ConvWeightPack& pack = weight_pack();
+  cached_input_blocked_ = layout::nchw_to_nchw8c(input, spec_.padding);
   account_scratch();
-  Tensor gemm = matmul(weight_.value, cached_cols_);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t oh = spec_.out_size(input.dim(2));
-  const std::int64_t ow = spec_.out_size(input.dim(3));
-  if (has_bias_) {
-    const std::int64_t cols = n * oh * ow;
-    float* p = gemm.data();
-    const float* pb = bias_.value.data();
-    runtime::parallel_for(
-        0, spec_.out_channels, 1, [&](std::int64_t oc0, std::int64_t oc1) {
-          for (std::int64_t oc = oc0; oc < oc1; ++oc) {
-            const float b = pb[oc];
-            for (std::int64_t j = 0; j < cols; ++j) p[oc * cols + j] += b;
-          }
-        });
-  }
-  return gemm_out_to_nchw(gemm, n, spec_.out_channels, oh, ow);
+  Tensor out_blocked = layout::conv2d_direct_forward(
+      cached_input_blocked_, pack.blocked,
+      has_bias_ ? bias_.value : Tensor(), spec_, input.dim(2), input.dim(3));
+  return layout::nchw8c_to_nchw(out_blocked, spec_.out_channels);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  if (used_direct_) {
-    const layout::ConvWeightPack& pack = pack_cache_.get(
-        weight_.value, weight_.version, [this](const Tensor& w) {
-          return layout::make_conv_weight_pack(w, spec_);
-        });
-    const std::int64_t in_h = cached_input_shape_[2];
-    const std::int64_t in_w = cached_input_shape_[3];
-    const Tensor grad_blocked = layout::nchw_to_nchw8c(grad_output);
-    layout::conv2d_direct_backward_weights(grad_blocked, cached_input_blocked_,
-                                           spec_, in_h, in_w, weight_.grad);
-    if (has_bias_) {
-      conv_bias_grad_nchw(grad_output, spec_.out_channels, bias_.grad);
-    }
-    Tensor dx = layout::conv2d_direct_backward_data(
-        grad_output, pack.transposed, spec_, cached_input_shape_);
-    cached_input_blocked_.clear_keep_capacity();
-    account_scratch();
-    return dx;
-  }
-  const Tensor grad_gemm = nchw_to_gemm_out(grad_output);
-  // dW += dY * cols^T
-  const Tensor dw = matmul_nt(grad_gemm, cached_cols_);
-  weight_.grad += dw;
+  const layout::ConvWeightPack& pack = weight_pack();
+  const std::int64_t in_h = cached_input_shape_[2];
+  const std::int64_t in_w = cached_input_shape_[3];
+  const Tensor grad_blocked = layout::nchw_to_nchw8c(grad_output);
+  layout::conv2d_direct_backward_weights(grad_blocked, cached_input_blocked_,
+                                         spec_, in_h, in_w, weight_.grad);
   if (has_bias_) {
     conv_bias_grad_nchw(grad_output, spec_.out_channels, bias_.grad);
   }
-  // dX = col2im(W^T * dY)
-  const Tensor dcols = matmul_tn(weight_.value, grad_gemm);
-  cached_cols_.clear_keep_capacity();
-  return col2im(dcols, spec_, cached_input_shape_);
+  Tensor dx = layout::conv2d_direct_backward_data(
+      grad_output, pack.transposed, spec_, cached_input_shape_);
+  cached_input_blocked_.clear_keep_capacity();
+  account_scratch();
+  return dx;
 }
 
 void Conv2d::collect_params(std::vector<Param*>& out) {
@@ -201,15 +128,10 @@ Tensor Linear::forward(const Tensor& input, bool /*training*/) {
                                 shape_to_string(input.shape()));
   }
   cached_input_ = input;
-  Tensor out;
-  if (layout::direct_conv_enabled()) {
-    const PackedPanels& panels = pack_cache_.get(
-        weight_.value, weight_.version,
-        [](const Tensor& w) { return pack_nt_panels(w); });
-    out = matmul_nt_packed(input, panels);
-  } else {
-    out = matmul_nt(input, weight_.value);
-  }
+  const PackedPanels& panels = pack_cache_.get(
+      weight_.value, weight_.version,
+      [](const Tensor& w) { return pack_nt_panels(w); });
+  Tensor out = matmul_nt_packed(input, panels);
   const std::int64_t n = out.dim(0);
   float* po = out.data();
   const float* pb = bias_.value.data();

@@ -12,14 +12,11 @@ namespace rpol::nn {
 // 2-D convolution (square kernel/stride). Weight layout:
 // (out_channels, in_channels * kernel * kernel); He init.
 //
-// Two bitwise-identical execution paths (see tensor/layout.h):
-//   * direct (default for 1x1/3x3): input reordered to nChw8c once per
-//     call, weights packed to OIhw8i8o + W^T cached across steps keyed by
-//     the weight version, forward/backward run blocked direct kernels and
-//     never materialize im2col columns;
-//   * fallback (RPOL_DIRECT_CONV=0, or kernel sizes without a direct
-//     kernel): classic im2col + GEMM, with the column buffer's capacity
-//     reused across batches and released after backward.
+// Runs only the blocked direct kernels of tensor/layout.h: the input is
+// reordered to nChw8c once per call, the weights are packed to OIhw8i8o
+// + W^T and cached across steps keyed by the weight version, and no
+// column matrix is ever built. Those kernels exist for 1x1 and 3x3
+// kernels; the constructor throws std::invalid_argument for any other size.
 class Conv2d : public Layer {
  public:
   Conv2d(Conv2dSpec spec, Rng& rng, bool bias = true, std::string name = "conv");
@@ -41,30 +38,26 @@ class Conv2d : public Layer {
   Param bias_;
   bool has_bias_;
   std::string name_;
-  // Forward cache. Exactly one of the two buffers is live per step —
-  // cached_cols_ on the fallback path, cached_input_blocked_ on the direct
-  // path — and backward releases it (keeping capacity for the next batch).
-  Tensor cached_cols_;
+  // Forward cache of the blocked input; backward empties it.
   Tensor cached_input_blocked_;
   Shape cached_input_shape_;
-  bool used_direct_ = false;
   // Packed weight forms, rebuilt only when weight_.version changes.
   PackCache<layout::ConvWeightPack> pack_cache_;
-  // Charges the retained capacity of the two scratch buffers above to the
-  // "scratch" memory tag (obs/mem.h); refreshed after forward/backward.
+  // Charges the retained capacity of the forward cache to the "scratch"
+  // memory tag (obs/mem.h); refreshed after forward/backward.
   obs::MemScope scratch_mem_{obs::MemTag::kScratch};
+
+  const layout::ConvWeightPack& weight_pack();
   void account_scratch() {
-    scratch_mem_.set(static_cast<std::uint64_t>(
-                         cached_cols_.vec().capacity() +
-                         cached_input_blocked_.vec().capacity()) *
-                     sizeof(float));
+    scratch_mem_.set(
+        static_cast<std::uint64_t>(cached_input_blocked_.vec().capacity()) *
+        sizeof(float));
   }
 };
 
 // Fully connected layer: y = x W^T + b, W is (out_features, in_features).
 // The forward GEMM runs against a panel-packed W (ops.h PackedPanels)
-// cached across steps keyed by the weight version; bitwise-identical to
-// the unpacked matmul_nt, which remains reachable via RPOL_DIRECT_CONV=0.
+// cached across steps keyed by the weight version.
 class Linear : public Layer {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,

@@ -41,7 +41,7 @@ enum class MemTag : int {
   kMerkle,          // commitments + CommitmentIndex Merkle trees
   kWire,            // session wire buffers (encoded protocol messages)
   kPackCache,       // packed weight panels (tensor/packcache.h)
-  kScratch,         // im2col columns + blocked activation scratch
+  kScratch,         // Conv2d blocked (nChw8c) activation scratch
   kCkptStore,       // hot LRU of the spill-to-disk store (core/ckptstore.h)
   kOther,           // anything instrumented without a dedicated tag
   kNumTags,

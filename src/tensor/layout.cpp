@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -60,28 +59,7 @@ XRange valid_x_range(std::int64_t ow, std::int64_t w, std::int64_t kw,
   return r;
 }
 
-// -1 = unset (fall through to the environment), 0/1 = forced.
-std::atomic<int> g_direct_override{-1};
-
-bool direct_conv_env_default() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("RPOL_DIRECT_CONV");
-    return env == nullptr || !(env[0] == '0' && env[1] == '\0');
-  }();
-  return enabled;
-}
-
 }  // namespace
-
-bool direct_conv_enabled() {
-  const int forced = g_direct_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced == 1;
-  return direct_conv_env_default();
-}
-
-void set_direct_conv_enabled(bool enabled) {
-  g_direct_override.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // Reorders. Pure gathers/scatters — each destination element is written by
@@ -99,8 +77,8 @@ Tensor nchw_to_nchw8c(const Tensor& input, std::int64_t padding) {
   static std::atomic<std::uint64_t> tick{0};
   KernelTimer timer(tick, "kernel.reorder_nchw8c_ns");
   // Zero-init covers the padded lanes AND the spatial padding ring: the
-  // conv kernels then multiply explicit +0s exactly where the fallback's
-  // im2col writes them, so no tap ever needs a bounds check.
+  // conv kernels then multiply explicit +0s exactly where im2col writes
+  // them, so no tap ever needs a bounds check.
   Tensor out({n, cb, hp, wp, kBlock});
   const float* pin = input.data();
   float* pout = out.data();
@@ -286,8 +264,8 @@ Tensor conv2d_direct_forward(const Tensor& input_blocked,
   // (ic, kh, kw) order, so the result is unchanged bitwise.
   //
   // The pre-padded input makes every tap unconditionally loadable: padding
-  // taps multiply the explicit +0s the reorder wrote, the very values the
-  // fallback's im2col materializes, so the chains match term for term and
+  // taps multiply the explicit +0s the reorder wrote, the very values
+  // im2col materializes, so the chains match term for term and
   // no x position needs a slower edge path.
   //
   // The 2xCNT (ocb, x) register tile holds up to eight independent fma
@@ -307,7 +285,7 @@ Tensor conv2d_direct_forward(const Tensor& input_blocked,
       const bool has2 = obi0 + 1 < ob;
       const std::int64_t wblk_sz = cb * kernel * kernel * kBlock * kBlock;
 
-      // Stores acc (+ bias once, matching the fallback's post-GEMM add).
+      // Stores acc (+ bias once, matching the post-GEMM bias add).
       const auto store = [&](std::int64_t obi, std::int64_t y, std::int64_t x,
                              const float* acc) {
         float* dst = py + (((img * ob + obi) * oh + y) * ow + x) * kBlock;
@@ -616,7 +594,7 @@ Tensor conv2d_direct_forward(const Tensor& input_blocked,
 // kernel*kernel dW elements for its 8 output lanes. Each element accumulates
 // serially over j = (img, y, x) ascending — matmul_nt's dot order over the
 // im2col columns. The pre-padded input means padding taps multiply the same
-// explicit +0s the fallback's im2col materializes, so every j contributes
+// explicit +0s im2col materializes, so every j contributes
 // the identical term and no tap needs a bounds check.
 
 void conv2d_direct_backward_weights(const Tensor& grad_blocked,
@@ -756,7 +734,7 @@ void conv2d_direct_backward_weights(const Tensor& grad_blocked,
         }
       }
 #endif
-      // Mirrors the fallback's `weight_.grad += matmul_nt(...)`: the dW
+      // Mirrors `weight_grad += matmul_nt(dY, im2col(X))`: the dW
       // value is fully accumulated first, then added to the grad once.
       for (std::int64_t oo = 0; oo < o_lanes; ++oo) {
         float* wg_row = pwg + (obi * kBlock + oo) * ckk;

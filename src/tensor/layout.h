@@ -1,10 +1,10 @@
-// Blocked tensor layouts and direct convolution kernels.
+// Blocked tensor layouts and direct convolution kernels: the only way
+// nn::Conv2d computes.
 //
-// The im2col + GEMM convolution in ops.h is simple and verifiable but pays
-// for it twice: it materializes a (C*k*k, N*oh*ow) column matrix on every
-// call, and the GEMM then streams that matrix from memory. This header
-// provides the cache-friendly alternative the verifier's re-execution loop
-// (and the workers it audits) route through by default:
+// An im2col + GEMM convolution (ops.h) materializes a (C*k*k, N*oh*ow)
+// column matrix on every call, and the GEMM then streams that matrix from
+// memory. The kernels here read blocked layouts instead and never build
+// the columns:
 //
 //   * nChw8c activations — channels grouped into blocks of 8 with the block
 //     innermost: data[(((n*Cb + cb)*H + y)*W + x)*8 + ci]. One AVX2 vector
@@ -14,24 +14,25 @@
 //     data[((((ob*Cb + ib)*k + kh)*k + kw)*8 + ii)*8 + oo], output block
 //     innermost so one contiguous vector load yields 8 output-channel taps.
 //   * direct convolution kernels (forward, backward-weights, backward-data)
-//     that read these layouts and skip im2col entirely.
+//     for 1x1 and 3x3 kernels that read these layouts.
 //
 // Determinism / bitwise-parity contract
 // -------------------------------------
 // Every kernel here is bitwise-identical to its im2col + GEMM counterpart
-// in ops.cpp, which is what lets Conv2d switch paths (RPOL_DIRECT_CONV)
-// without perturbing checkpoint bytes or Merkle roots. Two facts make that
-// possible:
+// in ops.cpp. That computation is the reference the tests hold these
+// kernels to (tests/test_util.h) and the one core::AmLayer runs, so the
+// bits of a checkpoint are defined by im2col + GEMM semantics. Two facts
+// make the parity possible:
 //
 //   1. Same per-element madd() chain. Each output element is accumulated
-//      serially, by one thread, in exactly the order the fallback uses:
+//      serially, by one thread, in exactly the order im2col + GEMM uses:
 //      forward and backward-weights iterate taps as (ic, kh, kw) — the
 //      im2col patch-row order — and backward-data reduces over oc in
 //      ascending order (matmul_tn's k-order) before scattering in col2im's
 //      fixed (kh, kw, y, x) order. Register blocking only changes which
 //      elements share loop iterations, never one element's op sequence.
 //
-//   2. Skipping a zero tap is exact. The fallback multiplies explicit
+//   2. Skipping a zero tap is exact. im2col + GEMM multiplies explicit
 //      zeros (im2col's padding entries, the zero-padded channel lanes);
 //      the direct kernels skip them. The skipped step would have computed
 //      acc' = madd(a, b, acc) with a*b = +/-0. An accumulator that starts
@@ -42,10 +43,8 @@
 //      never -0, adding +/-0 to it is the identity, and the skipped and
 //      unskipped chains agree bit for bit.
 //
-// Shapes with kernel size 1 or 3 (every conv in the ResNet/VGG models
-// except ResNet's 7x7 stem) take the direct path; everything else falls
-// back to im2col + GEMM. The fallback is also reachable explicitly via
-// RPOL_DIRECT_CONV=0 for debugging and A/B benching.
+// Kernel sizes 1 and 3 cover every conv in the ResNet/VGG models; Conv2d
+// rejects any other size when it is built.
 
 #pragma once
 
@@ -63,18 +62,7 @@ inline std::int64_t blocks(std::int64_t channels) {
   return (channels + kBlock - 1) / kBlock;
 }
 
-// --- Runtime gate -----------------------------------------------------------
-
-// True when Conv2d/Linear should route through the blocked/packed kernels.
-// Resolution order (mirrors RPOL_THREADS):
-//   1. set_direct_conv_enabled(b)      — explicit API, highest priority
-//   2. RPOL_DIRECT_CONV environment var ("0" disables), read once
-//   3. enabled by default
-bool direct_conv_enabled();
-void set_direct_conv_enabled(bool enabled);
-
-// True when `spec` has a direct kernel (1x1 and 3x3 square kernels); other
-// shapes always use the im2col + GEMM fallback.
+// True when `spec` has a direct kernel (1x1 and 3x3 square kernels).
 inline bool direct_conv_supports(const Conv2dSpec& spec) {
   return spec.kernel == 1 || spec.kernel == 3;
 }
@@ -84,8 +72,8 @@ inline bool direct_conv_supports(const Conv2dSpec& spec) {
 // NCHW -> nChw8c with an optional zeroed spatial padding ring. Output shape
 // {n, blocks(C), h + 2*padding, w + 2*padding, 8}; padded channel lanes are
 // zeroed. Pre-padding lets the direct conv kernels run every tap branch-free:
-// they multiply explicit +0s exactly where the fallback's im2col writes them,
-// so the serial per-element chains stay bitwise identical.
+// they multiply explicit +0s exactly where im2col writes them, so the serial
+// per-element chains stay bitwise identical.
 Tensor nchw_to_nchw8c(const Tensor& input, std::int64_t padding = 0);
 
 // nChw8c -> NCHW with `channels` real channels (drops padded lanes).
@@ -125,7 +113,7 @@ ConvWeightPack make_conv_weight_pack(const Tensor& weight,
 // Forward: blocked input (nChw8c) * blocked weight (OIhw8i8o) -> blocked
 // output {n, blocks(O), oh, ow, 8}. `bias` may be empty; when present it is
 // added once per output element after the full accumulation, matching the
-// fallback's post-GEMM bias add.
+// post-GEMM bias add of im2col + GEMM.
 Tensor conv2d_direct_forward(const Tensor& input_blocked,
                              const Tensor& weight_blocked, const Tensor& bias,
                              const Conv2dSpec& spec, std::int64_t in_h,

@@ -1,5 +1,6 @@
 #include "tensor/serialize.h"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -76,9 +77,21 @@ Tensor deserialize_tensor(const Bytes& in, std::size_t& offset) {
 Bytes serialize_floats(const std::vector<float>& v) {
   Bytes out;
   out.reserve(8 + 4 * v.size());
-  append_u64(out, v.size());
-  for (const float f : v) append_f32(out, f);
+  append_floats(out, v);
   return out;
+}
+
+void append_floats(Bytes& out, const std::vector<float>& v) {
+  append_u64(out, v.size());
+  static_assert(sizeof(float) == 4, "canonical encoding assumes fp32");
+  if constexpr (std::endian::native == std::endian::little) {
+    // The canonical payload (LE IEEE-754 fp32) IS the vector's raw memory.
+    const std::size_t at = out.size();
+    out.resize(at + 4 * v.size());
+    if (!v.empty()) std::memcpy(out.data() + at, v.data(), 4 * v.size());
+  } else {
+    for (const float f : v) append_f32(out, f);
+  }
 }
 
 std::vector<float> deserialize_floats(const Bytes& in, std::size_t& offset) {
@@ -86,7 +99,12 @@ std::vector<float> deserialize_floats(const Bytes& in, std::size_t& offset) {
   check_avail(in, offset, 0);
   if (n > (in.size() - offset) / 4) throw std::invalid_argument("bad float count");
   std::vector<float> v(static_cast<std::size_t>(n));
-  for (auto& f : v) f = read_f32(in, offset);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n != 0) std::memcpy(v.data(), in.data() + offset, 4 * v.size());
+    offset += 4 * v.size();
+  } else {
+    for (auto& f : v) f = read_f32(in, offset);
+  }
   return v;
 }
 

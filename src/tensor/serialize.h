@@ -32,6 +32,9 @@ Tensor deserialize_tensor(const Bytes& in, std::size_t& offset);
 
 // Flat weight vector wire format: count (u64), data (f32 each).
 Bytes serialize_floats(const std::vector<float>& v);
+// Appends serialize_floats(v)'s bytes to `out`; on little-endian hosts the
+// payload is one memcpy of the vector's memory.
+void append_floats(Bytes& out, const std::vector<float>& v);
 std::vector<float> deserialize_floats(const Bytes& in, std::size_t& offset);
 
 }  // namespace rpol

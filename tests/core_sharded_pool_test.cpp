@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -78,22 +77,13 @@ struct ShardedFixture : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // Shard resolution and partitioning
 
-TEST(ShardResolution, ConfiguredWinsElseEnvElseOneAndAlwaysClamped) {
-  ::unsetenv("RPOL_SHARDS");
+TEST(ShardResolution, ConfiguredCountIsClampedToWorkers) {
+  EXPECT_EQ(ShardedPoolConfig{}.shards, 1);
   EXPECT_EQ(resolve_shards(0, 8), 1);
   EXPECT_EQ(resolve_shards(3, 8), 3);
   EXPECT_EQ(resolve_shards(100, 8), 8);   // clamp to worker count
-  EXPECT_EQ(resolve_shards(-2, 8), 1);    // negative => unset
+  EXPECT_EQ(resolve_shards(-2, 8), 1);
   EXPECT_EQ(resolve_shards(2, 0), 1);     // degenerate pools get one shard
-
-  ::setenv("RPOL_SHARDS", "5", 1);
-  EXPECT_EQ(resolve_shards(0, 8), 5);
-  EXPECT_EQ(resolve_shards(2, 8), 2);     // explicit config beats the env
-  ::setenv("RPOL_SHARDS", "64", 1);
-  EXPECT_EQ(resolve_shards(0, 8), 8);     // env is clamped too
-  ::setenv("RPOL_SHARDS", "garbage", 1);
-  EXPECT_EQ(resolve_shards(0, 8), 1);
-  ::unsetenv("RPOL_SHARDS");
 }
 
 TEST_F(ShardedFixture, ShardRangesPartitionWorkersContiguously) {

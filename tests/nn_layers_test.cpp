@@ -94,25 +94,14 @@ TEST(Conv2d, GradientCheckStride2NoBias) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct-vs-fallback path parity (tensor/layout.h).
+// Bitwise parity with the im2col + GEMM oracle (test_util.h).
 //
-// The blocked/packed kernels must be BITWISE equal to im2col + GEMM — the
-// determinism contract extends across execution paths, not just thread
-// counts. These tests flip the RPOL_DIRECT_CONV gate programmatically and
-// compare outputs and gradients with EXPECT_EQ on raw floats.
-
-// Restores the direct-conv gate on scope exit.
-class DirectConvGuard {
- public:
-  DirectConvGuard() : initial_(layout::direct_conv_enabled()) {}
-  ~DirectConvGuard() { layout::set_direct_conv_enabled(initial_); }
-
- private:
-  bool initial_;
-};
+// Conv2d and Linear run only the blocked/packed kernels (tensor/layout.h).
+// The determinism contract fixes their bits to those of im2col + GEMM and
+// of the unpacked matmul_nt, the references these tests call "fallback".
+// Outputs and gradients are compared with ASSERT_EQ on raw floats.
 
 TEST(Conv2d, DirectPathBitwiseMatchesFallbackForwardBackward) {
-  DirectConvGuard guard;
   const std::vector<Conv2dSpec> specs = {
       {5, 7, 3, 1, 1},   // unaligned channels
       {8, 16, 3, 2, 1},  // stride 2
@@ -122,50 +111,52 @@ TEST(Conv2d, DirectPathBitwiseMatchesFallbackForwardBackward) {
   for (const Conv2dSpec& spec : specs) {
     Rng rng(200);
     Conv2d conv(spec, rng, /*bias=*/true);
+    conv.bias().value = random_input({spec.out_channels}, 203, 0.5F);
+    conv.bias().mark_updated();
     const Tensor x = random_input({2, spec.in_channels, 8, 8}, 201);
     Rng grng(202);
     const Tensor dy =
         Tensor::randn(conv.output_shape(x.shape()), grng, 0.5F);
+    const Tensor y_ref = rpol::testing::conv_ref_forward(
+        x, conv.weight().value, conv.bias().value, spec);
+    const rpol::testing::ConvRefGrads ref =
+        rpol::testing::conv_ref_backward(x, conv.weight().value, dy, spec);
 
-    layout::set_direct_conv_enabled(false);
-    const Tensor y_ref = conv.forward(x, true);
-    const Tensor dx_ref = conv.backward(dy);
-    const Tensor dw_ref = conv.weight().grad;
-    const Tensor db_ref = conv.bias().grad;
+    const Tensor y = conv.forward(x, true);
+    const Tensor dx = conv.backward(dy);
 
-    conv.weight().grad.zero();
-    conv.bias().grad.zero();
-    layout::set_direct_conv_enabled(true);
-    const Tensor y_dir = conv.forward(x, true);
-    const Tensor dx_dir = conv.backward(dy);
-
+    ASSERT_EQ(y.shape(), y_ref.shape());
     for (std::int64_t i = 0; i < y_ref.numel(); ++i) {
-      ASSERT_EQ(y_dir.at(i), y_ref.at(i)) << "forward el " << i;
+      ASSERT_EQ(y.at(i), y_ref.at(i)) << "forward el " << i;
     }
-    for (std::int64_t i = 0; i < dx_ref.numel(); ++i) {
-      ASSERT_EQ(dx_dir.at(i), dx_ref.at(i)) << "dX el " << i;
+    ASSERT_EQ(dx.shape(), ref.dx.shape());
+    for (std::int64_t i = 0; i < ref.dx.numel(); ++i) {
+      ASSERT_EQ(dx.at(i), ref.dx.at(i)) << "dX el " << i;
     }
-    for (std::int64_t i = 0; i < dw_ref.numel(); ++i) {
-      ASSERT_EQ(conv.weight().grad.at(i), dw_ref.at(i)) << "dW el " << i;
+    for (std::int64_t i = 0; i < ref.dw.numel(); ++i) {
+      ASSERT_EQ(conv.weight().grad.at(i), ref.dw.at(i)) << "dW el " << i;
     }
-    for (std::int64_t i = 0; i < db_ref.numel(); ++i) {
-      ASSERT_EQ(conv.bias().grad.at(i), db_ref.at(i)) << "db el " << i;
+    for (std::int64_t i = 0; i < ref.db.numel(); ++i) {
+      ASSERT_EQ(conv.bias().grad.at(i), ref.db.at(i)) << "db el " << i;
     }
   }
 }
 
 TEST(Linear, PackedPathBitwiseMatchesFallback) {
-  DirectConvGuard guard;
   Rng rng(210);
   Linear fc(13, 11, rng);  // unaligned: final panel is zero-padded
+  fc.bias().value = random_input({11}, 212, 0.5F);
+  fc.bias().mark_updated();
   const Tensor x = random_input({5, 13}, 211);
 
-  layout::set_direct_conv_enabled(false);
-  const Tensor y_ref = fc.forward(x, true);
-  layout::set_direct_conv_enabled(true);
-  const Tensor y_packed = fc.forward(x, true);
+  Tensor y_ref = matmul_nt(x, fc.weight().value);
+  for (std::int64_t i = 0; i < 5; ++i) {
+    for (std::int64_t j = 0; j < 11; ++j) y_ref.at2(i, j) += fc.bias().value.at(j);
+  }
+  const Tensor y = fc.forward(x, true);
+  ASSERT_EQ(y.shape(), y_ref.shape());
   for (std::int64_t i = 0; i < y_ref.numel(); ++i) {
-    ASSERT_EQ(y_packed.at(i), y_ref.at(i));
+    ASSERT_EQ(y.at(i), y_ref.at(i)) << "el " << i;
   }
 }
 
@@ -195,8 +186,6 @@ TEST(Model, PackCacheInvalidatesAcrossStateReload) {
   // the pack caches never serve panels built from stale weights. Observed
   // via the rebuild/hit counters (write-only, so enabling obs here cannot
   // perturb the numerics under test).
-  DirectConvGuard guard;
-  layout::set_direct_conv_enabled(true);
   obs::set_enabled(true);
 
   auto build = [](std::uint64_t seed) {
@@ -256,30 +245,12 @@ TEST(Model, PackCacheInvalidatesAcrossStateReload) {
   obs::Registry::instance().reset();
 }
 
-TEST(Conv2d, UnsupportedKernelFallsBackUnderDefaultGate) {
-  // 5x5 has no direct kernel; the layer must route through im2col + GEMM
-  // even with the gate enabled, and gradients must still check out.
+TEST(Conv2d, UnsupportedKernelSizeThrows) {
+  // Only 1x1 and 3x3 have direct kernels; any other size is rejected when
+  // the layer is built rather than computed some other way.
   Rng rng(214);
-  Model m("t");
-  m.add(std::make_unique<Conv2d>(Conv2dSpec{2, 2, 5, 1, 2}, rng));
-  m.add(std::make_unique<Flatten>());
-  m.add(std::make_unique<Linear>(2 * 4 * 4, 2, rng));
-  const Tensor x = random_input({2, 2, 4, 4}, 215);
-  rpol::testing::check_model_gradients(m, x, cyclic_labels(2, 2), 5e-2, 2e-3, 7);
-}
-
-TEST(Conv2d, GradientCheckThroughFallbackPath) {
-  // Same model as GradientCheckStride1 but with the direct gate forced
-  // off, keeping the legacy path covered by finite differences.
-  DirectConvGuard guard;
-  layout::set_direct_conv_enabled(false);
-  Rng rng(216);
-  Model m("t");
-  m.add(std::make_unique<Conv2d>(Conv2dSpec{2, 3, 3, 1, 1}, rng));
-  m.add(std::make_unique<Flatten>());
-  m.add(std::make_unique<Linear>(3 * 4 * 4, 3, rng));
-  const Tensor x = random_input({2, 2, 4, 4}, 217);
-  rpol::testing::check_model_gradients(m, x, cyclic_labels(2, 3), 5e-2, 2e-3, 5);
+  EXPECT_THROW(Conv2d(Conv2dSpec{2, 2, 5, 1, 2}, rng), std::invalid_argument);
+  EXPECT_THROW(Conv2d(Conv2dSpec{3, 8, 7, 2, 3}, rng), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "task_fixture.h"
-#include "tensor/layout.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
@@ -271,35 +270,32 @@ TEST(TrainingDeterminism, CheckpointBytesAndDigestsMatchAcrossThreadCounts) {
   EXPECT_TRUE(digest_equal(serial.merkle_root, parallel.merkle_root));
 }
 
-// The determinism contract also spans EXECUTION PATHS: the blocked direct
-// conv / packed GEMM pipeline (tensor/layout.h, the default) and the
-// im2col + GEMM fallback (RPOL_DIRECT_CONV=0) must produce bit-identical
-// training trajectories, so a verifier may re-execute on either path —
-// and at any thread count — against a worker that used the other. This is
-// the end-to-end form of the per-kernel parity tests in tensor_test.cpp.
-TEST(TrainingDeterminism, DirectAndFallbackConvPathsProduceIdenticalRuns) {
-  const bool saved = layout::direct_conv_enabled();
+// SHA-256 over every checkpoint's canonical bytes, in order, then the
+// commitment root: one digest for a whole training run.
+std::string train_run_digest_hex(const TrainRun& run) {
+  Sha256 h;
+  for (const Bytes& bytes : run.checkpoint_bytes) h.update(bytes);
+  h.update(run.commitment.root.data(), run.commitment.root.size());
+  return digest_to_hex(h.finish());
+}
 
-  layout::set_direct_conv_enabled(true);
-  const TrainRun direct_1t = train_fixture_model(1);
-  const TrainRun direct_4t = train_fixture_model(4);
-  layout::set_direct_conv_enabled(false);
-  const TrainRun fallback_4t = train_fixture_model(4);
-  layout::set_direct_conv_enabled(saved);
-
-  ASSERT_EQ(direct_1t.checkpoint_bytes.size(), direct_4t.checkpoint_bytes.size());
-  ASSERT_EQ(direct_1t.checkpoint_bytes.size(), fallback_4t.checkpoint_bytes.size());
-  for (std::size_t i = 0; i < direct_1t.checkpoint_bytes.size(); ++i) {
-    EXPECT_EQ(direct_1t.checkpoint_bytes[i], direct_4t.checkpoint_bytes[i])
-        << "direct-path checkpoint " << i << " differs across thread counts";
-    EXPECT_EQ(direct_1t.checkpoint_bytes[i], fallback_4t.checkpoint_bytes[i])
-        << "checkpoint " << i << " differs between direct and fallback paths";
+// Pins the conv model's trained bits to im2col + GEMM semantics. The
+// constants were recorded while nn::Conv2d and nn::Linear still carried a
+// second path behind the RPOL_DIRECT_CONV switch: the digests were the same
+// with it unset (blocked kernels) and set to 0 (im2col + GEMM for every
+// conv, unpacked matmul_nt for every linear layer). A kernel change that
+// moves a single bit of a MiniResNet18 checkpoint fails here.
+TEST(TrainingDeterminism, ConvTrainingGolden) {
+  constexpr const char* kRunDigest =
+      "c39196d7cf079c2e77e88877a5b826dba08b6d097650b01ec25dbf5377dfc54b";
+  constexpr const char* kCommitmentRoot =
+      "66aa5e5c89577ed733f851fe05fb612a50e80b0ba24abb6297601c748a5a6b11";
+  for (const int threads : {1, 4}) {
+    const TrainRun run = train_fixture_model(threads);
+    EXPECT_EQ(train_run_digest_hex(run), kRunDigest) << threads << " threads";
+    EXPECT_EQ(digest_to_hex(run.commitment.root), kCommitmentRoot)
+        << threads << " threads";
   }
-  EXPECT_TRUE(digest_equal(direct_1t.commitment.root, direct_4t.commitment.root));
-  EXPECT_TRUE(
-      digest_equal(direct_1t.commitment.root, fallback_4t.commitment.root));
-  EXPECT_TRUE(digest_equal(direct_1t.merkle_root, direct_4t.merkle_root));
-  EXPECT_TRUE(digest_equal(direct_1t.merkle_root, fallback_4t.merkle_root));
 }
 
 // A verifier running with a different thread count than the worker must

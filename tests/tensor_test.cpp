@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "tensor/rng.h"
 #include "tensor/serialize.h"
 #include "tensor/tensor.h"
+#include "test_util.h"
 
 namespace rpol {
 namespace {
@@ -385,8 +387,8 @@ TEST(Ops, ArgmaxRow) {
 // ---------------------------------------------------------------------------
 // Blocked layouts & packed GEMM (tensor/layout.h). Parity expectations here
 // are BITWISE (EXPECT_EQ on floats): the direct/packed kernels promise
-// bit-identical results to the im2col + GEMM fallback, not merely close
-// ones — that is what keeps checkpoint hashes stable across paths.
+// bit-identical results to the im2col + GEMM oracle (test_util.h), not
+// merely close ones — that is what pins checkpoint hashes to its semantics.
 
 TEST(Layout, NchwBlockRoundTrip) {
   Rng rng(41);
@@ -446,22 +448,6 @@ TEST(Layout, PackedNtGemmShapeMismatchThrows) {
   EXPECT_THROW(matmul_nt_packed(a, packed), std::invalid_argument);
 }
 
-// Reference conv forward: the exact im2col + GEMM computation Conv2d's
-// fallback path performs, producing NCHW output.
-Tensor conv_ref_forward(const Tensor& x, const Tensor& w, const Conv2dSpec& spec) {
-  const Tensor cols = im2col(x, spec);
-  const Tensor gemm = matmul(w, cols);
-  const std::int64_t n = x.dim(0);
-  const std::int64_t oh = spec.out_size(x.dim(2)), ow = spec.out_size(x.dim(3));
-  Tensor out({n, spec.out_channels, oh, ow});
-  for (std::int64_t img = 0; img < n; ++img)
-    for (std::int64_t oc = 0; oc < spec.out_channels; ++oc)
-      for (std::int64_t i = 0; i < oh * ow; ++i)
-        out.at((img * spec.out_channels + oc) * oh * ow + i) =
-            gemm.at2(oc, img * oh * ow + i);
-  return out;
-}
-
 TEST(Layout, DirectForwardBitwiseEqualsIm2colGemm) {
   Rng rng(59);
   const std::vector<Conv2dSpec> specs = {
@@ -474,7 +460,7 @@ TEST(Layout, DirectForwardBitwiseEqualsIm2colGemm) {
     const Tensor x = Tensor::randn({2, spec.in_channels, 6, 6}, rng);
     const Tensor w = Tensor::randn(
         {spec.out_channels, spec.in_channels * spec.kernel * spec.kernel}, rng);
-    const Tensor ref = conv_ref_forward(x, w, spec);
+    const Tensor ref = rpol::testing::conv_ref_forward(x, w, Tensor(), spec);
     const Tensor xb = layout::nchw_to_nchw8c(x, spec.padding);
     const layout::ConvWeightPack pack = layout::make_conv_weight_pack(w, spec);
     const Tensor yb = layout::conv2d_direct_forward(xb, pack.blocked, Tensor(),
@@ -497,15 +483,10 @@ TEST(Layout, DirectBackwardWeightsBitwiseEqualsGemm) {
     const std::int64_t oh = spec.out_size(6), ow = spec.out_size(6);
     const Tensor x = Tensor::randn({2, spec.in_channels, 6, 6}, rng);
     const Tensor dy = Tensor::randn({2, spec.out_channels, oh, ow}, rng);
-    // Reference: dW = dY_gemm * cols^T.
-    const Tensor cols = im2col(x, spec);
-    Tensor dy_gemm({spec.out_channels, 2 * oh * ow});
-    for (std::int64_t img = 0; img < 2; ++img)
-      for (std::int64_t oc = 0; oc < spec.out_channels; ++oc)
-        for (std::int64_t i = 0; i < oh * ow; ++i)
-          dy_gemm.at2(oc, img * oh * ow + i) =
-              dy.at((img * spec.out_channels + oc) * oh * ow + i);
-    const Tensor ref = matmul_nt(dy_gemm, cols);
+    // dW does not read W; a zero weight only shapes the oracle's dX.
+    const Tensor w(
+        {spec.out_channels, spec.in_channels * spec.kernel * spec.kernel});
+    const Tensor ref = rpol::testing::conv_ref_backward(x, w, dy, spec).dw;
     Tensor got(ref.shape());
     layout::conv2d_direct_backward_weights(
         layout::nchw_to_nchw8c(dy), layout::nchw_to_nchw8c(x, spec.padding),
@@ -528,13 +509,9 @@ TEST(Layout, DirectBackwardDataBitwiseEqualsGemm) {
     const Tensor w = Tensor::randn(
         {spec.out_channels, spec.in_channels * spec.kernel * spec.kernel}, rng);
     const Tensor dy = Tensor::randn({2, spec.out_channels, oh, ow}, rng);
-    Tensor dy_gemm({spec.out_channels, 2 * oh * ow});
-    for (std::int64_t img = 0; img < 2; ++img)
-      for (std::int64_t oc = 0; oc < spec.out_channels; ++oc)
-        for (std::int64_t i = 0; i < oh * ow; ++i)
-          dy_gemm.at2(oc, img * oh * ow + i) =
-              dy.at((img * spec.out_channels + oc) * oh * ow + i);
-    const Tensor ref = col2im(matmul_tn(w, dy_gemm), spec, in_shape);
+    // dX does not read X; a zero input only shapes the oracle.
+    const Tensor ref =
+        rpol::testing::conv_ref_backward(Tensor(in_shape), w, dy, spec).dx;
     const layout::ConvWeightPack pack = layout::make_conv_weight_pack(w, spec);
     const Tensor got = layout::conv2d_direct_backward_data(dy, pack.transposed,
                                                            spec, in_shape);
@@ -544,17 +521,6 @@ TEST(Layout, DirectBackwardDataBitwiseEqualsGemm) {
           << " element " << i;
     }
   }
-}
-
-TEST(Layout, DirectConvGateDefaultsOnAndOverrides) {
-  // The build never sets RPOL_DIRECT_CONV in tier-1 runs, so the default
-  // must be enabled; the programmatic override must win in both directions.
-  const bool initial = layout::direct_conv_enabled();
-  layout::set_direct_conv_enabled(false);
-  EXPECT_FALSE(layout::direct_conv_enabled());
-  layout::set_direct_conv_enabled(true);
-  EXPECT_TRUE(layout::direct_conv_enabled());
-  layout::set_direct_conv_enabled(initial);
 }
 
 TEST(Layout, DirectConvSupportsOnlySmallKernels) {
@@ -609,12 +575,47 @@ TEST(Serialize, TensorRoundTrip) {
   for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_EQ(u.at(i), t.at(i));
 }
 
+// The canonical float encoding built by hand: u64 count, then each float's
+// IEEE-754 bits, least significant byte first.
+Bytes le_floats_reference(const std::vector<float>& v) {
+  Bytes out;
+  const std::uint64_t count = v.size();
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(count >> (8 * i)));
+  for (const float f : v) {
+    const auto bits = std::bit_cast<std::uint32_t>(f);
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  return out;
+}
+
 TEST(Serialize, FloatsRoundTrip) {
-  const std::vector<float> v{1.5F, -2.25F, 0.0F, 1e-30F};
-  const Bytes buf = serialize_floats(v);
-  std::size_t off = 0;
-  const auto u = deserialize_floats(buf, off);
-  EXPECT_EQ(u, v);
+  const float nan_with_payload = std::bit_cast<float>(0x7FC12345U);
+  const float subnormal = std::bit_cast<float>(0x00000ABCU);
+  std::vector<float> large(1025);
+  Rng rng(37);
+  rng.fill_normal(large, 0.0F, 1.0F);
+  const std::vector<std::vector<float>> cases = {
+      {1.5F, -2.25F, 0.0F, -0.0F, 1e-30F, nan_with_payload, subnormal},
+      {},
+      {-7.0F},
+      large,
+  };
+  for (const std::vector<float>& v : cases) {
+    const Bytes buf = serialize_floats(v);
+    EXPECT_EQ(buf, le_floats_reference(v)) << v.size() << " floats";
+    // Decode at an odd offset: the payload need not be float-aligned.
+    Bytes shifted(1 + buf.size(), 0xAB);
+    std::copy(buf.begin(), buf.end(), shifted.begin() + 1);
+    std::size_t off = 1;
+    const auto u = deserialize_floats(shifted, off);
+    EXPECT_EQ(off, shifted.size());
+    ASSERT_EQ(u.size(), v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(u[i]),
+                std::bit_cast<std::uint32_t>(v[i]))
+          << "float " << i << " of " << v.size();
+    }
+  }
 }
 
 TEST(Serialize, CanonicalBytesAreStable) {

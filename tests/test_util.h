@@ -1,4 +1,5 @@
-// Shared test helpers: numeric gradient checking and tiny-task fixtures.
+// Shared test helpers: numeric gradient checking and the im2col + GEMM
+// convolution oracle.
 
 #pragma once
 
@@ -9,6 +10,7 @@
 
 #include "nn/loss.h"
 #include "nn/model.h"
+#include "tensor/ops.h"
 
 namespace rpol::testing {
 
@@ -62,6 +64,65 @@ inline void check_model_gradients(nn::Model& model, const Tensor& input,
     }
   }
   EXPECT_GT(checked, 0) << "no parameters were gradient-checked";
+}
+
+// ---------------------------------------------------------------------------
+// im2col + GEMM convolution oracle. The direct kernels (tensor/layout.h) and
+// nn::Conv2d must match it BITWISE: checkpoint bytes are defined by these
+// semantics, so tests compare raw floats with ASSERT_EQ, not tolerances.
+
+// (N, C, H, W) <-> (C, N*H*W), the GEMM's column order (img*H + y)*W + x.
+inline Tensor nchw_to_gemm(const Tensor& nchw) {
+  const std::int64_t n = nchw.dim(0), c = nchw.dim(1);
+  const std::int64_t hw = nchw.dim(2) * nchw.dim(3);
+  Tensor out({c, n * hw});
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t ch = 0; ch < c; ++ch)
+      for (std::int64_t i = 0; i < hw; ++i)
+        out.at2(ch, img * hw + i) = nchw.at((img * c + ch) * hw + i);
+  return out;
+}
+
+// Forward: matmul(W, im2col(X)), plus bias (may be empty) once per output
+// element after the full accumulation, reordered to NCHW.
+inline Tensor conv_ref_forward(const Tensor& x, const Tensor& w,
+                               const Tensor& bias, const Conv2dSpec& spec) {
+  Tensor gemm = matmul(w, im2col(x, spec));
+  const std::int64_t n = x.dim(0);
+  const std::int64_t oh = spec.out_size(x.dim(2)), ow = spec.out_size(x.dim(3));
+  const std::int64_t hw = oh * ow;
+  Tensor out({n, spec.out_channels, oh, ow});
+  for (std::int64_t img = 0; img < n; ++img)
+    for (std::int64_t oc = 0; oc < spec.out_channels; ++oc)
+      for (std::int64_t i = 0; i < hw; ++i) {
+        float v = gemm.at2(oc, img * hw + i);
+        if (!bias.empty()) v += bias.at(oc);
+        out.at((img * spec.out_channels + oc) * hw + i) = v;
+      }
+  return out;
+}
+
+struct ConvRefGrads {
+  Tensor dx;  // NCHW, like x
+  Tensor dw;  // (O, C*k*k), like w
+  Tensor db;  // (O)
+};
+
+// Backward: dW = matmul_nt(dY, im2col(X)), dX = col2im(matmul_tn(W, dY)),
+// db summed in double over (img, y, x) in ascending order.
+inline ConvRefGrads conv_ref_backward(const Tensor& x, const Tensor& w,
+                                      const Tensor& dy, const Conv2dSpec& spec) {
+  const Tensor dy_gemm = nchw_to_gemm(dy);
+  ConvRefGrads g;
+  g.dw = matmul_nt(dy_gemm, im2col(x, spec));
+  g.dx = col2im(matmul_tn(w, dy_gemm), spec, x.shape());
+  g.db = Tensor({spec.out_channels});
+  for (std::int64_t oc = 0; oc < spec.out_channels; ++oc) {
+    double acc = 0.0;
+    for (std::int64_t j = 0; j < dy_gemm.dim(1); ++j) acc += dy_gemm.at2(oc, j);
+    g.db.at(oc) = static_cast<float>(acc);
+  }
+  return g;
 }
 
 }  // namespace rpol::testing

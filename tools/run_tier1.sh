@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full test suite in
-# seven passes — (1) pinned to a single compute thread, (2) RPOL_THREADS
-# unset (pool defaults to hardware_concurrency), (3) RPOL_SHARDS=3 (the
-# sharded pool manager resolves a multi-shard default; §6 says shard layout
-# can never change results), (4) RPOL_TRACE=1, (5) a bounded-memory pass
-# with RPOL_CKPT_BUDGET squeezed to a few KiB so the checkpoint stores
-# spill and evict constantly (the verdict goldens run in it too, so
-# verification from a spilling store must reproduce the recorded digests,
-# and the judge suite, whose streaming pools must still reject a wrong-size
-# RPoLv2 worker from a spilling store),
-# then (6) and (7) under AddressSanitizer and UndefinedBehaviorSanitizer in
+# six passes — (1) pinned to a single compute thread, (2) RPOL_THREADS
+# unset (pool defaults to hardware_concurrency), (3) RPOL_TRACE=1, (4) a
+# bounded-memory pass with RPOL_CKPT_BUDGET squeezed to a few KiB so the
+# checkpoint stores spill and evict constantly (the verdict goldens run in
+# it too, so verification from a spilling store must reproduce the recorded
+# digests, and the judge suite, whose streaming pools must still reject a
+# wrong-size RPoLv2 worker from a spilling store),
+# then (5) and (6) under AddressSanitizer and UndefinedBehaviorSanitizer in
 # separate build trees. The main build is
-# strict (-DRPOL_WERROR=ON), and an RPOL_SIMD=OFF tree builds tensor_test
-# and sim_test, whose golden digests pin every normal variate to the scalar
-# Box-Muller in both ISA builds.
+# strict (-DRPOL_WERROR=ON), and an RPOL_SIMD=OFF tree builds tensor_test,
+# sim_test and nn_layers_test: their golden digests pin every normal variate
+# to the scalar Box-Muller in both ISA builds, and the scalar direct conv
+# kernels, Conv2d's only path in that build, must match the im2col + GEMM
+# oracle bit for bit.
+# Shard count needs no pass of its own: runtime_determinism_test pins the
+# sharded pool to the sequential one at several shard counts in every pass.
 # All passes must be green: the runtime's determinism contract says neither
 # thread count, shard count, tracing, nor the checkpoint-store budget can
 # ever change results, and the fault-injection/fuzz suites push hostile
@@ -21,7 +23,7 @@
 # bugs, not flakiness.
 #
 # Usage: tools/run_tier1.sh [build-dir]   (default: build)
-# Set RPOL_SKIP_SANITIZERS=1 to run only the five fast passes.
+# Set RPOL_SKIP_SANITIZERS=1 to run only the four fast passes.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,20 +32,16 @@ BUILD_DIR="${1:-build}"
 cmake -B "$BUILD_DIR" -S . -DRPOL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
-echo "==> tier-1 pass 1/7: RPOL_THREADS=1"
+echo "==> tier-1 pass 1/6: RPOL_THREADS=1"
 (cd "$BUILD_DIR" && RPOL_THREADS=1 ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 2/7: RPOL_THREADS unset (default thread count)"
+echo "==> tier-1 pass 2/6: RPOL_THREADS unset (default thread count)"
 (cd "$BUILD_DIR" && env -u RPOL_THREADS ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 3/7: RPOL_SHARDS=3 (sharded manager default; shard"
-echo "    layout must never change results)"
-(cd "$BUILD_DIR" && RPOL_SHARDS=3 ctest --output-on-failure -j "$(nproc)")
-
-echo "==> tier-1 pass 4/7: RPOL_TRACE=1 (tracing on; results must not change)"
+echo "==> tier-1 pass 3/6: RPOL_TRACE=1 (tracing on; results must not change)"
 (cd "$BUILD_DIR" && RPOL_TRACE=1 ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 5/7: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
+echo "==> tier-1 pass 4/6: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
 echo "    checkpoint; streaming suites and verdict goldens must stay bitwise"
 echo "    identical, and the judge suite's streaming pools must still reject"
 echo "    wrong-size workers)"
@@ -51,17 +49,21 @@ echo "    wrong-size workers)"
   -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_verdict_golden_test|core_judge_test' \
   -j "$(nproc)")
 
-echo "==> tier-1 Gaussian stream: RPOL_SIMD=OFF build (scalar Box-Muller only)"
-echo "    must reproduce the golden normal-variate digests"
+echo "==> tier-1 scalar kernels: RPOL_SIMD=OFF build (scalar Box-Muller and"
+echo "    direct conv only) must reproduce the golden normal-variate digests"
+echo "    and match the im2col + GEMM oracle"
 cmake -B "${BUILD_DIR}-nosimd" -S . -DRPOL_SIMD=OFF
-cmake --build "${BUILD_DIR}-nosimd" -j "$(nproc)" --target tensor_test sim_test
-(cd "${BUILD_DIR}-nosimd" && ctest --output-on-failure -R '^(tensor_test|sim_test)$')
+cmake --build "${BUILD_DIR}-nosimd" -j "$(nproc)" \
+  --target tensor_test sim_test nn_layers_test
+(cd "${BUILD_DIR}-nosimd" && ctest --output-on-failure \
+  -R '^(tensor_test|sim_test|nn_layers_test)$')
 
 # Advisory regression check against the committed benchmark baseline: the
 # cost-model rows are deterministic, so only genuine protocol-cost changes
 # (or a stale baseline — regenerate with tools/make_bench_baseline.sh) move
 # them, the crypto/commitment harness covers the hashing hot path, the
-# blocked-layout conv harness covers the direct-vs-fallback speedup rows,
+# blocked-layout conv harness covers Conv2d's speedup rows over a bench-local
+# im2col + GEMM reference,
 # and the streaming harness covers the bounded-memory checkpoint pipeline
 # (its core.stream.* rows carry peak RSS, which --mem-tolerance compares),
 # and bench_pool_scale covers the sharded manager's submissions/sec and
@@ -88,18 +90,18 @@ if [[ -f BENCH_baseline.json ]]; then
 fi
 
 if [[ "${RPOL_SKIP_SANITIZERS:-0}" == "1" ]]; then
-  echo "==> tier-1 OK: five fast configurations green (sanitizers skipped)"
+  echo "==> tier-1 OK: four fast configurations green (sanitizers skipped)"
   exit 0
 fi
 
-echo "==> tier-1 pass 6/7: AddressSanitizer (RPOL_SANITIZE=address)"
+echo "==> tier-1 pass 5/6: AddressSanitizer (RPOL_SANITIZE=address)"
 cmake -B "${BUILD_DIR}-asan" -S . -DRPOL_SANITIZE=address
 cmake --build "${BUILD_DIR}-asan" -j "$(nproc)"
 (cd "${BUILD_DIR}-asan" && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 pass 7/7: UndefinedBehaviorSanitizer (RPOL_SANITIZE=undefined)"
+echo "==> tier-1 pass 6/6: UndefinedBehaviorSanitizer (RPOL_SANITIZE=undefined)"
 cmake -B "${BUILD_DIR}-ubsan" -S . -DRPOL_SANITIZE=undefined
 cmake --build "${BUILD_DIR}-ubsan" -j "$(nproc)"
 (cd "${BUILD_DIR}-ubsan" && ctest --output-on-failure -j "$(nproc)")
 
-echo "==> tier-1 OK: all seven configurations green"
+echo "==> tier-1 OK: all six configurations green"
