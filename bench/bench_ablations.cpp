@@ -120,8 +120,8 @@ void ablate_adaptive_calibration() {
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
-    core::MiningPool pool(cfg, task->factory, task->dataset, task->split.test,
-                          std::move(workers));
+    core::ShardedPool pool({cfg}, task->factory, task->dataset,
+                           task->split.test, std::move(workers));
     const auto report = pool.run();
     std::int64_t honest_rejections = 0, adv_detections = 0;
     for (const auto& e : report.epochs) {

@@ -58,8 +58,8 @@ RunResult run_pool(const bench::BenchTask& task, core::Scheme scheme,
   cfg.epochs = kEpochs;
   cfg.samples_q = 3;
   cfg.seed = 2024;
-  core::MiningPool pool(cfg, task.factory, task.dataset, task.split.test,
-                        build_workers(num_adv, replay));
+  core::ShardedPool pool({cfg}, task.factory, task.dataset, task.split.test,
+                         build_workers(num_adv, replay));
   const core::PoolRunReport report = pool.run();
   RunResult result;
   result.final_accuracy = report.final_accuracy;

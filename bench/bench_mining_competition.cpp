@@ -52,10 +52,10 @@ std::vector<float> run_pool_round(const bench::BenchTask& task,
   cfg.epochs = kEpochsPerRound;
   cfg.samples_q = 3;
   cfg.seed = 900 + round;
-  core::MiningPool pool(cfg, task.factory, task.dataset, task.split.test,
-                        pool_workers(round));
+  core::ShardedPool pool({cfg}, task.factory, task.dataset, task.split.test,
+                         pool_workers(round));
   pool.run();
-  return pool.global_model();
+  return pool.pool().global_model();
 }
 
 // The individual miner: one honest worker's compute (same per-epoch step

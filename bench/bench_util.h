@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pool.h"
+#include "core/sharded_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/models.h"

@@ -2,10 +2,12 @@
 // mining pool of heterogeneous workers collaboratively trains a model for a
 // PoUW task while a third of them try to freeload.
 //
-// Shows the high-level MiningPool API: configure a scheme (Baseline /
-// RPoLv1 / RPoLv2), register worker policies and devices, and run. Prints a
-// per-epoch protocol report: adaptive alpha/beta, LSH parameters, detected
-// cheaters, traffic, and test accuracy — then compares schemes.
+// Shows the high-level pool API: configure a scheme (Baseline / RPoLv1 /
+// RPoLv2), register worker policies and devices, and run a ShardedPool, the
+// pool's epoch loop, at its default one shard; the protocol state (health,
+// global model) is read through pool(). Prints a per-epoch
+// protocol report: adaptive alpha/beta, LSH parameters, detected cheaters,
+// traffic, and test accuracy — then compares schemes.
 //
 // Run: ./build/examples/pool_mining
 // With RPOL_TRACE=1 the run also writes rpol_trace.jsonl (protocol spans +
@@ -16,7 +18,7 @@
 #include <cstdio>
 #include <optional>
 
-#include "core/pool.h"
+#include "core/sharded_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/models.h"
@@ -82,7 +84,8 @@ int main() {
     if (scheme == core::Scheme::kRPoLv2 && obs::enabled()) {
       rss.emplace(std::chrono::milliseconds(5));
     }
-    core::MiningPool pool(cfg, factory, dataset, split.test, build_workers());
+    core::ShardedPool pool({cfg}, factory, dataset, split.test,
+                           build_workers());
 
     std::printf("\n=== scheme: %s ===\n", core::scheme_name(scheme).c_str());
     std::printf("%-7s %-10s %-10s %-12s %-12s %-10s %-10s\n", "epoch",
@@ -112,7 +115,7 @@ int main() {
       obs::RssSampler::Summary rss_summary;
       if (rss.has_value()) rss_summary = rss->summary();
       const std::string health_path = obs::maybe_export_health(
-          "rpol_health.jsonl", pool.health(),
+          "rpol_health.jsonl", pool.pool().health(),
           rss.has_value() ? &rss_summary : nullptr);
       if (!health_path.empty()) {
         std::printf("health written to %s (summarize with `rpol health`)\n",

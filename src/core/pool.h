@@ -1,4 +1,4 @@
-// Mining-pool orchestration: the full per-epoch RPoL protocol loop
+// Mining-pool protocol state and phases: the full per-epoch RPoL protocol
 // (Fig. 2 steps 1-3 plus verification and aggregation).
 //
 // One MiningPool couples a manager with n workers over a simulated WAN:
@@ -15,6 +15,12 @@
 //        accepted updates per Eq. (1);
 //     4. the global model is evaluated on the held-out test set.
 //
+// MiningPool holds the protocol state (global model, calibration, health,
+// executors) and exposes the epoch as phases: prepare_epoch (step 0),
+// train_commit_worker (steps 1-2), verify_worker (step 3's verdict) and
+// finish_epoch (aggregation and step 4). ShardedPool (core/sharded_pool.h)
+// is the only code that runs them.
+//
 // Scheme::kBaseline skips steps 0 and 3 entirely — the insecure comparison
 // point of Sec. VII-E.
 
@@ -25,7 +31,7 @@
 
 #include "core/calibrate.h"
 #include "core/ckptstore.h"
-#include "core/decentralized.h"
+#include "core/verifier.h"
 #include "fault/fault.h"
 #include "obs/health.h"
 #include "obs/mem.h"
@@ -83,12 +89,6 @@ struct PoolConfig {
   // Ablation switch: when false, calibrate only once (epoch 0) instead of
   // adapting every epoch.
   bool calibrate_every_epoch = true;
-  // Future-work extension: verify each worker with a committee of its peers
-  // (core/decentralized.h) instead of the manager alone. Committee members
-  // re-execute with raw distance checks, so this composes with both RPoL
-  // schemes' thresholds; requires >= verifiers_per_sample + 1 workers.
-  bool decentralized_verification = false;
-  std::int64_t verifiers_per_sample = 3;
   // Sec. V-B's Merkle construction: workers upload O(1) commitment roots
   // and sampled transitions travel with logarithmic membership proofs,
   // instead of the default ordered hash list.
@@ -109,9 +109,7 @@ struct PoolConfig {
   // materialized, and verification fetches sampled states back through the
   // store. Commitments, verdicts, the global model, and every report field
   // are bitwise identical to the in-memory path (§6, pinned by
-  // tests/runtime_determinism_test.cpp). Incompatible with
-  // decentralized_verification (committees replay whole traces; the
-  // constructor rejects the combination).
+  // tests/runtime_determinism_test.cpp).
   bool streaming = false;
   // Hot-cache budget for the per-worker checkpoint stores; 0 resolves
   // RPOL_CKPT_BUDGET from the environment (256 MiB default).
@@ -146,7 +144,7 @@ struct EpochReport {
   // evicted workers, kVerdictRejected / kAccepted for judged ones,
   // kAdmissionRejected for submissions shed by a sharded manager).
   std::vector<SessionStatus> status;
-  // Sharded-manager admission accounting (all zero on legacy runs).
+  // Admission accounting of the shard queues (core/sharded_pool.h).
   std::int64_t admission_enqueued = 0;   // submissions that entered a queue
   std::int64_t admission_requeued = 0;   // held in an overflow backlog first
   std::int64_t admission_rejected = 0;   // shed under the kReject policy
@@ -163,9 +161,9 @@ struct PoolRunReport {
 
 // Everything one epoch accumulates between the pool's protocol phases
 // (prepare -> train/commit -> verify -> finish). Built by
-// MiningPool::prepare_epoch and consumed by finish_epoch; the sharded
-// manager (core/sharded_pool.h) drives the per-worker phases from shard
-// threads, which is why the layout is strictly split into
+// MiningPool::prepare_epoch and consumed by finish_epoch; ShardedPool
+// (core/sharded_pool.h) drives the per-worker phases from shard threads,
+// which is why the layout is strictly split into
 //
 //   * shared, read-only-after-prepare fields (initial state, calibration
 //     snapshot, LSH config/hasher), and
@@ -175,8 +173,8 @@ struct PoolRunReport {
 //
 // All cross-worker mutation (network counters, report totals, health
 // records, aggregation) is deferred to finish_epoch, which merges slots in
-// worker-index order — the ordering that makes a sharded run's report and
-// model bitwise identical to the sequential pool's (§6).
+// worker-index order — the ordering that makes a run's report and model
+// bitwise identical at any shard and thread count (§6).
 struct EpochWorkspace {
   std::int64_t epoch = 0;
   bool needs_rpol = false;
@@ -235,14 +233,13 @@ struct EpochWorkspace {
   // Shared (epoch-level) tag charges, also released by the destructor.
   std::uint64_t mem_checkpoint = 0;
 
-  // Admission accounting, filled by the sharded manager (zero otherwise).
+  // Admission accounting, filled by ShardedPool.
   std::int64_t admission_enqueued = 0;
   std::int64_t admission_requeued = 0;
   std::int64_t admission_rejected = 0;
   std::int64_t max_queue_depth = 0;
 
-  // Roots the epoch's causal tree; alive for the workspace's lifetime so
-  // pipelined epochs may overlap their spans.
+  // Roots the epoch's causal tree; alive for the workspace's lifetime.
   std::optional<obs::Span> epoch_span;
 
   EpochWorkspace() = default;
@@ -260,37 +257,24 @@ class MiningPool {
              const data::Dataset& train, data::DatasetView test,
              std::vector<WorkerSpec> workers);
 
-  PoolRunReport run();
-
-  // Runs a single epoch; exposed so tests and benches can drive the
-  // protocol step by step. Exactly the sequential composition of the phase
-  // API below — prepare, train/commit and verify each worker in index
-  // order, finish — so its results define the bitwise reference every
-  // sharded schedule must reproduce.
-  EpochReport run_epoch(std::int64_t epoch);
-
-  // --- Phase API: the sharded manager's seam (core/sharded_pool.h). ---
+  // --- Phase API, driven by ShardedPool (core/sharded_pool.h). ---
   // Phases for DISTINCT workers touch only their own workspace slot and may
-  // run concurrently; prepare/finish are single-threaded bookends. A
-  // pipelined manager may hold two live workspaces (verify epoch N while
-  // epoch N+1 trains): prepare_epoch(N+1) snapshots the global model BEFORE
-  // finish_epoch(N) aggregates, which is the pipeline's (deterministic)
-  // one-epoch staleness.
+  // run concurrently; prepare/finish are single-threaded bookends.
   std::unique_ptr<EpochWorkspace> prepare_epoch(std::int64_t epoch);
   // Steps 1-2 for one worker: state download, local training, commitment,
   // update/commitment upload. No-op (sit-out) for evicted workers.
   void train_commit_worker(EpochWorkspace& ws, std::size_t w);
-  // Step 3 for one worker through `verifier` (the member verifier for the
-  // sequential pool; a per-shard instance — see make_verifier /
-  // configure_epoch_verifier — for sharded runs). No-op for kBaseline and
-  // for workers whose session already failed.
+  // Step 3 for one worker through `verifier` (one per shard — see
+  // make_verifier / configure_epoch_verifier). No-op for kBaseline and for
+  // workers whose session already failed.
   void verify_worker(EpochWorkspace& ws, std::size_t w, Verifier& verifier);
   // Merges slots in worker order: health records, eviction, aggregation
   // (Eq. 1), evaluation, WAN byte replay, report assembly.
   EpochReport finish_epoch(EpochWorkspace& ws);
 
-  // A fresh verifier configured exactly like the pool's own (same sampling
-  // seed) — one per shard, so shard threads never share verifier state.
+  // A fresh verifier configured for this pool (same sampling seed for
+  // every instance) — one per shard, so shard threads never share verifier
+  // state.
   std::unique_ptr<Verifier> make_verifier() const;
   // Applies the workspace's calibration snapshot (beta, LSH config) to a
   // verifier; run once per epoch per shard verifier before verify_worker.
@@ -298,6 +282,13 @@ class MiningPool {
 
   std::size_t num_workers() const { return workers_.size(); }
   const PoolConfig& config() const { return config_; }
+  // Bytes of one model+optimizer image: the unit of the long-lived
+  // checkpoint-tag charges (this pool's executors, each shard's verifier).
+  std::uint64_t state_bytes() const {
+    return static_cast<std::uint64_t>(global_model_.size() +
+                                      fresh_optimizer_.size()) *
+           sizeof(float);
+  }
 
   const std::vector<float>& global_model() const { return global_model_; }
   double evaluate_global();
@@ -318,7 +309,6 @@ class MiningPool {
 
   StepExecutor manager_executor_;  // evaluation + state templating
   std::vector<std::unique_ptr<StepExecutor>> worker_executors_;
-  std::unique_ptr<Verifier> verifier_;
   sim::Network network_;
 
   std::vector<float> global_model_;     // current global model state vector
@@ -328,7 +318,7 @@ class MiningPool {
   // Graceful-degradation bookkeeping: strike counting, eviction, and the
   // windowed health scores all live in the registry (one slot per worker).
   obs::HealthRegistry health_;
-  // Long-lived model state: every executor (manager, verifier, one per
+  // Long-lived model state: every executor the pool owns (manager, one per
   // worker) holds a model+optimizer image for the pool's lifetime, plus the
   // pool's own global vectors. Charged once at construction, approximated
   // by the state-vector size.

@@ -1,11 +1,12 @@
 // Message-passing protocol session: one worker epoch executed purely over
 // canonical wire messages (core/wire.h) through a byte-counting channel.
 //
-// MiningPool orchestrates many workers with in-process structures and
-// models traffic analytically; ProtocolSession is the ground-truth
-// realization of ONE manager<->worker exchange where every protocol
-// artifact crosses the channel as encoded bytes and is decoded (and
-// validated) on the other side:
+// The pool (ShardedPool driving MiningPool's phases, core/sharded_pool.h)
+// orchestrates many workers with in-process structures and models traffic
+// analytically; ProtocolSession is the ground-truth realization of ONE
+// manager<->worker exchange where every protocol artifact crosses the
+// channel as encoded bytes and is decoded (and validated) on the other
+// side:
 //
 //   M -> W : TaskAnnouncement            (epoch, nonce, hp, state hash, LSH)
 //   M -> W : global TrainState           (the model to train from)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <stdexcept>
 
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
@@ -22,14 +21,10 @@ ShardedPool::ShardedPool(ShardedPoolConfig config, nn::ModelFactory factory,
     : cfg_(std::move(config)),
       pool_(cfg_.base, std::move(factory), train, std::move(test),
             std::move(workers)) {
-  if (cfg_.base.decentralized_verification) {
-    throw std::invalid_argument(
-        "sharded pools cannot use decentralized verification");
-  }
   const int shards = resolve_shards(cfg_.shards, pool_.num_workers());
   verifiers_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) verifiers_.push_back(pool_.make_verifier());
-  tallies_.resize(static_cast<std::size_t>(shards));
+  verifier_mem_.set(pool_.state_bytes() * static_cast<std::uint64_t>(shards));
 }
 
 ShardRange ShardedPool::shard_range(int shard) const {
@@ -44,17 +39,10 @@ ShardRange ShardedPool::shard_range(int shard) const {
   return r;
 }
 
-void ShardedPool::train_shard(EpochWorkspace& ws, int shard) {
-  const ShardRange r = shard_range(shard);
-  for (std::size_t w = r.begin; w < r.end; ++w) {
-    pool_.train_commit_worker(ws, w);
-  }
-}
-
-void ShardedPool::admit_and_verify_shard(EpochWorkspace& ws, int shard) {
-  ShardTally& tally = tallies_[static_cast<std::size_t>(shard)];
-  tally = ShardTally{};
-  if (!ws.needs_rpol) return;  // kBaseline: no verification, no queue
+ShardedPool::ShardTally ShardedPool::admit_and_verify_shard(EpochWorkspace& ws,
+                                                           int shard) {
+  ShardTally tally;
+  if (!ws.needs_rpol) return tally;  // kBaseline: no verification, no queue
   const ShardRange r = shard_range(shard);
   Verifier& verifier = *verifiers_[static_cast<std::size_t>(shard)];
 
@@ -106,19 +94,7 @@ void ShardedPool::admit_and_verify_shard(EpochWorkspace& ws, int shard) {
                                  static_cast<std::int64_t>(queue.size()));
     }
   }
-}
-
-void ShardedPool::configure_verifiers(EpochWorkspace& ws) {
-  for (auto& v : verifiers_) pool_.configure_epoch_verifier(ws, *v);
-}
-
-void ShardedPool::merge_tallies(EpochWorkspace& ws) {
-  for (const ShardTally& t : tallies_) {
-    ws.admission_enqueued += t.enqueued;
-    ws.admission_requeued += t.requeued;
-    ws.admission_rejected += t.rejected;
-    ws.max_queue_depth = std::max(ws.max_queue_depth, t.max_depth);
-  }
+  return tally;
 }
 
 void ShardedPool::publish_admission_metrics(const EpochWorkspace& ws) const {
@@ -150,78 +126,40 @@ EpochReport ShardedPool::run_epoch(std::int64_t epoch) {
   // so shard threads never contend.
   runtime::parallel_for(0, s, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
-      train_shard(*ws, static_cast<int>(i));
+      const ShardRange r = shard_range(static_cast<int>(i));
+      for (std::size_t w = r.begin; w < r.end; ++w) {
+        pool_.train_commit_worker(*ws, w);
+      }
     }
   });
 
   // Step 3, sharded: per-shard verifier + bounded admission queue.
-  configure_verifiers(*ws);
+  for (auto& v : verifiers_) pool_.configure_epoch_verifier(*ws, *v);
+  std::vector<ShardTally> tallies(static_cast<std::size_t>(s));
   runtime::parallel_for(0, s, 1, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) {
-      admit_and_verify_shard(*ws, static_cast<int>(i));
+      tallies[static_cast<std::size_t>(i)] =
+          admit_and_verify_shard(*ws, static_cast<int>(i));
     }
   });
+  for (const ShardTally& t : tallies) {
+    ws->admission_enqueued += t.enqueued;
+    ws->admission_requeued += t.requeued;
+    ws->admission_rejected += t.rejected;
+    ws->max_queue_depth = std::max(ws->max_queue_depth, t.max_depth);
+  }
 
-  merge_tallies(*ws);
   publish_admission_metrics(*ws);
   return pool_.finish_epoch(*ws);
 }
 
 PoolRunReport ShardedPool::run() {
   PoolRunReport report;
-  const std::int64_t epochs = pool_.config().epochs;
-  if (!cfg_.pipeline) {
-    for (std::int64_t t = 0; t < epochs; ++t) {
-      report.epochs.push_back(run_epoch(t));
-      report.total_bytes += report.epochs.back().bytes_this_epoch;
-      report.total_session_failures += report.epochs.back().session_failures;
-      report.total_retransmissions += report.epochs.back().retransmissions;
-    }
-    report.final_accuracy =
-        report.epochs.empty() ? 0.0 : report.epochs.back().test_accuracy;
-    return report;
-  }
-
-  // Pipelined schedule: while epoch t trains, epoch t-1 verifies. The
-  // phases touch disjoint workspaces (cur vs prev) and all shared-state
-  // mutation (prepare, finish) stays sequential between parallel regions,
-  // so two same-seed runs are bitwise identical at any thread count.
-  const int s = shards();
-  std::unique_ptr<EpochWorkspace> prev;
-  auto finish_prev = [&](std::unique_ptr<EpochWorkspace> done) {
-    merge_tallies(*done);
-    publish_admission_metrics(*done);
-    report.epochs.push_back(pool_.finish_epoch(*done));
+  for (std::int64_t t = 0; t < pool_.config().epochs; ++t) {
+    report.epochs.push_back(run_epoch(t));
     report.total_bytes += report.epochs.back().bytes_this_epoch;
     report.total_session_failures += report.epochs.back().session_failures;
     report.total_retransmissions += report.epochs.back().retransmissions;
-  };
-  for (std::int64_t t = 0; t < epochs; ++t) {
-    // Snapshots the PRE-aggregation global model when prev is still in
-    // flight: the pipeline's deterministic one-epoch staleness.
-    std::unique_ptr<EpochWorkspace> cur = pool_.prepare_epoch(t);
-    if (prev) configure_verifiers(*prev);
-    const std::int64_t lanes = prev ? 2 * s : s;
-    runtime::parallel_for(0, lanes, 1, [&](std::int64_t b, std::int64_t e) {
-      for (std::int64_t i = b; i < e; ++i) {
-        if (i < s) {
-          train_shard(*cur, static_cast<int>(i));
-        } else {
-          admit_and_verify_shard(*prev, static_cast<int>(i - s));
-        }
-      }
-    });
-    if (prev) finish_prev(std::move(prev));
-    prev = std::move(cur);
-  }
-  if (prev) {
-    configure_verifiers(*prev);
-    runtime::parallel_for(0, s, 1, [&](std::int64_t b, std::int64_t e) {
-      for (std::int64_t i = b; i < e; ++i) {
-        admit_and_verify_shard(*prev, static_cast<int>(i));
-      }
-    });
-    finish_prev(std::move(prev));
   }
   report.final_accuracy =
       report.epochs.empty() ? 0.0 : report.epochs.back().test_accuracy;

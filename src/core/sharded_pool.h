@@ -1,20 +1,22 @@
-// Sharded, epoch-pipelined mining-pool manager with admission control.
+// The pool's epoch loop: a sharded mining-pool manager with admission
+// control.
 //
-// MiningPool verifies its workers one after another on the manager thread;
-// at mining-pool scale (10^3..10^4 workers, Sec. II) the manager becomes the
-// bottleneck long before the workers do. ShardedPool keeps the protocol —
-// and, by construction, the bits — of the sequential pool while spreading
-// the manager's work across S shards:
+// MiningPool (core/pool.h) holds the protocol state and exposes each epoch
+// as phases; ShardedPool runs them, and is the only code that does. At
+// mining-pool scale (10^3..10^4 workers, Sec. II) the manager becomes the
+// bottleneck long before the workers do, so ShardedPool spreads the
+// manager's work across S shards while keeping the protocol — and the bits:
 //
 //   * PARTITIONING  Workers are split into S contiguous shards; each shard
-//     owns a private Verifier (same sampling seed as the pool's — sampled
+//     owns a private Verifier (same sampling seed in every shard — sampled
 //     indices depend only on (epoch, worker), never on shard layout) and
 //     drives the per-worker phases of core/pool.h's phase API through
 //     runtime::parallel_for. All cross-worker state (health, aggregation,
 //     network counters) stays in MiningPool::finish_epoch, which merges
-//     per-worker slots in worker-index order — so a sharded epoch is
-//     bitwise identical to the sequential pool at ANY shard count (§6;
-//     pinned by tests/runtime_determinism_test.cpp).
+//     per-worker slots in worker-index order — so an epoch is bitwise
+//     identical at ANY shard and thread count (§6; pinned by
+//     tests/runtime_determinism_test.cpp). The default is one shard, where
+//     parallel_for runs inline.
 //
 //   * ADMISSION CONTROL  Each shard fronts its verifier with a bounded
 //     submission queue (queue_capacity; 0 = unbounded). Submissions arrive
@@ -31,19 +33,6 @@
 //     The verifier drains the queue in worker order. Counters surface as
 //     EpochReport::admission_* and the pool.admission.* metrics
 //     (docs/observability.md).
-//
-//   * EPOCH PIPELINING  (pipeline = true) Epoch N+1's training overlaps
-//     epoch N's verification: prepare_epoch(N+1) snapshots the global model
-//     BEFORE finish_epoch(N) aggregates, so trained updates land one epoch
-//     late. This is a deterministic one-epoch staleness (the async-SGD
-//     regime of core/async_pool.h, with a fixed lag of 1), NOT a §6
-//     violation: two same-seed pipelined runs are bitwise identical at any
-//     thread count, because train(N+1) and verify(N) touch disjoint
-//     workspaces and all aggregation stays sequential. Pipelined results
-//     legitimately differ from non-pipelined ones.
-//
-// Decentralized verification is rejected: peer committees replay whole
-// traces across worker boundaries, which defeats shard isolation.
 
 #pragma once
 
@@ -61,8 +50,6 @@ struct ShardedPoolConfig {
   PoolConfig base;
   // Manager shard count, clamped to [1, num_workers].
   int shards = 1;
-  // Overlap epoch N's verification with epoch N+1's training.
-  bool pipeline = false;
   // Per-shard submission-queue capacity; 0 = unbounded.
   std::size_t queue_capacity = 0;
   AdmissionPolicy overflow = AdmissionPolicy::kRequeue;
@@ -84,11 +71,11 @@ class ShardedPool {
               const data::Dataset& train, data::DatasetView test,
               std::vector<WorkerSpec> workers);
 
-  // Lockstep (pipeline=false) or pipelined full run.
+  // config.base.epochs epochs of run_epoch, with the run's totals.
   PoolRunReport run();
 
-  // One lockstep epoch: prepare -> sharded train -> sharded admit+verify ->
-  // finish. Bitwise identical to MiningPool::run_epoch for any shard count.
+  // One epoch: prepare -> sharded train -> sharded admit+verify -> finish.
+  // Bitwise identical for any shard count.
   EpochReport run_epoch(std::int64_t epoch);
 
   int shards() const { return static_cast<int>(verifiers_.size()); }
@@ -96,7 +83,7 @@ class ShardedPool {
   // one extra worker.
   ShardRange shard_range(int shard) const;
 
-  // The underlying sequential pool (health, global model, config).
+  // The protocol state and phase API (health, global model, config).
   MiningPool& pool() { return pool_; }
   const MiningPool& pool() const { return pool_; }
 
@@ -114,14 +101,12 @@ class ShardedPool {
   ShardedPoolConfig cfg_;
   MiningPool pool_;
   std::vector<std::unique_ptr<Verifier>> verifiers_;  // one per shard
-  std::vector<ShardTally> tallies_;
+  // Each shard verifier's model+optimizer image, for the pool's lifetime.
+  obs::MemScope verifier_mem_{obs::MemTag::kCheckpoint};
 
-  void train_shard(EpochWorkspace& ws, int shard);
   // Admission control + verification for one shard (runs on the shard's
-  // thread; touches only this shard's slots, verifier, and tally).
-  void admit_and_verify_shard(EpochWorkspace& ws, int shard);
-  void configure_verifiers(EpochWorkspace& ws);
-  void merge_tallies(EpochWorkspace& ws);
+  // thread; touches only this shard's slots and verifier).
+  ShardTally admit_and_verify_shard(EpochWorkspace& ws, int shard);
   void publish_admission_metrics(const EpochWorkspace& ws) const;
 };
 

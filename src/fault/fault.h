@@ -169,9 +169,10 @@ class FaultInjector {
   Delivery transmit(int type, const Bytes& message);
 
   // Byte-free variant for orchestration layers that model traffic
-  // analytically (core::MiningPool / AsyncMiningPool): same decision
-  // stream, no payload to mangle. A truncated or corrupted attempt reports
-  // kDelivered + corrupted=true, which retry loops treat as a failure.
+  // analytically (core::MiningPool's phases, which core::ShardedPool
+  // drives, and core::AsyncMiningPool): same decision stream, no payload
+  // to mangle. A truncated or corrupted attempt reports kDelivered +
+  // corrupted=true, which retry loops treat as a failure.
   Delivery attempt(int type);
 
   const FaultPlan& plan() const { return plan_; }

@@ -7,7 +7,8 @@
 // Perfetto export used for visual inspection.
 //
 // Terminology: a "trace" is one causal tree, identified by the id of its
-// root span (SpanRecord::trace_id). MiningPool roots one per epoch,
+// root span (SpanRecord::trace_id). The pool roots one per epoch
+// (MiningPool::prepare_epoch, run by ShardedPool::run_epoch),
 // AsyncMiningPool one per submission, a bare ProtocolSession one per
 // session. Spans with trace_id == 0 come from legacy (v1) emitters and are
 // reported as strays, never as errors.

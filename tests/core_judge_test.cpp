@@ -161,15 +161,16 @@ TEST(JudgePool, NanFreeRiderNeverPoisonsTheGlobalModel) {
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
-    MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                    std::move(workers));
+    ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                     std::move(workers));
     PoolRunReport report;
     ASSERT_NO_THROW(report = pool.run()) << "pool seed " << pool_seed;
     for (const EpochReport& epoch : report.epochs) {
       EXPECT_FALSE(epoch.accepted[3])
           << "pool seed " << pool_seed << " epoch " << epoch.epoch;
     }
-    EXPECT_TRUE(all_finite(pool.global_model())) << "pool seed " << pool_seed;
+    EXPECT_TRUE(all_finite(pool.pool().global_model()))
+        << "pool seed " << pool_seed;
   }
 }
 
@@ -291,8 +292,8 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
     cfg.epochs = 4;
     cfg.samples_q = 3;
     cfg.seed = 72;
-    MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                    short_state_workers(short_optimizer));
+    ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                     short_state_workers(short_optimizer));
     PoolRunReport report;
     ASSERT_NO_THROW(report = pool.run())
         << "short_optimizer=" << short_optimizer;
@@ -301,7 +302,7 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
       EXPECT_FALSE(epoch.accepted[3])
           << "short_optimizer=" << short_optimizer << " epoch " << epoch.epoch;
     }
-    EXPECT_TRUE(all_finite(pool.global_model()));
+    EXPECT_TRUE(all_finite(pool.pool().global_model()));
   }
 }
 
@@ -323,8 +324,8 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv2Pool) {
       cfg.seed = 72;
       cfg.eviction_threshold = 4;  // judged in every epoch, never evicted
       cfg.streaming = streaming;
-      MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                      short_state_workers(short_optimizer));
+      ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                       short_state_workers(short_optimizer));
       PoolRunReport report;
       ASSERT_NO_THROW(report = pool.run())
           << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
@@ -340,11 +341,11 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv2Pool) {
             << "streaming=" << streaming << " short_optimizer="
             << short_optimizer << " epoch " << epoch.epoch;
       }
-      EXPECT_EQ(pool.health().consecutive_rejections(3), 3)
+      EXPECT_EQ(pool.pool().health().consecutive_rejections(3), 3)
           << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
-      EXPECT_EQ(pool.health().consecutive_losses(3), 0)
+      EXPECT_EQ(pool.pool().health().consecutive_losses(3), 0)
           << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
-      EXPECT_TRUE(all_finite(pool.global_model()));
+      EXPECT_TRUE(all_finite(pool.pool().global_model()));
     }
   }
 }

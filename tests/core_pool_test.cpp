@@ -50,10 +50,10 @@ struct PoolFixture : public ::testing::Test {
     return specs;
   }
 
-  MiningPool make_pool(Scheme scheme, std::size_t num_adv, bool replay,
-                       std::int64_t epochs = 2) {
-    return MiningPool(config(scheme, epochs), task.factory, task.dataset,
-                      split->test, workers(num_adv, replay));
+  ShardedPool make_pool(Scheme scheme, std::size_t num_adv, bool replay,
+                        std::int64_t epochs = 2) {
+    return ShardedPool({config(scheme, epochs)}, task.factory, task.dataset,
+                       split->test, workers(num_adv, replay));
   }
 
   TinyTask task{TinyTask::make()};
@@ -62,7 +62,7 @@ struct PoolFixture : public ::testing::Test {
 
 TEST_F(PoolFixture, AllHonestAllAccepted) {
   for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
-    MiningPool pool = make_pool(scheme, 0, false);
+    ShardedPool pool = make_pool(scheme, 0, false);
     const PoolRunReport report = pool.run();
     for (const auto& epoch : report.epochs) {
       EXPECT_EQ(epoch.rejected_count, 0) << scheme_name(scheme);
@@ -73,7 +73,7 @@ TEST_F(PoolFixture, AllHonestAllAccepted) {
 
 TEST_F(PoolFixture, ReplayAdversariesDetected) {
   for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
-    MiningPool pool = make_pool(scheme, 2, /*replay=*/true);
+    ShardedPool pool = make_pool(scheme, 2, /*replay=*/true);
     const EpochReport epoch = pool.run_epoch(0);
     EXPECT_EQ(epoch.rejected_count, 2) << scheme_name(scheme);
     EXPECT_FALSE(epoch.accepted[0]);
@@ -85,7 +85,7 @@ TEST_F(PoolFixture, ReplayAdversariesDetected) {
 
 TEST_F(PoolFixture, SpoofAdversariesDetected) {
   for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
-    MiningPool pool = make_pool(scheme, 2, /*replay=*/false);
+    ShardedPool pool = make_pool(scheme, 2, /*replay=*/false);
     const EpochReport epoch = pool.run_epoch(0);
     // Spoofers fake 90% of transitions; with q=3 the odds of sampling only
     // the honest prefix are ~0.1% — they are caught deterministically here.
@@ -94,7 +94,7 @@ TEST_F(PoolFixture, SpoofAdversariesDetected) {
 }
 
 TEST_F(PoolFixture, BaselineAcceptsEveryone) {
-  MiningPool pool = make_pool(Scheme::kBaseline, 2, true);
+  ShardedPool pool = make_pool(Scheme::kBaseline, 2, true);
   const EpochReport epoch = pool.run_epoch(0);
   EXPECT_EQ(epoch.rejected_count, 0);
   EXPECT_EQ(epoch.lsh_mismatches, 0);
@@ -104,8 +104,8 @@ TEST_F(PoolFixture, BaselineAcceptsEveryone) {
 TEST_F(PoolFixture, VerifiedPoolBeatsBaselineUnderAttack) {
   // Fig. 6's core claim: with adversaries present, the verified pool's
   // global model outperforms the unverified baseline.
-  MiningPool baseline = make_pool(Scheme::kBaseline, 3, true, 2);
-  MiningPool verified = make_pool(Scheme::kRPoLv1, 3, true, 2);
+  ShardedPool baseline = make_pool(Scheme::kBaseline, 3, true, 2);
+  ShardedPool verified = make_pool(Scheme::kRPoLv1, 3, true, 2);
   const double acc_baseline = baseline.run().final_accuracy;
   const double acc_verified = verified.run().final_accuracy;
   EXPECT_GT(acc_verified, acc_baseline);
@@ -114,15 +114,15 @@ TEST_F(PoolFixture, VerifiedPoolBeatsBaselineUnderAttack) {
 TEST_F(PoolFixture, V1AndV2AgreeOnAcceptance) {
   // RPoLv2's LSH shortcut must not change accept/reject outcomes (Sec.
   // VII-E: "experimentally obtains the same inference accuracy as v1").
-  MiningPool v1 = make_pool(Scheme::kRPoLv1, 1, false);
-  MiningPool v2 = make_pool(Scheme::kRPoLv2, 1, false);
+  ShardedPool v1 = make_pool(Scheme::kRPoLv1, 1, false);
+  ShardedPool v2 = make_pool(Scheme::kRPoLv2, 1, false);
   const EpochReport e1 = v1.run_epoch(0);
   const EpochReport e2 = v2.run_epoch(0);
   EXPECT_EQ(e1.accepted, e2.accepted);
 }
 
 TEST_F(PoolFixture, CalibrationProducesThresholdsEachEpoch) {
-  MiningPool pool = make_pool(Scheme::kRPoLv2, 0, false);
+  ShardedPool pool = make_pool(Scheme::kRPoLv2, 0, false);
   const EpochReport e0 = pool.run_epoch(0);
   EXPECT_GT(e0.alpha, 0.0);
   EXPECT_NEAR(e0.beta, 5.0 * e0.alpha, 1e-12);
@@ -132,9 +132,9 @@ TEST_F(PoolFixture, CalibrationProducesThresholdsEachEpoch) {
 }
 
 TEST_F(PoolFixture, TrafficAccountingNonTrivial) {
-  MiningPool v1 = make_pool(Scheme::kRPoLv1, 0, false);
-  MiningPool v2 = make_pool(Scheme::kRPoLv2, 0, false);
-  MiningPool base = make_pool(Scheme::kBaseline, 0, false);
+  ShardedPool v1 = make_pool(Scheme::kRPoLv1, 0, false);
+  ShardedPool v2 = make_pool(Scheme::kRPoLv2, 0, false);
+  ShardedPool base = make_pool(Scheme::kBaseline, 0, false);
   const auto b1 = v1.run_epoch(0).bytes_this_epoch;
   const auto b2 = v2.run_epoch(0).bytes_this_epoch;
   const auto bb = base.run_epoch(0).bytes_this_epoch;
@@ -144,14 +144,14 @@ TEST_F(PoolFixture, TrafficAccountingNonTrivial) {
 }
 
 TEST_F(PoolFixture, StorageAccountingCoversCheckpoints) {
-  MiningPool pool = make_pool(Scheme::kRPoLv1, 0, false);
+  ShardedPool pool = make_pool(Scheme::kRPoLv1, 0, false);
   const EpochReport epoch = pool.run_epoch(0);
   // 5 checkpoints x (model + optimizer) floats.
   EXPECT_GT(epoch.worker_storage_bytes, 0u);
 }
 
 TEST_F(PoolFixture, AccuracyImprovesOverEpochs) {
-  MiningPool pool = make_pool(Scheme::kRPoLv2, 0, false, 6);
+  ShardedPool pool = make_pool(Scheme::kRPoLv2, 0, false, 6);
   const PoolRunReport report = pool.run();
   EXPECT_GT(report.final_accuracy, report.epochs.front().test_accuracy);
   EXPECT_GT(report.final_accuracy, 0.5);
@@ -159,8 +159,8 @@ TEST_F(PoolFixture, AccuracyImprovesOverEpochs) {
 
 TEST_F(PoolFixture, HonestOnlyBaselineMatchesVerifiedAccuracy) {
   // With no adversaries, verification must not harm model quality.
-  MiningPool base = make_pool(Scheme::kBaseline, 0, false, 3);
-  MiningPool v2 = make_pool(Scheme::kRPoLv2, 0, false, 3);
+  ShardedPool base = make_pool(Scheme::kBaseline, 0, false, 3);
+  ShardedPool v2 = make_pool(Scheme::kRPoLv2, 0, false, 3);
   const double acc_base = base.run().final_accuracy;
   const double acc_v2 = v2.run().final_accuracy;
   EXPECT_NEAR(acc_base, acc_v2, 0.08);
@@ -169,49 +169,21 @@ TEST_F(PoolFixture, HonestOnlyBaselineMatchesVerifiedAccuracy) {
 TEST_F(PoolFixture, RejectedWorkersDontMoveGlobalModel) {
   // All-adversary pool: every update rejected, so the global model stays at
   // its initial state.
-  MiningPool pool = make_pool(Scheme::kRPoLv1, kWorkers, true, 1);
-  const std::vector<float> before = pool.global_model();
+  ShardedPool pool = make_pool(Scheme::kRPoLv1, kWorkers, true, 1);
+  const std::vector<float> before = pool.pool().global_model();
   pool.run_epoch(0);
-  EXPECT_EQ(pool.global_model(), before);
+  EXPECT_EQ(pool.pool().global_model(), before);
 }
 
 TEST_F(PoolFixture, CalibrateOnceAblationStillWorks) {
   PoolConfig cfg = config(Scheme::kRPoLv2, 2);
   cfg.calibrate_every_epoch = false;
-  MiningPool pool(cfg, task.factory, task.dataset, split->test,
-                  workers(1, false));
+  ShardedPool pool({cfg}, task.factory, task.dataset, split->test,
+                   workers(1, false));
   const PoolRunReport report = pool.run();
   EXPECT_EQ(report.epochs.size(), 2u);
   // The adversary is still caught with the epoch-0 thresholds.
   EXPECT_EQ(report.epochs[1].rejected_count, 1);
-}
-
-TEST_F(PoolFixture, DecentralizedVerificationMatchesCentralized) {
-  // Peer-committee verification must reach the same accept/reject decisions
-  // as the manager-only path (all committee members honest).
-  PoolConfig central_cfg = config(Scheme::kRPoLv1, 1);
-  PoolConfig dec_cfg = central_cfg;
-  dec_cfg.decentralized_verification = true;
-  dec_cfg.verifiers_per_sample = 3;
-
-  MiningPool central(central_cfg, task.factory, task.dataset, split->test,
-                     workers(2, true));
-  MiningPool dec(dec_cfg, task.factory, task.dataset, split->test,
-                 workers(2, true));
-  const EpochReport ec = central.run_epoch(0);
-  const EpochReport ed = dec.run_epoch(0);
-  EXPECT_EQ(ec.accepted, ed.accepted);
-  EXPECT_EQ(ed.rejected_count, 2);
-}
-
-TEST_F(PoolFixture, DecentralizedAcceptsAllHonest) {
-  PoolConfig cfg = config(Scheme::kRPoLv2, 2);
-  cfg.decentralized_verification = true;
-  MiningPool pool(cfg, task.factory, task.dataset, split->test,
-                  workers(0, false));
-  const PoolRunReport report = pool.run();
-  for (const auto& e : report.epochs) EXPECT_EQ(e.rejected_count, 0);
-  EXPECT_GT(report.final_accuracy, 0.4);
 }
 
 TEST_F(PoolFixture, CompactCommitmentsMatchHashListDecisions) {
@@ -220,10 +192,10 @@ TEST_F(PoolFixture, CompactCommitmentsMatchHashListDecisions) {
     PoolConfig list_cfg = config(scheme, 1);
     PoolConfig compact_cfg = list_cfg;
     compact_cfg.compact_commitments = true;
-    MiningPool list_pool(list_cfg, task.factory, task.dataset, split->test,
-                         workers(2, true));
-    MiningPool compact_pool(compact_cfg, task.factory, task.dataset,
-                            split->test, workers(2, true));
+    ShardedPool list_pool({list_cfg}, task.factory, task.dataset,
+                          split->test, workers(2, true));
+    ShardedPool compact_pool({compact_cfg}, task.factory, task.dataset,
+                             split->test, workers(2, true));
     const EpochReport el = list_pool.run_epoch(0);
     const EpochReport ec = compact_pool.run_epoch(0);
     EXPECT_EQ(el.accepted, ec.accepted) << scheme_name(scheme);
@@ -239,7 +211,7 @@ TEST(PoolConstruction, RejectsEmptyWorkerSet) {
   const auto split = data::train_test_split(task.dataset, 0.2, 3);
   PoolConfig cfg;
   cfg.hp = task.hp;
-  EXPECT_THROW(MiningPool(cfg, task.factory, task.dataset, split.test, {}),
+  EXPECT_THROW(ShardedPool({cfg}, task.factory, task.dataset, split.test, {}),
                std::invalid_argument);
 }
 

@@ -119,8 +119,8 @@ TEST(Rewards, EndToEndWithMiningPool) {
     spec.device = devices[w];
     workers.push_back(std::move(spec));
   }
-  MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                  std::move(workers));
+  ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                   std::move(workers));
   const PoolRunReport report = pool.run();
   const auto counts = verified_epoch_counts(report);
   EXPECT_EQ(counts[0], 0);  // freeloader never verified

@@ -679,8 +679,8 @@ TEST_F(PoolDegradation, LightFaultsRetransmitWithoutEvicting) {
   const fault::FaultPlan plan = fault::FaultPlan::transport(
       uniform(0.10, 0, 0, 0, 0), /*seed=*/7);
   cfg.fault_plan = &plan;
-  MiningPool pool(cfg, task.factory, task.dataset, split->test,
-                  honest_workers(4));
+  ShardedPool pool({cfg}, task.factory, task.dataset, split->test,
+                   honest_workers(4));
   const PoolRunReport report = pool.run();
   EXPECT_GT(report.total_retransmissions, 0);
   for (const auto& epoch : report.epochs) {
@@ -697,8 +697,8 @@ TEST_F(PoolDegradation, BlackoutEvictsAndPoolSurvives) {
   cfg.fault_plan = &plan;
   cfg.retry.max_attempts = 2;
   cfg.eviction_threshold = 2;
-  MiningPool pool(cfg, task.factory, task.dataset, split->test,
-                  honest_workers(3));
+  ShardedPool pool({cfg}, task.factory, task.dataset, split->test,
+                   honest_workers(3));
   const PoolRunReport report = pool.run();
   ASSERT_EQ(report.epochs.size(), 4u);
   EXPECT_GT(report.total_session_failures, 0);
@@ -709,7 +709,9 @@ TEST_F(PoolDegradation, BlackoutEvictsAndPoolSurvives) {
   // evicted workers sit out).
   for (const bool p : report.epochs.back().participated) EXPECT_FALSE(p);
   EXPECT_GT(report.epochs.back().test_accuracy, 0.0);
-  for (std::size_t w = 0; w < 3; ++w) EXPECT_TRUE(pool.worker_evicted(w));
+  for (std::size_t w = 0; w < 3; ++w) {
+    EXPECT_TRUE(pool.pool().worker_evicted(w));
+  }
 }
 
 TEST_F(PoolDegradation, EpochReportsAreSeedReproducible) {
@@ -718,8 +720,8 @@ TEST_F(PoolDegradation, EpochReportsAreSeedReproducible) {
   auto run_once = [&]() {
     PoolConfig cfg = config(/*epochs=*/2);
     cfg.fault_plan = &plan;
-    MiningPool pool(cfg, task.factory, task.dataset, split->test,
-                    honest_workers(4));
+    ShardedPool pool({cfg}, task.factory, task.dataset, split->test,
+                     honest_workers(4));
     return pool.run();
   };
   const PoolRunReport r1 = run_once();
@@ -777,8 +779,8 @@ TEST_F(PoolDegradation, NullPlanMatchesLegacyAccountingExactly) {
   auto run_with = [&](const fault::FaultPlan* plan) {
     PoolConfig cfg = config(/*epochs=*/2);
     cfg.fault_plan = plan;
-    MiningPool pool(cfg, task.factory, task.dataset, split->test,
-                    honest_workers(4));
+    ShardedPool pool({cfg}, task.factory, task.dataset, split->test,
+                     honest_workers(4));
     return pool.run();
   };
   const PoolRunReport without = run_with(nullptr);

@@ -1,7 +1,7 @@
 // Timeline reconstruction coverage (src/obs/timeline.*): referential
 // self-checks over parent/link edges, causal-tree stitching and phase
 // attribution on synthetic traces, the end-to-end guarantee that a traced
-// MiningPool run reconstructs every epoch as one rooted tree with >= 95%
+// pool run reconstructs every epoch as one rooted tree with >= 95%
 // of its wall time attributed, and the Chrome-trace (Perfetto) export —
 // structurally valid JSON that is stable across runs modulo timestamps.
 
@@ -185,8 +185,8 @@ TEST_F(TimelineE2E, PoolEpochsReconstructAsSingleRootedTrees) {
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
-    core::MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                          std::move(workers));
+    core::ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                           std::move(workers));
     pool.run();
   }
 

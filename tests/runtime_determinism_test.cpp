@@ -13,11 +13,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/commitment.h"
@@ -431,7 +431,7 @@ TEST(TrainingDeterminism, TracedRunIsBitwiseIdenticalToUntraced) {
   EXPECT_TRUE(digest_equal(untraced.merkle_root, traced.merkle_root));
 }
 
-// The same guarantee through the FULL protocol stack: a MiningPool run with
+// The same guarantee through the FULL protocol stack: a pool run with
 // tracing on exercises causal propagation end to end — epoch root spans,
 // TraceContext riding the wire envelope on every session message, workers
 // adopting remote parents — and must still produce bit-identical protocol
@@ -458,8 +458,8 @@ TEST(TrainingDeterminism, TracedPoolRunWithPropagationIsBitwiseIdentical) {
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
-    core::MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                          std::move(workers));
+    core::ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                           std::move(workers));
     const core::PoolRunReport report = pool.run();
 
     struct Result {
@@ -470,7 +470,7 @@ TEST(TrainingDeterminism, TracedPoolRunWithPropagationIsBitwiseIdentical) {
       bool propagated = false;  // any span joined a tree via a remote link
     };
     Result r;
-    r.model = pool.global_model();
+    r.model = pool.pool().global_model();
     r.final_accuracy = report.final_accuracy;
     r.total_bytes = report.total_bytes;
     r.spans = obs::Registry::instance().span_count();
@@ -533,8 +533,8 @@ TEST(TrainingDeterminism, HealthScoredPoolRunIsBitwiseIdentical) {
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
-    core::MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                          std::move(workers));
+    core::ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
+                           std::move(workers));
     const core::PoolRunReport report = pool.run();
 
     struct Result {
@@ -547,12 +547,12 @@ TEST(TrainingDeterminism, HealthScoredPoolRunIsBitwiseIdentical) {
       bool rss_sampled = false;
     };
     Result r;
-    r.model = pool.global_model();
+    r.model = pool.pool().global_model();
     r.final_accuracy = report.final_accuracy;
     r.total_bytes = report.total_bytes;
     for (std::size_t w = 0; w < 3; ++w) {
-      r.evicted.push_back(pool.health().evicted(w));
-      r.scores.push_back(pool.health().score(w));
+      r.evicted.push_back(pool.pool().health().evicted(w));
+      r.scores.push_back(pool.pool().health().score(w));
     }
     r.tagged_bytes = obs::mem_stats(obs::MemTag::kCheckpoint).total_bytes;
     if (rss.has_value()) {
@@ -597,10 +597,12 @@ TEST(TrainingDeterminism, HealthScoredPoolRunIsBitwiseIdentical) {
 // stores, all under a live RssSampler — must be bitwise identical to the
 // materialize-everything path: same global model floats, same accuracy,
 // same verdicts and evictions, same WAN bytes. And it must hold at 1 and 4
-// intra-op threads (§6: thread-count invariance composes with streaming),
-// for list and for compact commitments (both of verify_worker's calls).
+// intra-op threads and at 1 and 3 manager shards (§6: thread- and
+// shard-count invariance compose with streaming; at 3 shards every worker's
+// store spills from its own shard thread), for list and for compact
+// commitments (both of verify_worker's calls).
 TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
-  auto run_pool = [](bool streaming, int threads, bool compact) {
+  auto run_pool = [](bool streaming, int threads, bool compact, int shards) {
     const ThreadGuard guard;
     runtime::set_threads(threads);
     obs::set_enabled(true);
@@ -611,18 +613,19 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
     const testing::TinyTask task = testing::TinyTask::make(61, 10, 3);
     const data::TrainTestSplit split =
         data::train_test_split(task.dataset, 0.25, 17);
-    core::PoolConfig cfg;
-    cfg.scheme = core::Scheme::kRPoLv2;
-    cfg.hp = task.hp;
-    cfg.epochs = 3;
-    cfg.samples_q = 3;
-    cfg.seed = 71;
-    cfg.eviction_threshold = 2;
-    cfg.compact_commitments = compact;
-    cfg.streaming = streaming;
+    core::ShardedPoolConfig cfg;
+    cfg.base.scheme = core::Scheme::kRPoLv2;
+    cfg.base.hp = task.hp;
+    cfg.base.epochs = 3;
+    cfg.base.samples_q = 3;
+    cfg.base.seed = 71;
+    cfg.base.eviction_threshold = 2;
+    cfg.base.compact_commitments = compact;
+    cfg.base.streaming = streaming;
     // Small enough that eviction/spill actually happens every epoch (a
     // TinyTask checkpoint serializes to ~3 KiB; 5 checkpoints per trace).
-    cfg.ckpt_budget_bytes = streaming ? 8 * 1024 : 0;
+    cfg.base.ckpt_budget_bytes = streaming ? 8 * 1024 : 0;
+    cfg.shards = shards;
     std::vector<core::WorkerSpec> workers;
     const auto devices = sim::all_devices();
     for (std::size_t w = 0; w < 3; ++w) {
@@ -637,8 +640,8 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
-    core::MiningPool pool(cfg, task.factory, task.dataset, split.test,
-                          std::move(workers));
+    core::ShardedPool pool(std::move(cfg), task.factory, task.dataset,
+                           split.test, std::move(workers));
     const core::PoolRunReport report = pool.run();
 
     struct Result {
@@ -653,11 +656,11 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
       bool rss_sampled = false;
     };
     Result r;
-    r.model = pool.global_model();
+    r.model = pool.pool().global_model();
     r.final_accuracy = report.final_accuracy;
     r.total_bytes = report.total_bytes;
     for (std::size_t w = 0; w < 3; ++w) {
-      r.evicted.push_back(pool.health().evicted(w));
+      r.evicted.push_back(pool.pool().health().evicted(w));
     }
     for (const auto& epoch : report.epochs) {
       r.accepted.push_back(epoch.accepted);
@@ -673,69 +676,96 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
     return r;
   };
 
+  const auto expect_same = [](const auto& a, const auto& b) {
+    EXPECT_EQ(a.model, b.model);
+    EXPECT_EQ(a.final_accuracy, b.final_accuracy);
+    EXPECT_EQ(a.total_bytes, b.total_bytes);
+    EXPECT_EQ(a.evicted, b.evicted);
+    EXPECT_EQ(a.accepted, b.accepted);
+    EXPECT_EQ(a.epoch_accuracy, b.epoch_accuracy);
+  };
   for (const bool compact : {false, true}) {
     SCOPED_TRACE(compact ? "compact commitments" : "list commitments");
-    const auto memory_1t = run_pool(false, 1, compact);
-    const auto streamed_1t = run_pool(true, 1, compact);
-    const auto memory_4t = run_pool(false, 4, compact);
-    const auto streamed_4t = run_pool(true, 4, compact);
+    const auto reference = run_pool(false, 1, compact, 1);
+    for (const int shards : {1, 3}) {
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards) +
+                     " threads=" + std::to_string(threads));
+        const auto memory = run_pool(false, threads, compact, shards);
+        const auto streamed = run_pool(true, threads, compact, shards);
 
-    // The streamed runs really streamed: hot checkpoint bytes were charged
-    // to the ckptstore tag and pinned under the configured budget — per
-    // worker store, so the global tag peaks at most at workers x budget (the
-    // single-store bound is tests/core_ckptstore_test.cpp's job) — while the
-    // in-memory runs never touched the tag.
-    EXPECT_GT(streamed_1t.ckpt_total_bytes, 0U);
-    EXPECT_LE(streamed_1t.ckpt_peak_bytes, 3U * 8U * 1024U);
-    EXPECT_EQ(memory_1t.ckpt_total_bytes, 0U);
+        // The streamed run really streamed: hot checkpoint bytes were
+        // charged to the ckptstore tag and pinned under the configured
+        // budget — per worker store, so the global tag peaks at most at
+        // workers x budget (the single-store bound is
+        // tests/core_ckptstore_test.cpp's job) — while the in-memory run
+        // never touched the tag.
+        EXPECT_GT(streamed.ckpt_total_bytes, 0U);
+        EXPECT_LE(streamed.ckpt_peak_bytes, 3U * 8U * 1024U);
+        EXPECT_EQ(memory.ckpt_total_bytes, 0U);
 #ifdef __linux__
-    EXPECT_TRUE(streamed_1t.rss_sampled);
+        EXPECT_TRUE(streamed.rss_sampled);
 #endif
 
-    // Bitwise equivalence, in-memory vs streamed, at each thread count.
-    const auto expect_same = [](const auto& a, const auto& b) {
-      EXPECT_EQ(a.model, b.model);
-      EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-      EXPECT_EQ(a.total_bytes, b.total_bytes);
-      EXPECT_EQ(a.evicted, b.evicted);
-      EXPECT_EQ(a.accepted, b.accepted);
-      EXPECT_EQ(a.epoch_accuracy, b.epoch_accuracy);
-    };
-    expect_same(memory_1t, streamed_1t);
-    expect_same(memory_4t, streamed_4t);
-    // ...and across thread counts (the 2x2 grid collapses to one result).
-    expect_same(memory_1t, memory_4t);
+        // Bitwise equivalence: the whole in-memory/streamed x threads x
+        // shards grid collapses to one result.
+        expect_same(reference, memory);
+        expect_same(reference, streamed);
+      }
+    }
 
     // The adversary was rejected and evicted in every configuration.
-    EXPECT_TRUE(streamed_1t.evicted[0]);
-    EXPECT_FALSE(streamed_1t.evicted[1]);
-    ASSERT_FALSE(streamed_1t.accepted.empty());
-    EXPECT_FALSE(streamed_1t.accepted[0][0]);
-    EXPECT_TRUE(streamed_1t.accepted[0][1]);
+    EXPECT_TRUE(reference.evicted[0]);
+    EXPECT_FALSE(reference.evicted[1]);
+    ASSERT_FALSE(reference.accepted.empty());
+    EXPECT_FALSE(reference.accepted[0][0]);
+    EXPECT_TRUE(reference.accepted[0][1]);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded manager equivalence (core/sharded_pool.h): the §6 contract for the
-// sharded layer. A lockstep sharded run is the SAME protocol re-scheduled:
-// every per-worker decision input (injector stream, device seed, nonce,
-// verifier samples) is derived from (epoch, GLOBAL worker index) and all
-// cross-worker mutation is merged in worker order by finish_epoch — so the
-// sharded pool must be bitwise identical to the legacy sequential pool at
-// ANY shard count, and at any thread count, with bounded admission queues
-// engaged. Faults and an adversary are on so the equivalence covers real
-// verdicts, retries, and evictions, not just the happy path.
-TEST(TrainingDeterminism, ShardedPoolMatchesLegacyBitwiseAtAnyShardCount) {
+// Pool golden (core/sharded_pool.h): the §6 contract for the pool's one epoch
+// loop. Every per-worker decision input (injector stream, device seed,
+// nonce, verifier samples) is derived from (epoch, GLOBAL worker index) and
+// all cross-worker mutation is merged in worker order by finish_epoch — so a
+// run must reproduce the same digest at ANY shard count, at any thread
+// count, and with bounded admission queues engaged. Faults and an adversary
+// are on so the digest covers real verdicts, retries, and evictions, not
+// just the happy path.
+
+// Order-sensitive digest of a pool run: the final global model's bytes;
+// each epoch's accepted, participated, status and test_accuracy bits; then
+// the run's WAN bytes, session failures and retransmissions.
+std::string pool_run_hex(const core::PoolRunReport& report,
+                         const std::vector<float>& model) {
+  Bytes t;
+  for (const float v : model) append_f32(t, v);
+  for (const core::EpochReport& epoch : report.epochs) {
+    for (const bool a : epoch.accepted) t.push_back(a ? 1 : 0);
+    for (const bool p : epoch.participated) t.push_back(p ? 1 : 0);
+    for (const core::SessionStatus s : epoch.status) {
+      append_i64(t, static_cast<std::int64_t>(s));
+    }
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &epoch.test_accuracy, sizeof bits);
+    append_u64(t, bits);
+  }
+  append_u64(t, report.total_bytes);
+  append_i64(t, report.total_session_failures);
+  append_i64(t, report.total_retransmissions);
+  return digest_to_hex(sha256(t));
+}
+
+// Recorded through the sequential epoch loop that ShardedPool replaced, at
+// one shard; the four-shard runs below reproduced it then too.
+constexpr const char* kPoolGoldenHex =
+    "523effc5e8f5fe1a52a49f8716b784faf7dfc1b4201fe201ffbbeb60b4dab94d";
+
+TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
   struct Result {
-    std::vector<float> model;
-    double final_accuracy = 0.0;
-    std::uint64_t total_bytes = 0;
-    std::int64_t session_failures = 0;
-    std::int64_t retransmissions = 0;
+    std::string hex;
     std::vector<bool> evicted;
-    std::vector<std::vector<bool>> accepted;     // per epoch
-    std::vector<std::vector<bool>> participated; // per epoch
-    std::vector<double> epoch_accuracy;
+    bool first_accepted = true;  // worker 0 (the adversary), epoch 0
     std::int64_t requeued = 0;
     std::int64_t max_depth = 0;
   };
@@ -746,120 +776,7 @@ TEST(TrainingDeterminism, ShardedPoolMatchesLegacyBitwiseAtAnyShardCount) {
     p.corrupt = 0.05;
     return fault::FaultPlan::transport(p, 515);
   }();
-  auto base_config = [&](const testing::TinyTask& task) {
-    core::PoolConfig cfg;
-    cfg.scheme = core::Scheme::kRPoLv2;
-    cfg.hp = task.hp;
-    cfg.epochs = 3;
-    cfg.samples_q = 3;
-    cfg.seed = 71;
-    cfg.eviction_threshold = 2;
-    cfg.fault_plan = &plan;
-    return cfg;
-  };
-  auto make_workers = [] {
-    std::vector<core::WorkerSpec> workers;
-    const auto devices = sim::all_devices();
-    for (std::size_t w = 0; w < 5; ++w) {
-      core::WorkerSpec spec;
-      spec.policy = w == 0 ? std::unique_ptr<core::WorkerPolicy>(
-                                 std::make_unique<core::ReplayPolicy>())
-                           : std::unique_ptr<core::WorkerPolicy>(
-                                 std::make_unique<core::HonestPolicy>());
-      spec.device = devices[w % devices.size()];
-      workers.push_back(std::move(spec));
-    }
-    return workers;
-  };
-  auto collect = [](const core::PoolRunReport& report,
-                    const std::vector<float>& model,
-                    const obs::HealthRegistry& health) {
-    Result r;
-    r.model = model;
-    r.final_accuracy = report.final_accuracy;
-    r.total_bytes = report.total_bytes;
-    r.session_failures = report.total_session_failures;
-    r.retransmissions = report.total_retransmissions;
-    for (std::size_t w = 0; w < 5; ++w) r.evicted.push_back(health.evicted(w));
-    for (const auto& epoch : report.epochs) {
-      r.accepted.push_back(epoch.accepted);
-      r.participated.push_back(epoch.participated);
-      r.epoch_accuracy.push_back(epoch.test_accuracy);
-      r.requeued += epoch.admission_requeued;
-      r.max_depth = std::max(r.max_depth, epoch.max_queue_depth);
-    }
-    return r;
-  };
-
-  auto run_legacy = [&](int threads) {
-    const ThreadGuard guard;
-    runtime::set_threads(threads);
-    const testing::TinyTask task = testing::TinyTask::make(61, 10, 3);
-    const data::TrainTestSplit split =
-        data::train_test_split(task.dataset, 0.25, 17);
-    core::MiningPool pool(base_config(task), task.factory, task.dataset,
-                          split.test, make_workers());
-    const core::PoolRunReport report = pool.run();
-    return collect(report, pool.global_model(), pool.health());
-  };
   auto run_sharded = [&](int shards, int threads, std::size_t queue_capacity) {
-    const ThreadGuard guard;
-    runtime::set_threads(threads);
-    const testing::TinyTask task = testing::TinyTask::make(61, 10, 3);
-    const data::TrainTestSplit split =
-        data::train_test_split(task.dataset, 0.25, 17);
-    core::ShardedPoolConfig cfg;
-    cfg.base = base_config(task);
-    cfg.shards = shards;
-    cfg.queue_capacity = queue_capacity;
-    cfg.overflow = core::AdmissionPolicy::kRequeue;
-    core::ShardedPool pool(std::move(cfg), task.factory, task.dataset,
-                           split.test, make_workers());
-    const core::PoolRunReport report = pool.run();
-    return collect(report, pool.pool().global_model(), pool.pool().health());
-  };
-
-  const Result legacy = run_legacy(1);
-  const Result sharded_1s = run_sharded(1, 1, 0);
-  const Result sharded_4s_1t = run_sharded(4, 1, 0);
-  const Result sharded_4s_4t = run_sharded(4, 4, 0);
-  const Result sharded_4s_bounded = run_sharded(4, 4, /*queue_capacity=*/1);
-
-  const auto expect_same = [](const Result& a, const Result& b) {
-    EXPECT_EQ(a.model, b.model);
-    EXPECT_EQ(a.final_accuracy, b.final_accuracy);
-    EXPECT_EQ(a.total_bytes, b.total_bytes);
-    EXPECT_EQ(a.session_failures, b.session_failures);
-    EXPECT_EQ(a.retransmissions, b.retransmissions);
-    EXPECT_EQ(a.evicted, b.evicted);
-    EXPECT_EQ(a.accepted, b.accepted);
-    EXPECT_EQ(a.participated, b.participated);
-    EXPECT_EQ(a.epoch_accuracy, b.epoch_accuracy);
-  };
-  // S=1 IS the legacy pool, bit for bit; S=4 re-schedules it without moving
-  // a byte, whatever the thread count; and a bounded queue under kRequeue
-  // changes only the admission counters.
-  expect_same(legacy, sharded_1s);
-  expect_same(legacy, sharded_4s_1t);
-  expect_same(legacy, sharded_4s_4t);
-  expect_same(legacy, sharded_4s_bounded);
-  EXPECT_EQ(sharded_4s_4t.requeued, 0);
-  EXPECT_GT(sharded_4s_bounded.requeued, 0);
-  EXPECT_LE(sharded_4s_bounded.max_depth, 1);
-  // The comparison covered real decisions: the replay adversary was
-  // rejected and eventually evicted in every run.
-  EXPECT_TRUE(legacy.evicted[0]);
-  ASSERT_FALSE(legacy.accepted.empty());
-  EXPECT_FALSE(legacy.accepted[0][0]);
-}
-
-// Pipelined scheduling is NOT the legacy protocol (one-epoch staleness by
-// design) but it is still §6-deterministic: two same-seed pipelined runs
-// must be bitwise identical at ANY thread count, because train(N+1) and
-// verify(N) touch disjoint workspaces and every shared-state step stays
-// sequential between the parallel regions.
-TEST(TrainingDeterminism, PipelinedShardedRunIsThreadCountInvariant) {
-  auto run_pipelined = [](int threads) {
     const ThreadGuard guard;
     runtime::set_threads(threads);
     const testing::TinyTask task = testing::TinyTask::make(61, 10, 3);
@@ -871,36 +788,57 @@ TEST(TrainingDeterminism, PipelinedShardedRunIsThreadCountInvariant) {
     cfg.base.epochs = 3;
     cfg.base.samples_q = 3;
     cfg.base.seed = 71;
-    cfg.shards = 2;
-    cfg.pipeline = true;
+    cfg.base.eviction_threshold = 2;
+    cfg.base.fault_plan = &plan;
+    cfg.shards = shards;
+    cfg.queue_capacity = queue_capacity;
+    cfg.overflow = core::AdmissionPolicy::kRequeue;
     std::vector<core::WorkerSpec> workers;
     const auto devices = sim::all_devices();
-    for (std::size_t w = 0; w < 4; ++w) {
+    for (std::size_t w = 0; w < 5; ++w) {
       core::WorkerSpec spec;
-      spec.policy = std::make_unique<core::HonestPolicy>();
+      spec.policy = w == 0 ? std::unique_ptr<core::WorkerPolicy>(
+                                 std::make_unique<core::ReplayPolicy>())
+                           : std::unique_ptr<core::WorkerPolicy>(
+                                 std::make_unique<core::HonestPolicy>());
       spec.device = devices[w % devices.size()];
       workers.push_back(std::move(spec));
     }
     core::ShardedPool pool(std::move(cfg), task.factory, task.dataset,
                            split.test, std::move(workers));
     const core::PoolRunReport report = pool.run();
-    struct Result {
-      std::vector<float> model;
-      std::vector<double> epoch_accuracy;
-      std::uint64_t total_bytes = 0;
-    } r;
-    r.model = pool.pool().global_model();
-    r.total_bytes = report.total_bytes;
-    for (const auto& epoch : report.epochs) {
-      r.epoch_accuracy.push_back(epoch.test_accuracy);
+    Result r;
+    r.hex = pool_run_hex(report, pool.pool().global_model());
+    for (std::size_t w = 0; w < 5; ++w) {
+      r.evicted.push_back(pool.pool().health().evicted(w));
     }
-    return std::make_tuple(r.model, r.epoch_accuracy, r.total_bytes);
+    if (!report.epochs.empty()) r.first_accepted = report.epochs[0].accepted[0];
+    for (const auto& epoch : report.epochs) {
+      r.requeued += epoch.admission_requeued;
+      r.max_depth = std::max(r.max_depth, epoch.max_queue_depth);
+    }
+    return r;
   };
-  const auto t1 = run_pipelined(1);
-  const auto t4 = run_pipelined(4);
-  const auto t4_again = run_pipelined(4);
-  EXPECT_EQ(t1, t4);
-  EXPECT_EQ(t4, t4_again);
+
+  const Result one_shard = run_sharded(1, 1, 0);
+  const Result four_1t = run_sharded(4, 1, 0);
+  const Result four_4t = run_sharded(4, 4, 0);
+  const Result four_bounded = run_sharded(4, 4, /*queue_capacity=*/1);
+
+  // One shard reproduces the recorded run bit for bit; four shards
+  // re-schedule it without moving a byte, whatever the thread count; and a
+  // bounded queue under kRequeue changes only the admission counters.
+  for (const Result* r : {&one_shard, &four_1t, &four_4t, &four_bounded}) {
+    EXPECT_EQ(r->hex, kPoolGoldenHex);
+    EXPECT_EQ(r->evicted, one_shard.evicted);
+  }
+  EXPECT_EQ(four_4t.requeued, 0);
+  EXPECT_GT(four_bounded.requeued, 0);
+  EXPECT_LE(four_bounded.max_depth, 1);
+  // The digest covers real decisions: the replay adversary was rejected and
+  // eventually evicted.
+  EXPECT_TRUE(one_shard.evicted[0]);
+  EXPECT_FALSE(one_shard.first_accepted);
 }
 
 }  // namespace

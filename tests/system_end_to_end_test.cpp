@@ -9,6 +9,7 @@
 #include "chain/escrow.h"
 #include "core/amlayer.h"
 #include "core/rewards.h"
+#include "core/sharded_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/models.h"
@@ -74,8 +75,8 @@ TEST(SystemEndToEnd, FullMiningRound) {
     spec.device = devices[w % devices.size()];
     workers.push_back(std::move(spec));
   }
-  core::MiningPool pool(pool_cfg, pool_factory, dataset, split.test,
-                        std::move(workers));
+  core::ShardedPool pool({pool_cfg}, pool_factory, dataset, split.test,
+                         std::move(workers));
   const core::PoolRunReport pool_report = pool.run();
   // The freeloader is rejected every epoch; honest workers always pass.
   const auto contributions = core::verified_epoch_counts(pool_report);
@@ -90,7 +91,7 @@ TEST(SystemEndToEnd, FullMiningRound) {
   pool_proposal.proposer = manager_address;
   pool_proposal.base_factory = base_factory;
   pool_proposal.amlayer_config = am_cfg;
-  pool_proposal.model_state = pool.global_model();
+  pool_proposal.model_state = pool.pool().global_model();
 
   chain::BlockProposal stolen = pool_proposal;
   stolen.proposer = Address::from_seed(666);  // claims it without the key

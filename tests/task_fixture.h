@@ -5,7 +5,7 @@
 
 #pragma once
 
-#include "core/pool.h"
+#include "core/sharded_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/models.h"

@@ -36,6 +36,7 @@
 #include "core/costing.h"
 #include "core/economics.h"
 #include "core/rewards.h"
+#include "core/sharded_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/models.h"
@@ -159,8 +160,9 @@ int cmd_simulate(const Args& args) {
   // fall inside the sampling window.
   std::optional<obs::RssSampler> rss;
   if (obs::enabled()) rss.emplace(std::chrono::milliseconds(10));
-  core::MiningPool pool(cfg, nn::mlp_factory(32, {32, 16}, 10, derive_seed(seed, 3)),
-                        dataset, split.test, std::move(specs));
+  core::ShardedPool pool({cfg},
+                         nn::mlp_factory(32, {32, 16}, 10, derive_seed(seed, 3)),
+                         dataset, split.test, std::move(specs));
   std::printf("scheme=%s workers=%zu adversaries=%zu (%s) epochs=%ld\n",
               core::scheme_name(scheme).c_str(), workers, adversaries,
               adv_type.c_str(), epochs);
@@ -191,7 +193,7 @@ int cmd_simulate(const Args& args) {
   obs::RssSampler::Summary rss_summary;
   if (rss.has_value()) rss_summary = rss->summary();
   const std::string health_path = obs::maybe_export_health(
-      "rpol_health.jsonl", pool.health(),
+      "rpol_health.jsonl", pool.pool().health(),
       rss.has_value() ? &rss_summary : nullptr);
   if (!health_path.empty()) {
     std::printf("health written to %s (summarize with `rpol health --file "

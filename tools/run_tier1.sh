@@ -14,8 +14,9 @@
 # to the scalar Box-Muller in both ISA builds, and the scalar direct conv
 # kernels, Conv2d's only path in that build, must match the im2col + GEMM
 # oracle bit for bit.
-# Shard count needs no pass of its own: runtime_determinism_test pins the
-# sharded pool to the sequential one at several shard counts in every pass.
+# Shard count needs no pass of its own: in every pass, runtime_determinism_test
+# reproduces the pool golden and the streamed-pool result at several shard
+# counts.
 # All passes must be green: the runtime's determinism contract says neither
 # thread count, shard count, tracing, nor the checkpoint-store budget can
 # ever change results, and the fault-injection/fuzz suites push hostile
