@@ -214,12 +214,24 @@ bool CommitmentBuilder::append_slots(std::span<const TrainState> states) {
 }
 
 void CommitmentBuilder::hash_leaf(const TrainState& state, std::size_t index) {
-  acc_.state_hashes[index] = hash_state(state);
-  if (version_ == CommitmentVersion::kV2) {
-    acc_.lsh_digests[index] = hasher_->hash(
-        mask_ != nullptr ? extract_trainable(state.model, *mask_)
-                         : state.model);
+  if (version_ == CommitmentVersion::kV1) {
+    acc_.state_hashes[index] = hash_state(state);
+    return;
   }
+  // A v2 leaf's two digests are independent: the two slices of one
+  // parallel_for, concurrent from add_checkpoint, inline in add_checkpoints.
+  // LSH runs on the caller's slice so its weight copy skips a worker's arena.
+  runtime::parallel_for(0, 2, 1, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t part = lo; part < hi; ++part) {
+      if (part == 0) {
+        acc_.lsh_digests[index] = hasher_->hash(
+            mask_ != nullptr ? extract_trainable(state.model, *mask_)
+                             : state.model);
+      } else {
+        acc_.state_hashes[index] = hash_state(state);
+      }
+    }
+  });
 }
 
 void CommitmentBuilder::add_checkpoint(const TrainState& state) {

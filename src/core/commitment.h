@@ -187,7 +187,9 @@ class CommitmentBuilder {
                              const lsh::PStableLsh* hasher = nullptr,
                              const std::vector<bool>* mask = nullptr);
 
-  // Appends the checkpoint's leaf. The state is not retained.
+  // Appends the checkpoint's leaf. The state is not retained. Called from
+  // outside the compute pool with two or more threads, a v2 leaf's LSH
+  // digest and SHA-256 run at the same time on two of them.
   void add_checkpoint(const TrainState& state);
   // Appends every state's leaf, hashing the states in parallel (one per
   // task); the same bits as add_checkpoint over each in order.
@@ -206,7 +208,10 @@ class CommitmentBuilder {
   Commitment finish() const;
 
  private:
-  // The leaf function: writes the leaf of `state` into slot `index`.
+  // The leaf function: writes the leaf of `state` into slot `index`. A v2
+  // leaf's LSH digest and SHA-256 are the two slices of one parallel_for
+  // (LSH on the calling thread's); nested in a pool worker, as in
+  // add_checkpoints, they run inline one after the other.
   void hash_leaf(const TrainState& state, std::size_t index);
   // Grows the digest lists by one slot per state; false (and no slot) once
   // any state seen so far did not fit the mask.

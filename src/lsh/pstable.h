@@ -59,7 +59,11 @@ class PStableLsh {
 
  private:
   LshConfig config_;
-  std::vector<float> projections_;  // (l*k) x dim, row-major
+  // (l*k) x dim, row-major in the order Rng draws it (row g*k + f is group
+  // g's hash f). buckets() reads 16 rows per pass over x and transposes
+  // them in registers, so building the family never re-lays it out
+  // (DESIGN.md "LSH projections").
+  std::vector<float> projections_;
   std::vector<double> offsets_;     // l*k, uniform in [0, r)
 };
 

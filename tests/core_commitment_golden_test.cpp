@@ -282,32 +282,42 @@ TEST(CommitmentGolden, IndexExceptionBehavior) {
 
 TEST(CommitmentGolden, StreamedBuilderMatchesPinnedRoots) {
   const lsh::PStableLsh hasher = golden_hasher();
-  for (const auto& g : kRootGoldens) {
-    const EpochTrace trace = make_trace(g.n);
+  // At 4 threads add_checkpoint runs each v2 leaf's LSH digest and SHA-256
+  // on two threads at once; at 1 thread they run inline.
+  for (const int threads : {1, 4}) {
+    ThreadGuard guard(threads);
+    for (const auto& g : kRootGoldens) {
+      const EpochTrace trace = make_trace(g.n);
 
-    CommitmentBuilder b1(CommitmentVersion::kV1);
-    CommitmentBuilder b2(CommitmentVersion::kV2, &hasher);
-    for (const auto& ckpt : trace.checkpoints) {
-      b1.add_checkpoint(ckpt);
-      b2.add_checkpoint(ckpt);
+      CommitmentBuilder b1(CommitmentVersion::kV1);
+      CommitmentBuilder b2(CommitmentVersion::kV2, &hasher);
+      for (const auto& ckpt : trace.checkpoints) {
+        b1.add_checkpoint(ckpt);
+        b2.add_checkpoint(ckpt);
+      }
+
+      const Commitment v1 = b1.finish();
+      EXPECT_EQ(digest_to_hex(v1.root), g.v1_root)
+          << "threads=" << threads << " n=" << g.n;
+      const Commitment v2 = b2.finish();
+      EXPECT_EQ(digest_to_hex(v2.root), g.v2_root)
+          << "threads=" << threads << " n=" << g.n;
+
+      // Compact roots of the streamed commitment vs the pinned tree roots.
+      const CompactCommitment c1 = compact_commitment(b1.finish());
+      EXPECT_EQ(digest_to_hex(c1.state_root), g.state_root)
+          << "threads=" << threads << " n=" << g.n;
+      const CompactCommitment c2 = compact_commitment(b2.finish());
+      EXPECT_EQ(digest_to_hex(c2.state_root), g.state_root)
+          << "threads=" << threads << " n=" << g.n;
+      EXPECT_EQ(digest_to_hex(c2.lsh_root), g.lsh_root)
+          << "threads=" << threads << " n=" << g.n;
+
+      EXPECT_EQ(v2.state_hashes.size(), g.n);
+      EXPECT_EQ(v2.lsh_digests.size(), g.n);
+      EXPECT_TRUE(commitment_consistent(v1));
+      EXPECT_TRUE(commitment_consistent(v2));
     }
-
-    const Commitment v1 = b1.finish();
-    EXPECT_EQ(digest_to_hex(v1.root), g.v1_root) << "n=" << g.n;
-    const Commitment v2 = b2.finish();
-    EXPECT_EQ(digest_to_hex(v2.root), g.v2_root) << "n=" << g.n;
-
-    // Compact roots of the streamed commitment vs the pinned tree roots.
-    const CompactCommitment c1 = compact_commitment(b1.finish());
-    EXPECT_EQ(digest_to_hex(c1.state_root), g.state_root) << "n=" << g.n;
-    const CompactCommitment c2 = compact_commitment(b2.finish());
-    EXPECT_EQ(digest_to_hex(c2.state_root), g.state_root) << "n=" << g.n;
-    EXPECT_EQ(digest_to_hex(c2.lsh_root), g.lsh_root) << "n=" << g.n;
-
-    EXPECT_EQ(v2.state_hashes.size(), g.n);
-    EXPECT_EQ(v2.lsh_digests.size(), g.n);
-    EXPECT_TRUE(commitment_consistent(v1));
-    EXPECT_TRUE(commitment_consistent(v2));
   }
 }
 

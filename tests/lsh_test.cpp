@@ -8,10 +8,13 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "crypto/sha256.h"
 #include "lsh/pstable.h"
 #include "lsh/tuning.h"
 #include "tensor/rng.h"
+#include "tensor/serialize.h"
 
 namespace rpol::lsh {
 namespace {
@@ -285,6 +288,45 @@ TEST(PStableLsh, BucketsOutsideInt64RangeAreDefined) {
   for (const auto& group : lsh.buckets({0.0F})) {
     for (const std::int64_t b : group) EXPECT_EQ(b, 0);
   }
+}
+
+TEST(PStableLsh, BucketsGolden) {
+  // Pins buckets() bit for bit over a grid that reaches every path of the
+  // dot-product kernel: 1, 3, 5, 15, 16, 17 and 24 rows (partial groups of
+  // four, one full 16-row block, more than one block), and dims that give
+  // every dim % 8 tail, alone and after whole 8-dim steps. At r = 1e-6 a
+  // bucket moves with the last bits of its dot product, so any change in
+  // summation order shows; the +-1e30 and NaN inputs pin the saturating
+  // buckets. Recorded from the row-at-a-time scalar loop.
+  constexpr std::pair<int, int> kShapes[] = {{1, 1}, {3, 1}, {1, 5}, {5, 3},
+                                             {4, 4}, {17, 1}, {6, 4}};
+  constexpr std::int64_t kDims[] = {1, 3, 4, 7, 8, 10, 13, 14, 4099};
+  Sha256 h;
+  std::uint64_t seed = 0;
+  for (const auto& [k, l] : kShapes) {
+    for (const std::int64_t dim : kDims) {
+      for (const double r : {1e-6, 1.0}) {
+        ++seed;
+        const PStableLsh lsh({{r, k, l}, dim, seed});
+        std::vector<float> huge(static_cast<std::size_t>(dim));
+        for (std::size_t i = 0; i < huge.size(); ++i) {
+          huge[i] = i % 2 == 0 ? 1e30F : -1e30F;
+        }
+        std::vector<float> nan = random_vec(dim, seed + 1000);
+        nan[nan.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+        for (const auto& x : {random_vec(dim, seed + 2000),
+                              random_vec(dim, seed + 3000), huge, nan}) {
+          Bytes encoded;
+          for (const auto& group : lsh.buckets(x)) {
+            for (const std::int64_t b : group) append_i64(encoded, b);
+          }
+          h.update(encoded);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest_to_hex(h.finish()),
+            "7dc8383e26a9f3e82d49449092738335607a8d398e044a9227e406a105fc56ee");
 }
 
 TEST(PStableLsh, EmpiricalMatchRateTracksAnalytic) {

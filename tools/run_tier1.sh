@@ -10,10 +10,12 @@
 # then (5) and (6) under AddressSanitizer and UndefinedBehaviorSanitizer in
 # separate build trees. The main build is
 # strict (-DRPOL_WERROR=ON), and an RPOL_SIMD=OFF tree builds tensor_test,
-# sim_test and nn_layers_test: their golden digests pin every normal variate
-# to the scalar Box-Muller in both ISA builds, and the scalar direct conv
-# kernels, Conv2d's only path in that build, must match the im2col + GEMM
-# oracle bit for bit.
+# sim_test, nn_layers_test, lsh_test and core_commitment_golden_test: their
+# golden digests pin every normal variate to the scalar Box-Muller in both
+# ISA builds, the scalar direct conv kernels, Conv2d's only path in that
+# build, must match the im2col + GEMM oracle bit for bit, and the scalar
+# LSH projection loop must reproduce the buckets and commitment roots the
+# 16-row AVX2 kernel gives.
 # Shard count needs no pass of its own: in every pass, runtime_determinism_test
 # reproduces the pool golden and the streamed-pool result at several shard
 # counts.
@@ -50,14 +52,16 @@ echo "    wrong-size workers)"
   -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_verdict_golden_test|core_judge_test' \
   -j "$(nproc)")
 
-echo "==> tier-1 scalar kernels: RPOL_SIMD=OFF build (scalar Box-Muller and"
-echo "    direct conv only) must reproduce the golden normal-variate digests"
-echo "    and match the im2col + GEMM oracle"
+echo "==> tier-1 scalar kernels: RPOL_SIMD=OFF build (scalar Box-Muller,"
+echo "    direct conv and LSH projections only) must reproduce the golden"
+echo "    normal-variate, LSH bucket and commitment digests and match the"
+echo "    im2col + GEMM oracle"
 cmake -B "${BUILD_DIR}-nosimd" -S . -DRPOL_SIMD=OFF
 cmake --build "${BUILD_DIR}-nosimd" -j "$(nproc)" \
-  --target tensor_test sim_test nn_layers_test
+  --target tensor_test sim_test nn_layers_test lsh_test \
+  core_commitment_golden_test
 (cd "${BUILD_DIR}-nosimd" && ctest --output-on-failure \
-  -R '^(tensor_test|sim_test|nn_layers_test)$')
+  -R '^(tensor_test|sim_test|nn_layers_test|lsh_test|core_commitment_golden_test)$')
 
 # Advisory regression check against the committed benchmark baseline: the
 # cost-model rows are deterministic, so only genuine protocol-cost changes
