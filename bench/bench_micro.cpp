@@ -1002,33 +1002,54 @@ void BM_ConvGemm_ResNet18_conv2(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvGemm_ResNet18_conv2);
 
+constexpr const char* kUsage =
+    "usage: bench_micro [MODE] [--benchmark_...]\n"
+    "  (no mode)       every harness, then the google-benchmark suites\n"
+    "  --crypto-only   crypto/commitment harness only\n"
+    "  --layout-only   blocked-layout conv harness only\n"
+    "  --stream-only   streaming checkpoint harness only\n"
+    "  --help          print this and exit\n"
+    "Other arguments go to google-benchmark (--benchmark_filter=...).\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --crypto-only / --layout-only / --stream-only: run just that harness
-  // (the tier-1
-  // advisory bench-diff runs these; the kernel harness + google-benchmark
-  // suite take much longer).
+  // Every argument is checked before a harness runs, so --help or a typo
+  // exits at once and writes no BENCH_*.json. The --*-only modes run one
+  // harness (the tier-1 advisory bench-diff runs these; the kernel harness
+  // + google-benchmark suite take much longer).
+  void (*only)() = nullptr;
+  std::vector<char*> rest{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--crypto-only") {
-      run_crypto_harness();
+    const std::string arg = argv[i];
+    if (arg == "--help") {
+      std::fputs(kUsage, stdout);
       return 0;
     }
-    if (std::string(argv[i]) == "--layout-only") {
-      run_layout_harness();
-      return 0;
+    void (*mode)() = arg == "--crypto-only"   ? run_crypto_harness
+                     : arg == "--layout-only" ? run_layout_harness
+                     : arg == "--stream-only" ? run_stream_harness
+                                              : nullptr;
+    if (mode == nullptr) {
+      rest.push_back(argv[i]);
+    } else if (only == nullptr) {
+      only = mode;  // the first mode wins
     }
-    if (std::string(argv[i]) == "--stream-only") {
-      run_stream_harness();
-      return 0;
-    }
+  }
+  int rest_argc = static_cast<int>(rest.size());
+  benchmark::Initialize(&rest_argc, rest.data());
+  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
+    std::fputs(kUsage, stderr);
+    return 1;
+  }
+  if (only != nullptr) {
+    only();
+    return 0;
   }
   run_kernel_harness();
   run_layout_harness();
   run_crypto_harness();
   run_stream_harness();
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -223,10 +223,11 @@ void CommitmentBuilder::hash_leaf(const TrainState& state, std::size_t index) {
   // LSH runs on the caller's slice so its weight copy skips a worker's arena.
   runtime::parallel_for(0, 2, 1, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t part = lo; part < hi; ++part) {
-      if (part == 0) {
-        acc_.lsh_digests[index] = hasher_->hash(
-            mask_ != nullptr ? extract_trainable(state.model, *mask_)
-                             : state.model);
+      if (part == 0 && mask_ == nullptr) {
+        acc_.lsh_digests[index] = hasher_->hash(state.model);  // in place
+      } else if (part == 0) {
+        acc_.lsh_digests[index] =
+            hasher_->hash(extract_trainable(state.model, *mask_));
       } else {
         acc_.state_hashes[index] = hash_state(state);
       }

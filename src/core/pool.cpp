@@ -104,7 +104,6 @@ MiningPool::MiningPool(PoolConfig config, nn::ModelFactory factory,
 std::unique_ptr<Verifier> MiningPool::make_verifier() const {
   VerifierConfig vcfg;
   vcfg.samples_q = config_.samples_q;
-  vcfg.use_lsh = config_.scheme == Scheme::kRPoLv2;
   vcfg.sampling_seed = derive_seed(config_.seed, 0x5A3B1E);
   return std::make_unique<Verifier>(factory_, config_.hp, vcfg);
 }
@@ -113,18 +112,22 @@ void MiningPool::configure_epoch_verifier(EpochWorkspace& ws,
                                           Verifier& verifier) const {
   if (!ws.needs_rpol) return;
   verifier.set_beta(ws.beta);
-  if (ws.lsh_config.has_value()) verifier.set_lsh_config(*ws.lsh_config);
+  verifier.set_lsh_family(ws.lsh_family ? &*ws.lsh_family : nullptr);
 }
 
 TrainState MiningPool::initial_state() const {
   return {global_model_, fresh_optimizer_};
 }
 
-std::uint64_t MiningPool::worker_nonce(std::int64_t epoch,
-                                       std::size_t worker) const {
-  return derive_seed(config_.seed,
-                     0xA0000000ULL + static_cast<std::uint64_t>(epoch) * 4096ULL +
-                         static_cast<std::uint64_t>(worker));
+EpochContext MiningPool::worker_context(std::int64_t epoch,
+                                        std::size_t w) const {
+  EpochContext ctx;
+  ctx.epoch = epoch;
+  ctx.nonce = derive_seed(config_.seed,
+                          0xA0000000ULL +
+                              static_cast<std::uint64_t>(epoch) * 4096ULL + w);
+  ctx.dataset = &partitions_[w + 1];
+  return ctx;
 }
 
 std::pair<sim::DeviceProfile, sim::DeviceProfile> MiningPool::top_two_devices()
@@ -240,7 +243,7 @@ std::unique_ptr<EpochWorkspace> MiningPool::prepare_epoch(std::int64_t epoch) {
     }
   }
   if (config_.scheme == Scheme::kRPoLv2) {
-    ws->worker_hasher.emplace(*ws->lsh_config);
+    ws->lsh_family.emplace(*ws->lsh_config);
   }
   ws->trainable_mask = &manager_executor_.trainable_mask();
   ws->verify_device = top_two_devices().first;
@@ -258,16 +261,9 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
     return;
   }
   slot.start_ns = obs::now_ns();
-  EpochContext ctx;
-  ctx.epoch = ws.epoch;
-  ctx.nonce = worker_nonce(ws.epoch, w);
+  // The worker's C_0 copy lives only while it trains.
+  EpochContext ctx = worker_context(ws.epoch, w);
   ctx.initial = ws.initial;
-  ctx.dataset = &partitions_[w + 1];
-  slot.context = ctx;
-  // Each context keeps its own copy of the initial state until the
-  // epoch's verification phase is done.
-  slot.mem_checkpoint += ctx.initial.byte_size();
-  obs::mem_add(obs::MemTag::kCheckpoint, ctx.initial.byte_size());
 
   // Global model out to the worker.
   if (!deliver_leg(ws, w, kLegState, "bytes.state", ws.model_bytes,
@@ -287,7 +283,7 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
   const bool v2 = config_.scheme == Scheme::kRPoLv2;
   CommitmentBuilder builder(
       v2 ? CommitmentVersion::kV2 : CommitmentVersion::kV1,
-      v2 ? &*ws.worker_hasher : nullptr, v2 ? ws.trainable_mask : nullptr);
+      v2 ? &*ws.lsh_family : nullptr, v2 ? ws.trainable_mask : nullptr);
   if (config_.streaming) {
     // Train + commit fused: the sink hashes each checkpoint into the
     // builder and spills it the moment it exists, so worker residency
@@ -367,15 +363,15 @@ void MiningPool::verify_worker(EpochWorkspace& ws, std::size_t w,
   // Sampled checkpoints are fetched through the worker's custody; the
   // verdicts are bitwise the same from either kind (§6).
   const Custody custody = custody_of(slot);
+  const EpochContext ctx = worker_context(ws.epoch, w);
   const VerifyResult vr =
       config_.compact_commitments
           ? verifier.verify_compact(*slot.compact, slot.commitment,
-                                    custody.source, custody.step_of,
-                                    slot.context, ws.initial_hash,
-                                    manager_device, s.context())
+                                    custody.source, custody.step_of, ctx,
+                                    ws.initial_hash, manager_device,
+                                    s.context())
           : verifier.verify(slot.commitment, custody.source, custody.step_of,
-                            slot.context, ws.initial_hash, manager_device,
-                            s.context());
+                            ctx, ws.initial_hash, manager_device, s.context());
   s.attr("accepted", vr.accepted);
   s.attr("double_checks", vr.double_checks);
   s.attr("lsh_mismatches", vr.lsh_mismatches);

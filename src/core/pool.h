@@ -165,11 +165,15 @@ struct PoolRunReport {
 // (core/sharded_pool.h) drives the per-worker phases from shard threads,
 // which is why the layout is strictly split into
 //
-//   * shared, read-only-after-prepare fields (initial state, calibration
-//     snapshot, LSH config/hasher), and
+//   * shared, read-only-after-prepare fields (C_0 and its hash, calibration
+//     snapshot, LSH config and the epoch's one LSH family), and
 //   * one WorkerSlot per worker, touched only by phases for THAT worker —
 //     slots of distinct workers never share mutable state, so phases for
 //     different workers may run concurrently.
+//
+// The workspace alone holds the epoch's verification inputs: workers commit
+// with its family and each shard verifier borrows it, so a verifier must be
+// re-pointed (configure_epoch_verifier) before each epoch's verify_worker.
 //
 // All cross-worker mutation (network counters, report totals, health
 // records, aggregation) is deferred to finish_epoch, which merges slots in
@@ -181,20 +185,19 @@ struct EpochWorkspace {
 
   // Shared protocol inputs, written by prepare_epoch only.
   TrainState initial;
-  Digest initial_hash{};
+  Digest initial_hash{};  // binds every worker's C_0 at verification
   std::uint64_t model_bytes = 0;
   double alpha = 0.0;
   double beta = 0.0;
   lsh::LshParams lsh_params;
-  std::optional<lsh::LshConfig> lsh_config;
-  std::optional<lsh::PStableLsh> worker_hasher;
+  std::optional<lsh::LshConfig> lsh_config;   // RPoLv2 only
+  std::optional<lsh::PStableLsh> lsh_family;  // built from lsh_config
   const std::vector<bool>* trainable_mask = nullptr;
   sim::DeviceProfile verify_device;  // the pool's top device profile
 
   struct WorkerSlot {
-    // Protocol artifacts.
+    // Protocol artifacts (no C_0: verification binds it by initial_hash).
     std::optional<fault::FaultInjector> injector;
-    EpochContext context;
     EpochTrace trace;
     StreamedEpoch streamed;
     Commitment commitment;
@@ -274,10 +277,11 @@ class MiningPool {
 
   // A fresh verifier configured for this pool (same sampling seed for
   // every instance) — one per shard, so shard threads never share verifier
-  // state.
+  // state. It holds no LSH family until configure_epoch_verifier.
   std::unique_ptr<Verifier> make_verifier() const;
-  // Applies the workspace's calibration snapshot (beta, LSH config) to a
-  // verifier; run once per epoch per shard verifier before verify_worker.
+  // Applies the workspace's calibration snapshot (beta, and a pointer to its
+  // LSH family that is valid while `ws` lives) to a verifier; run once per
+  // epoch per shard verifier before verify_worker.
   void configure_epoch_verifier(EpochWorkspace& ws, Verifier& verifier) const;
 
   std::size_t num_workers() const { return workers_.size(); }
@@ -325,7 +329,8 @@ class MiningPool {
   obs::MemScope state_mem_{obs::MemTag::kCheckpoint};
 
   TrainState initial_state() const;
-  std::uint64_t worker_nonce(std::int64_t epoch, std::size_t worker) const;
+  // Worker w's task for `epoch` without C_0: its nonce N_t^w and data part.
+  EpochContext worker_context(std::int64_t epoch, std::size_t w) const;
   // Top-2 device profiles among the pool's registered workers.
   std::pair<sim::DeviceProfile, sim::DeviceProfile> top_two_devices() const;
   // One protocol leg for worker w under the fault environment: retries up

@@ -169,27 +169,14 @@ TransitionCheck judge_transition(
 
 namespace {
 
-// The configured LSH family, rebuilt in `cache` when the config changed.
-const lsh::PStableLsh& lsh_family(std::optional<lsh::PStableLsh>& cache,
-                                  const VerifierConfig& config) {
-  if (!config.lsh_config.has_value()) {
-    throw std::logic_error("RPoLv2 verification requires an LSH config");
-  }
-  if (!cache.has_value() || !(cache->config() == *config.lsh_config)) {
-    cache.emplace(*config.lsh_config);
-  }
-  return *cache;
-}
-
 // The sampled loop of both Verifier entry points: judges every sample. `open`
 // yields transition j's committed hashes and v2 LSH digest, or nullopt when
 // the opening fails; it may charge proof bytes.
 VerifyResult verify_samples(
     VerifyResult result, const VerifierConfig& config, StepExecutor& executor,
-    std::optional<lsh::PStableLsh>& hasher, const Digest& sampling_key,
-    const CheckpointSource& source, const std::vector<std::int64_t>& step_of,
-    const EpochContext& context, sim::DeviceExecution& device,
-    const obs::TraceContext& trace_parent,
+    const Digest& sampling_key, const CheckpointSource& source,
+    const std::vector<std::int64_t>& step_of, const EpochContext& context,
+    sim::DeviceExecution& device, const obs::TraceContext& trace_parent,
     const std::function<std::optional<TransitionProof>(std::int64_t,
                                                        VerifyResult&)>& open) {
   const auto samples =
@@ -225,10 +212,10 @@ VerifyResult verify_samples(
     if (bound) {
       // The claimed C_{j+1} is fetched on demand only: always for RPoLv1,
       // on an LSH miss (the double-check) for RPoLv2.
+      const lsh::PStableLsh* family = config.lsh_family;  // null for v1
       check = judge_transition(
-          j, replay, config.use_lsh ? &opened->out_lsh : nullptr,
-          config.use_lsh ? &lsh_family(hasher, config) : nullptr, config.beta,
-          mask, [&]() -> std::optional<TrainState> {
+          j, replay, family != nullptr ? &opened->out_lsh : nullptr, family,
+          config.beta, mask, [&]() -> std::optional<TrainState> {
             TrainState claimed = source.fetch(j + 1);
             result.proof_bytes += claimed.byte_size();
             if (!digest_equal(hash_state(claimed), opened->out_hash)) {
@@ -263,7 +250,7 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       sim::DeviceExecution& device,
                                       const obs::TraceContext& trace_parent) {
   if (!commitment_fits_task(compact.version, compact.num_checkpoints,
-                            config_.use_lsh, hp_) ||
+                            config_.lsh_family != nullptr, hp_) ||
       compact.num_checkpoints != source.num_checkpoints() ||
       compact.version != full.version ||
       step_of != hp_.checkpoint_boundaries()) {
@@ -289,7 +276,7 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
 
   // Transition j opens through membership proofs generated worker-side.
   return verify_samples(
-      std::move(result), config_, executor_, hasher_,
+      std::move(result), config_, executor_,
       compact_commitment_binding(compact), source, step_of, context, device,
       trace_parent,
       [&](std::int64_t j, VerifyResult& r) -> std::optional<TransitionProof> {
@@ -312,8 +299,8 @@ VerifyResult Verifier::verify(const Commitment& commitment,
   // intervals, wrong counts) are rejected outright.
   const auto checkpoints =
       static_cast<std::int64_t>(commitment.state_hashes.size());
-  if (!commitment_fits_task(commitment.version, checkpoints, config_.use_lsh,
-                            hp_) ||
+  if (!commitment_fits_task(commitment.version, checkpoints,
+                            config_.lsh_family != nullptr, hp_) ||
       checkpoints != source.num_checkpoints() ||
       step_of != hp_.checkpoint_boundaries() ||
       !commitment_consistent(commitment)) {
@@ -327,14 +314,14 @@ VerifyResult Verifier::verify(const Commitment& commitment,
 
   // Transition j opens straight from the committed lists.
   return verify_samples(
-      {}, config_, executor_, hasher_, commitment.root, source, step_of,
-      context, device, trace_parent,
+      {}, config_, executor_, commitment.root, source, step_of, context,
+      device, trace_parent,
       [&](std::int64_t j, VerifyResult&) -> std::optional<TransitionProof> {
         TransitionProof opened;
         opened.in_hash = commitment.state_hashes[static_cast<std::size_t>(j)];
         opened.out_hash =
             commitment.state_hashes[static_cast<std::size_t>(j + 1)];
-        if (config_.use_lsh) {
+        if (config_.lsh_family != nullptr) {
           opened.out_lsh =
               commitment.lsh_digests[static_cast<std::size_t>(j + 1)];
         }

@@ -35,8 +35,9 @@ namespace rpol::core {
 struct VerifierConfig {
   std::int64_t samples_q = 3;         // Sec. VII-A default
   double beta = 0.1;                  // distance threshold for dissimilarity
-  bool use_lsh = false;               // false => RPoLv1, true => RPoLv2
-  std::optional<lsh::LshConfig> lsh_config;  // required when use_lsh
+  // Borrowed LSH family: null => RPoLv1. A pool's family lives in its
+  // EpochWorkspace; re-point the verifier before each epoch's verify_worker.
+  const lsh::PStableLsh* lsh_family = nullptr;
   std::uint64_t sampling_seed = 42;   // manager secret entropy
 };
 
@@ -118,6 +119,9 @@ TransitionCheck judge_transition(
     double beta, const std::vector<bool>& mask,
     const std::function<std::optional<TrainState>()>& fetch_claimed);
 
+// Owns its re-execution executor only. Shard verifiers borrow the one LSH
+// family of their pool's workspace (VerifierConfig::lsh_family), re-pointed
+// before each epoch's verify_worker.
 class Verifier {
  public:
   // `factory`/`hp` must match the task distributed to workers; `device` is
@@ -127,7 +131,7 @@ class Verifier {
 
   const VerifierConfig& config() const { return config_; }
   void set_beta(double beta) { config_.beta = beta; }
-  void set_lsh_config(const lsh::LshConfig& cfg) { config_.lsh_config = cfg; }
+  void set_lsh_family(const lsh::PStableLsh* f) { config_.lsh_family = f; }
 
   // Verifies one worker epoch. `source` plays the worker-side proof store
   // the manager requests samples from — the in-memory EpochTrace or a
@@ -135,11 +139,11 @@ class Verifier {
   // and is fetched one checkpoint at a time, so the manager holds only the
   // sampled states it is re-executing; only the fetched checkpoints count
   // toward proof_bytes. `step_of` holds the checkpoint boundaries the
-  // worker claims. `expected_initial_hash` is the hash of the state the
-  // manager handed out at epoch start. `trace_parent` (observability only)
-  // parents the verifier's re-execution spans under the caller's verify
-  // span so they join the epoch's causal tree; the default roots them
-  // standalone.
+  // worker claims. `expected_initial_hash`, the hash of the state the
+  // manager handed out at epoch start, binds C_0; of `context` only the
+  // nonce and dataset are read. `trace_parent` (observability only) parents
+  // the verifier's re-execution spans under the caller's verify span so they
+  // join the epoch's causal tree; the default roots them standalone.
   VerifyResult verify(const Commitment& commitment,
                       const CheckpointSource& source,
                       const std::vector<std::int64_t>& step_of,
@@ -185,7 +189,6 @@ class Verifier {
   Hyperparams hp_;
   VerifierConfig config_;
   StepExecutor executor_;
-  std::optional<lsh::PStableLsh> hasher_;  // rebuilt when lsh_config changes
 };
 
 }  // namespace rpol::core

@@ -94,7 +94,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   }
   Tensor dx = layout::conv2d_direct_backward_data(
       grad_output, pack.transposed, spec_, cached_input_shape_);
-  cached_input_blocked_.clear_keep_capacity();
+  // Released, not kept: the next forward allocates a fresh blocked input.
+  cached_input_blocked_ = Tensor();
   account_scratch();
   return dx;
 }

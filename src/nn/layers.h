@@ -38,13 +38,13 @@ class Conv2d : public Layer {
   Param bias_;
   bool has_bias_;
   std::string name_;
-  // Forward cache of the blocked input; backward empties it.
+  // Forward cache of the blocked input; backward releases it.
   Tensor cached_input_blocked_;
   Shape cached_input_shape_;
   // Packed weight forms, rebuilt only when weight_.version changes.
   PackCache<layout::ConvWeightPack> pack_cache_;
-  // Charges the retained capacity of the forward cache to the "scratch"
-  // memory tag (obs/mem.h); refreshed after forward/backward.
+  // Charges the forward cache's capacity to the "scratch" memory tag
+  // (obs/mem.h): 0 between a backward and the next forward.
   obs::MemScope scratch_mem_{obs::MemTag::kScratch};
 
   const layout::ConvWeightPack& weight_pack();

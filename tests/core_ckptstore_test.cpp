@@ -328,7 +328,6 @@ TEST_F(StreamFixture, SourceVerifyMatchesTraceVerify) {
   VerifierConfig vcfg;
   vcfg.samples_q = 3;
   vcfg.beta = 0.5;
-  vcfg.use_lsh = false;
   Verifier verifier(task.factory, task.hp, vcfg);
 
   sim::DeviceExecution dev_a(sim::device_g3090(), 1234);

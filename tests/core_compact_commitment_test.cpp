@@ -127,8 +127,7 @@ struct CompactVerifierFixture : public CompactFixture {
     VerifierConfig cfg;
     cfg.samples_q = 3;
     cfg.beta = 2e-3;
-    cfg.use_lsh = use_lsh;
-    if (use_lsh) cfg.lsh_config = hasher->config();
+    if (use_lsh) cfg.lsh_family = hasher.get();  // the family full_v2 used
     Verifier verifier(task.factory, task.hp, cfg);
     sim::DeviceExecution manager_device(sim::device_g3090(), 321);
     return verifier.verify_compact(compact_commitment(full), full, tr, context,
@@ -174,7 +173,6 @@ TEST_F(CompactVerifierFixture, VersionMismatchRejected) {
   VerifierConfig cfg;
   cfg.samples_q = 3;
   cfg.beta = 2e-3;
-  cfg.use_lsh = false;
   Verifier verifier(task.factory, task.hp, cfg);
   sim::DeviceExecution manager_device(sim::device_g3090(), 88);
   // A v2 compact commitment fed to a v1-configured verifier is rejected.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "core/session.h"
 #include "task_fixture.h"
@@ -59,6 +60,7 @@ struct JudgeFixture : public ::testing::Test {
     lsh_config.dim = static_cast<std::int64_t>(
         extract_trainable(context.initial.model, mask).size());
     lsh_config.seed = 44;
+    family.emplace(lsh_config);
   }
 
   EpochTrace produce(WorkerPolicy& policy) const {
@@ -67,13 +69,13 @@ struct JudgeFixture : public ::testing::Test {
     return policy.produce_trace(exec, context, device);
   }
 
+  // An RPoLv2 verifier borrows `family`, the one the commitments use.
   Verifier verifier(bool use_lsh, std::uint64_t sampling_seed) const {
     VerifierConfig cfg;
     cfg.samples_q = 2;
     cfg.beta = kBeta;
-    cfg.use_lsh = use_lsh;
     cfg.sampling_seed = sampling_seed;
-    if (use_lsh) cfg.lsh_config = lsh_config;
+    if (use_lsh) cfg.lsh_family = &*family;
     return Verifier(task.factory, task.hp, cfg);
   }
 
@@ -82,6 +84,7 @@ struct JudgeFixture : public ::testing::Test {
   EpochContext context;
   std::vector<bool> mask;
   lsh::LshConfig lsh_config;
+  std::optional<lsh::PStableLsh> family;  // built from lsh_config
 };
 
 // ---------------------------------------------------------------------------
@@ -91,7 +94,7 @@ TEST_F(JudgeFixture, NanChainRejectedByVerifyForEverySamplingSeed) {
   NanPolicy nan;
   const EpochTrace trace = produce(nan);
   const Digest initial_hash = hash_state(context.initial);
-  const lsh::PStableLsh hasher(lsh_config);
+  const lsh::PStableLsh& hasher = *family;
   for (const bool use_lsh : {false, true}) {
     const Commitment full =
         use_lsh ? commit_v2(trace, hasher, &mask) : commit_v1(trace);
@@ -369,7 +372,7 @@ TEST_F(JudgeFixture, V1CommitmentToLshVerifierIsMalformed) {
 TEST_F(JudgeFixture, ChainOfWrongLengthIsMalformed) {
   HonestPolicy honest;
   const EpochTrace trace = produce(honest);
-  const lsh::PStableLsh hasher(lsh_config);
+  const lsh::PStableLsh& hasher = *family;
 
   EpochTrace shorter = trace;
   shorter.checkpoints.pop_back();
@@ -411,7 +414,7 @@ TEST_F(JudgeFixture, PreCheckRejectsWrongVersionAndLength) {
 TEST_F(JudgeFixture, NonFiniteReplayFailsBeforeHashingOrFetching) {
   TrainState replay = context.initial;
   replay.model[0] = std::numeric_limits<float>::infinity();
-  const lsh::PStableLsh hasher(lsh_config);
+  const lsh::PStableLsh& hasher = *family;
   const lsh::LshDigest committed =
       hasher.hash(extract_trainable(context.initial.model, mask));
   int fetches = 0;
@@ -440,7 +443,7 @@ TEST_F(JudgeFixture, NonFiniteClaimedStateFailsTheDistanceTest) {
 }
 
 TEST_F(JudgeFixture, RuleOrderForFiniteStates) {
-  const lsh::PStableLsh hasher(lsh_config);
+  const lsh::PStableLsh& hasher = *family;
   const TrainState& replay = context.initial;
   TrainState far = replay;
   for (float& w : far.model) w += 1.0F;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/verifier.h"
 #include "data/partition.h"
 #include "task_fixture.h"
@@ -229,18 +231,20 @@ TEST(Sampling, CoversAllTransitionsAcrossRoots) {
 // Verifier
 
 struct VerifierFixture : public ProtocolFixture {
+  void SetUp() override {
+    ProtocolFixture::SetUp();
+    lsh::LshConfig lcfg;
+    lcfg.params = lsh::optimize_lsh(beta_ / 5.0, beta_, 16).params;
+    lcfg.dim = static_cast<std::int64_t>(context.initial.model.size());
+    lcfg.seed = 31;
+    family_.emplace(lcfg);
+  }
+
   VerifierConfig base_config(bool use_lsh) {
     VerifierConfig cfg;
     cfg.samples_q = 3;
     cfg.beta = beta_;
-    cfg.use_lsh = use_lsh;
-    if (use_lsh) {
-      lsh::LshConfig lcfg;
-      lcfg.params = lsh::optimize_lsh(beta_ / 5.0, beta_, 16).params;
-      lcfg.dim = static_cast<std::int64_t>(context.initial.model.size());
-      lcfg.seed = 31;
-      cfg.lsh_config = lcfg;
-    }
+    if (use_lsh) cfg.lsh_family = &*family_;
     return cfg;
   }
 
@@ -252,13 +256,13 @@ struct VerifierFixture : public ProtocolFixture {
                            hash_state(context.initial), manager_device);
   }
 
-  lsh::PStableLsh worker_hasher() {
-    return lsh::PStableLsh(*base_config(true).lsh_config);
-  }
+  // The family the workers commit with; RPoLv2 verifiers borrow it.
+  const lsh::PStableLsh& worker_hasher() const { return *family_; }
 
   // beta sized for this tiny task: large enough for device noise, far below
   // real update magnitudes (which are ~1e-1 here).
   double beta_ = 2e-3;
+  std::optional<lsh::PStableLsh> family_;
 };
 
 TEST_F(VerifierFixture, HonestWorkerAcceptedV1) {
@@ -277,7 +281,7 @@ TEST_F(VerifierFixture, HonestWorkerAcceptedV1) {
 
 TEST_F(VerifierFixture, HonestWorkerAcceptedV2) {
   const EpochTrace trace = honest_trace();
-  const auto hasher = worker_hasher();
+  const lsh::PStableLsh& hasher = worker_hasher();
   const VerifyResult r = run_verify(trace, commit_v2(trace, hasher), /*lsh=*/true);
   EXPECT_TRUE(r.accepted);
   // Double-check may fire occasionally (LSH is probabilistic), but honest
@@ -286,7 +290,7 @@ TEST_F(VerifierFixture, HonestWorkerAcceptedV2) {
 
 TEST_F(VerifierFixture, V2TransfersFewerProofBytesThanV1) {
   const EpochTrace trace = honest_trace();
-  const auto hasher = worker_hasher();
+  const lsh::PStableLsh& hasher = worker_hasher();
   const VerifyResult v1 = run_verify(trace, commit_v1(trace), false);
   const VerifyResult v2 = run_verify(trace, commit_v2(trace, hasher), true);
   ASSERT_TRUE(v1.accepted);
@@ -307,7 +311,7 @@ TEST_F(VerifierFixture, ReplayAttackerRejectedBothVersions) {
   ReplayPolicy replay;
   const EpochTrace trace = replay.produce_trace(exec, context, device);
   EXPECT_FALSE(run_verify(trace, commit_v1(trace), false).accepted);
-  const auto hasher = worker_hasher();
+  const lsh::PStableLsh& hasher = worker_hasher();
   EXPECT_FALSE(run_verify(trace, commit_v2(trace, hasher), true).accepted);
 }
 
@@ -318,7 +322,7 @@ TEST_F(VerifierFixture, FullSpoofRejected) {
   const EpochTrace trace = spoof.produce_trace(exec, context, device);
   const VerifyResult v1 = run_verify(trace, commit_v1(trace), false);
   EXPECT_FALSE(v1.accepted);
-  const auto hasher = worker_hasher();
+  const lsh::PStableLsh& hasher = worker_hasher();
   const VerifyResult v2 = run_verify(trace, commit_v2(trace, hasher), true);
   EXPECT_FALSE(v2.accepted);
   // Spoofed transitions fail by distance, not by hash mismatch: the

@@ -102,6 +102,30 @@ TEST_F(ShardedFixture, ShardRangesPartitionWorkersContiguously) {
 }
 
 // ---------------------------------------------------------------------------
+// One LSH family per epoch
+
+TEST_F(ShardedFixture, ShardVerifiersBorrowTheWorkspaceFamily) {
+  for (const Scheme scheme : {Scheme::kRPoLv2, Scheme::kRPoLv1}) {
+    ShardedPoolConfig cfg = config(/*shards=*/2, /*epochs=*/1);
+    cfg.base.scheme = scheme;
+    ShardedPool pool = make_pool(std::move(cfg));
+    MiningPool& mp = pool.pool();
+    const std::unique_ptr<EpochWorkspace> ws = mp.prepare_epoch(0);
+    ASSERT_EQ(ws->lsh_family.has_value(), scheme == Scheme::kRPoLv2);
+    const lsh::PStableLsh* family =
+        ws->lsh_family ? &*ws->lsh_family : nullptr;
+    for (int s = 0; s < 2; ++s) {
+      const std::unique_ptr<Verifier> verifier = mp.make_verifier();
+      EXPECT_EQ(verifier->config().lsh_family, nullptr);
+      mp.configure_epoch_verifier(*ws, *verifier);
+      // Pointer equality: no verifier holds a copy of the family.
+      EXPECT_EQ(verifier->config().lsh_family, family)
+          << scheme_name(scheme) << " verifier " << s;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Admission control
 
 TEST_F(ShardedFixture, UnboundedQueueAdmitsEveryoneWithoutRequeues) {

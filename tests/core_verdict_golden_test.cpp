@@ -134,14 +134,14 @@ struct VerdictGoldenFixture : public ::testing::Test {
     return policy.produce_trace(exec, context, device);
   }
 
-  VerifierConfig verifier_config(bool use_lsh, bool tight,
+  // RPoLv2 when `family` is set: the verifier borrows the commitment's.
+  VerifierConfig verifier_config(const lsh::PStableLsh* family,
                                  std::uint64_t sampling_seed) const {
     VerifierConfig cfg;
     cfg.samples_q = 2;
     cfg.beta = kBeta;
-    cfg.use_lsh = use_lsh;
+    cfg.lsh_family = family;
     cfg.sampling_seed = sampling_seed;
-    if (use_lsh) cfg.lsh_config = lsh_config(tight);
     return cfg;
   }
 
@@ -204,8 +204,9 @@ TEST_F(VerdictGoldenFixture, VerifierResultsMatchGoldens) {
 
       for (const std::uint64_t sampling_seed : {42ULL, 7ULL}) {
         const auto run = [&](Transcript& t, bool from_store) {
-          Verifier verifier(task.factory, task.hp,
-                            verifier_config(g.use_lsh, g.tight, sampling_seed));
+          Verifier verifier(
+              task.factory, task.hp,
+              verifier_config(g.use_lsh ? &hasher : nullptr, sampling_seed));
           sim::DeviceExecution manager(sim::device_g3090(), 1234);
           VerifyResult r;
           if (g.compact && from_store) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/verifier.h"
 #include "task_fixture.h"
 
@@ -39,27 +41,25 @@ class VerifierSweep : public ::testing::TestWithParam<SweepCase> {
     VerifierConfig cfg;
     cfg.samples_q = 4;
     cfg.beta = beta_for(GetParam().optimizer);
-    cfg.use_lsh = GetParam().scheme == Scheme::kRPoLv2;
-    lsh::LshConfig lcfg;
-    if (cfg.use_lsh) {
-      lcfg.params = lsh::optimize_lsh(cfg.beta / 5.0, cfg.beta, 16).params;
+    // One family, shared by the commitment and the verifier.
+    std::optional<lsh::PStableLsh> family;
+    Commitment commitment;
+    if (GetParam().scheme == Scheme::kRPoLv2) {
       StepExecutor probe(task.factory, task.hp);
+      lsh::LshConfig lcfg;
+      lcfg.params = lsh::optimize_lsh(cfg.beta / 5.0, cfg.beta, 16).params;
       lcfg.dim = static_cast<std::int64_t>(
           extract_trainable(context.initial.model, probe.trainable_mask())
               .size());
       lcfg.seed = 71;
-      cfg.lsh_config = lcfg;
-    }
-    Verifier verifier(task.factory, task.hp, cfg);
-    sim::DeviceExecution manager_device(sim::device_g3090(), 888);
-    Commitment commitment;
-    if (cfg.use_lsh) {
-      const lsh::PStableLsh hasher(*cfg.lsh_config);
-      StepExecutor probe(task.factory, task.hp);
-      commitment = commit_v2(trace, hasher, &probe.trainable_mask());
+      family.emplace(lcfg);
+      cfg.lsh_family = &*family;
+      commitment = commit_v2(trace, *family, &probe.trainable_mask());
     } else {
       commitment = commit_v1(trace);
     }
+    Verifier verifier(task.factory, task.hp, cfg);
+    sim::DeviceExecution manager_device(sim::device_g3090(), 888);
     return verifier.verify(commitment, trace, context,
                            hash_state(context.initial), manager_device);
   }

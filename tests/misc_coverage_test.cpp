@@ -107,7 +107,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, AmLayerShapes,
                                            std::pair{3L, 3L}, std::pair{4L, 5L}));
 
 // ---------------------------------------------------------------------------
-// Verifier reconfiguration (adaptive per-epoch LSH updates)
+// Verifier reconfiguration (adaptive per-epoch LSH families, borrowed)
 
 TEST(VerifierReconfig, LshConfigChangesTakeEffect) {
   using rpol::testing::TinyTask;
@@ -126,54 +126,51 @@ TEST(VerifierReconfig, LshConfigChangesTakeEffect) {
 
   const std::int64_t dim = static_cast<std::int64_t>(
       core::extract_trainable(ctx.initial.model, init.trainable_mask()).size());
+  // One family per epoch, shared by the commitment and the verifier.
+  const lsh::PStableLsh epoch1(lsh::LshConfig{{1.0, 2, 4}, dim, 1});
+  const lsh::PStableLsh epoch2(lsh::LshConfig{{1.0, 2, 4}, dim, 2});
+  const lsh::PStableLsh epoch3(lsh::LshConfig{{1.0, 2, 4}, dim, 3});
+  const lsh::PStableLsh mis_sized(lsh::LshConfig{{1.0, 2, 4}, dim + 1, 3});
   core::VerifierConfig cfg;
   cfg.samples_q = 3;
   cfg.beta = 2e-3;
-  cfg.use_lsh = true;
-  cfg.lsh_config = lsh::LshConfig{{1.0, 2, 4}, dim, 1};
+  cfg.lsh_family = &epoch1;
   core::Verifier verifier(task.factory, task.hp, cfg);
 
   // Epoch 1: commit under family seed 1 -> verify passes.
+  const core::Commitment c1 =
+      core::commit_v2(trace, epoch1, &init.trainable_mask());
   {
-    const lsh::PStableLsh hasher(*cfg.lsh_config);
-    const core::Commitment c =
-        core::commit_v2(trace, hasher, &init.trainable_mask());
     sim::DeviceExecution md(sim::device_g3090(), 2);
     EXPECT_TRUE(verifier
-                    .verify(c, trace, ctx, core::hash_state(ctx.initial), md)
+                    .verify(c1, trace, ctx, core::hash_state(ctx.initial), md)
                     .accepted);
   }
-  // Epoch 2: the manager rotates the LSH family (new seed). A commitment
-  // built under the OLD family no longer LSH-matches, but the double-check
-  // still rescues the honest worker — family rotation can never hurt them.
+  // Epoch 2: the manager rotates the family (new seed). A commitment built
+  // under the OLD family no longer LSH-matches, but the double-check still
+  // rescues the honest worker — family rotation can never hurt them.
   {
-    const lsh::PStableLsh old_hasher(*cfg.lsh_config);
-    const core::Commitment stale =
-        core::commit_v2(trace, old_hasher, &init.trainable_mask());
-    verifier.set_lsh_config(lsh::LshConfig{{1.0, 2, 4}, dim, 2});
+    verifier.set_lsh_family(&epoch2);
     sim::DeviceExecution md(sim::device_g3090(), 3);
     const core::VerifyResult vr =
-        verifier.verify(stale, trace, ctx, core::hash_state(ctx.initial), md);
+        verifier.verify(c1, trace, ctx, core::hash_state(ctx.initial), md);
     EXPECT_TRUE(vr.accepted);
     EXPECT_GT(vr.double_checks, 0);
   }
-  // Epoch 3: a family of the wrong size throws on its first hash; re-pointed
-  // at the right size under the same seed, r, k and l, the verifier must
-  // build a new family instead of reusing the mis-sized one.
+  // Epoch 3: a family of the wrong dim throws on its first hash; re-pointed
+  // at the right family, the verifier accepts.
   {
-    const lsh::LshConfig right{{1.0, 2, 4}, dim, 3};
-    const lsh::PStableLsh hasher(right);
-    const core::Commitment c =
-        core::commit_v2(trace, hasher, &init.trainable_mask());
-    verifier.set_lsh_config(lsh::LshConfig{{1.0, 2, 4}, dim + 1, 3});
+    const core::Commitment c3 =
+        core::commit_v2(trace, epoch3, &init.trainable_mask());
+    verifier.set_lsh_family(&mis_sized);
     sim::DeviceExecution md(sim::device_g3090(), 4);
     EXPECT_THROW(
-        verifier.verify(c, trace, ctx, core::hash_state(ctx.initial), md),
+        verifier.verify(c3, trace, ctx, core::hash_state(ctx.initial), md),
         std::invalid_argument);
-    verifier.set_lsh_config(right);
+    verifier.set_lsh_family(&epoch3);
     sim::DeviceExecution md2(sim::device_g3090(), 5);
     EXPECT_TRUE(verifier
-                    .verify(c, trace, ctx, core::hash_state(ctx.initial), md2)
+                    .verify(c3, trace, ctx, core::hash_state(ctx.initial), md2)
                     .accepted);
   }
 }
