@@ -63,7 +63,7 @@ struct ExchangeDriver {
     const auto type_index = static_cast<std::size_t>(type);
     bool last_failure_was_decode = false;
     // The encoded message is buffered for the whole exchange (every retry
-    // retransmits it); received payloads are charged per attempt below.
+    // retransmits it); mangled receive copies are charged per attempt below.
     obs::MemScope wire_mem(obs::MemTag::kWire, encoded.size());
     for (int attempt = 0; attempt < config.retry.max_attempts; ++attempt) {
       if (attempt > 0) {
@@ -87,16 +87,19 @@ struct ExchangeDriver {
         last_failure_was_decode = false;
         continue;
       }
-      fault::Delivery delivery =
+      const fault::Delivery delivery =
           to_worker ? channel.send_to_worker(type, encoded)
                     : channel.send_to_manager(type, encoded);
       if (delivery.status != fault::DeliveryStatus::kDelivered) {
         last_failure_was_decode = false;
         continue;
       }
-      // Receive-side buffer, live until this attempt decodes or rejects.
-      obs::MemScope rx_mem(obs::MemTag::kWire, delivery.payload.size());
-      if (delivery.payload.size() > config.retry.max_message_bytes) {
+      // A clean delivery is `encoded` itself, decoded in place; only a
+      // mangled copy is a receive-side buffer, live until this attempt
+      // decodes or rejects.
+      const Bytes& received = delivery.received(encoded);
+      obs::MemScope rx_mem(obs::MemTag::kWire, delivery.mangled.size());
+      if (received.size() > config.retry.max_message_bytes) {
         // Size cap enforced before parsing: a hostile peer cannot force
         // the receiver to buffer or decode unbounded payloads.
         obs::count("session.oversize_rejected", 1);
@@ -106,7 +109,7 @@ struct ExchangeDriver {
       try {
         if (obs::enabled()) {
           const Bytes framed = core::wrap_trace_envelope(
-              sender.trace_id, sender.span_id, delivery.payload);
+              sender.trace_id, sender.span_id, received);
           obs::TraceContext rx;
           const Bytes inner =
               strip_trace_envelope(framed, &rx.trace_id, &rx.span_id);
@@ -114,7 +117,7 @@ struct ExchangeDriver {
           last_rx = rx;
           return result;
         }
-        return decode(delivery.payload);
+        return decode(received);
       } catch (const std::exception&) {
         obs::count("session.decode_reject", 1);
         last_failure_was_decode = true;
@@ -178,18 +181,17 @@ std::optional<TrainState> exchange_state_chunked(
 
 }  // namespace
 
-Bytes CountingChannel::send_to_worker(MessageType type, Bytes message) {
-  to_worker_ += message.size();
-  by_type_[static_cast<std::size_t>(type)] += message.size();
-  mirror_to_registry(type, message.size());
-  return message;
+void CountingChannel::count_to_worker(MessageType type, std::uint64_t bytes) {
+  to_worker_ += bytes;
+  by_type_[static_cast<std::size_t>(type)] += bytes;
+  mirror_to_registry(type, bytes);
 }
 
-Bytes CountingChannel::send_to_manager(MessageType type, Bytes message) {
-  to_manager_ += message.size();
-  by_type_[static_cast<std::size_t>(type)] += message.size();
-  mirror_to_registry(type, message.size());
-  return message;
+void CountingChannel::count_to_manager(MessageType type,
+                                       std::uint64_t bytes) {
+  to_manager_ += bytes;
+  by_type_[static_cast<std::size_t>(type)] += bytes;
+  mirror_to_registry(type, bytes);
 }
 
 SessionOutcome run_protocol_session(

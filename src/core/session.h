@@ -54,14 +54,16 @@ inline constexpr int kNumMessageTypes = 6;
 
 const char* message_type_name(MessageType type);
 
-// Byte-counting in-process transport with per-message-type accounting.
+// Byte-counting in-process transport with per-message-type accounting. It
+// counts sizes only and never holds a message: the receiver decodes the
+// sender's own buffer (fault::FaultyChannel, which wraps this channel).
 class CountingChannel {
  public:
-  // Delivers a message and returns it to the receiving side; counts bytes
-  // under both the direction total and the message type (and mirrors the
-  // type counts into the metrics registry when tracing is enabled).
-  Bytes send_to_worker(MessageType type, Bytes message);
-  Bytes send_to_manager(MessageType type, Bytes message);
+  // Counts one transmission of a `bytes`-byte message under both the
+  // direction total and the message type (and mirrors the type counts into
+  // the metrics registry when tracing is enabled).
+  void count_to_worker(MessageType type, std::uint64_t bytes);
+  void count_to_manager(MessageType type, std::uint64_t bytes);
 
   std::uint64_t bytes_to_worker() const { return to_worker_; }
   std::uint64_t bytes_to_manager() const { return to_manager_; }
@@ -100,7 +102,9 @@ struct SessionConfig {
   // digest, and neither endpoint ever materializes the full encoding —
   // the sender slices on demand, the receiver decodes incrementally.
   // 0 keeps the legacy single-frame path. ProofResponse stays unchunked:
-  // proof states are already fetched one sampled transition at a time.
+  // one response frame carries all q requested input states (and, for
+  // RPoLv1, their q output states), so its receiver does buffer the whole
+  // encoding.
   std::size_t chunk_bytes = 0;
   // Receiver-side cap on the announced total of a chunked state stream; a
   // stream claiming more is rejected before any buffering (the chunked

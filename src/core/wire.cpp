@@ -46,6 +46,12 @@ void append_hyperparams(Bytes& out, const Hyperparams& hp) {
   append_i64(out, hp.checkpoint_interval);
 }
 
+// Byte count of encode_train_state(state): two u64 counts, then fp32s.
+std::uint64_t train_state_bytes(const TrainState& state) {
+  return 16 + 4 * (static_cast<std::uint64_t>(state.model.size()) +
+                   static_cast<std::uint64_t>(state.optimizer.size()));
+}
+
 Hyperparams read_hyperparams(const Bytes& in, std::size_t& offset) {
   Hyperparams hp;
   const std::uint64_t opt = read_u64(in, offset);
@@ -270,29 +276,39 @@ StateChunk decode_state_chunk(const Bytes& in) {
 
 ChunkedStateEncoder::ChunkedStateEncoder(const TrainState& state,
                                          std::size_t chunk_payload_bytes)
-    : state_(&state), chunk_bytes_(chunk_payload_bytes) {
+    : state_(&state),
+      chunk_bytes_(chunk_payload_bytes),
+      total_(train_state_bytes(state)) {
   if (chunk_payload_bytes == 0) {
     throw std::invalid_argument("chunk payload size must be >= 1");
   }
-  total_ = 16 + 4 * (static_cast<std::uint64_t>(state.model.size()) +
-                     static_cast<std::uint64_t>(state.optimizer.size()));
 }
 
 std::int64_t ChunkedStateEncoder::num_chunks() const {
-  return static_cast<std::int64_t>((total_ + chunk_bytes_ - 1) / chunk_bytes_);
+  // The ceiling without forming total_ + chunk_bytes_ - 1, which wraps for
+  // chunk sizes near SIZE_MAX and would announce zero chunks.
+  return static_cast<std::int64_t>(total_ / chunk_bytes_ +
+                                   (total_ % chunk_bytes_ != 0 ? 1 : 0));
 }
 
 namespace {
 
 // Copies bytes [pos, pos+n) of serialize_floats(v)'s PAYLOAD section (the
-// 4*|v| little-endian fp32 bytes, counts excluded) into `out`.
-void copy_float_bytes(const std::vector<float>& v, std::uint64_t pos,
-                      std::size_t n, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t byte = pos + i;
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &v[static_cast<std::size_t>(byte / 4)], sizeof bits);
-    out[i] = static_cast<std::uint8_t>(bits >> (8 * (byte % 4)));
+// 4*|v| little-endian fp32 bytes, counts excluded) into `out`. On
+// little-endian hosts that section IS the vector's memory, so a run of any
+// length, split floats at either end included, is one memcpy, as in
+// append_floats.
+void copy_float_run(const std::vector<float>& v, std::uint64_t pos,
+                    std::size_t n, std::uint8_t* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, reinterpret_cast<const std::uint8_t*>(v.data()) + pos, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t byte = pos + i;
+      const auto bits =
+          std::bit_cast<std::uint32_t>(v[static_cast<std::size_t>(byte / 4)]);
+      out[i] = static_cast<std::uint8_t>(bits >> (8 * (byte % 4)));
+    }
   }
 }
 
@@ -320,7 +336,7 @@ void ChunkedStateEncoder::copy_window(std::uint64_t pos, std::size_t n,
           }
           break;
         case 1:
-          copy_float_bytes(state_->model, local, take, out);
+          copy_float_run(state_->model, local, take, out);
           break;
         case 2:
           for (std::size_t i = 0; i < take; ++i) {
@@ -328,7 +344,7 @@ void ChunkedStateEncoder::copy_window(std::uint64_t pos, std::size_t n,
           }
           break;
         default:
-          copy_float_bytes(state_->optimizer, local, take, out);
+          copy_float_run(state_->optimizer, local, take, out);
           break;
       }
       out += take;
@@ -357,62 +373,92 @@ StateChunk ChunkedStateEncoder::chunk(std::int64_t index) const {
 ChunkedStateAssembler::ChunkedStateAssembler(std::uint64_t max_total_bytes)
     : max_total_(max_total_bytes) {}
 
-void ChunkedStateAssembler::feed_byte(std::uint8_t b) {
-  scalar_ |= static_cast<std::uint64_t>(b) << (8 * scalar_fill_);
-  ++scalar_fill_;
-  switch (phase_) {
-    case Phase::kModelCount:
-    case Phase::kOptCount: {
-      if (scalar_fill_ < 8) return;
-      const std::uint64_t count = scalar_;
-      const bool model = phase_ == Phase::kModelCount;
-      // A lying count is rejected the moment it completes, not at
-      // end-of-stream: the model vector must leave room for the optimizer
-      // count behind it, and the optimizer vector must land EXACTLY on the
-      // announced total (total_ >= 16 was enforced at accept()).
-      if (model) {
-        if (count > (total_ - 16) / 4) {
-          throw std::invalid_argument("state chunk float count exceeds total");
-        }
-      } else {
-        const std::uint64_t room =
-            total_ - 16 - 4 * static_cast<std::uint64_t>(state_.model.size());
-        if (count != room / 4) {
-          throw std::invalid_argument("state chunk float count exceeds total");
-        }
-      }
-      auto& vec = model ? state_.model : state_.optimizer;
-      vec.reserve(static_cast<std::size_t>(count));
-      floats_left_ = count;
-      scalar_ = 0;
-      scalar_fill_ = 0;
-      phase_ = model ? (count > 0 ? Phase::kModelData : Phase::kOptCount)
-                     : (count > 0 ? Phase::kOptData : Phase::kDone);
-      return;
-    }
-    case Phase::kModelData:
-    case Phase::kOptData: {
-      if (scalar_fill_ < 4) return;
-      float f = 0.0F;
-      const std::uint32_t bits = static_cast<std::uint32_t>(scalar_);
-      std::memcpy(&f, &bits, sizeof f);
-      auto& vec =
-          phase_ == Phase::kModelData ? state_.model : state_.optimizer;
-      vec.push_back(f);
-      scalar_ = 0;
-      scalar_fill_ = 0;
-      if (--floats_left_ == 0) {
-        phase_ = phase_ == Phase::kModelData ? Phase::kOptCount : Phase::kDone;
-      }
-      return;
-    }
-    case Phase::kDone:
-      throw std::invalid_argument("trailing bytes after state stream");
+std::size_t ChunkedStateAssembler::fill_scalar(const std::uint8_t* data,
+                                               std::size_t n, int width) {
+  const std::size_t used =
+      std::min(n, static_cast<std::size_t>(width - scalar_fill_));
+  for (std::size_t i = 0; i < used; ++i) {
+    scalar_ |= static_cast<std::uint64_t>(data[i]) << (8 * scalar_fill_++);
   }
+  return used;
+}
+
+void ChunkedStateAssembler::start_vector() {
+  const std::uint64_t count = scalar_;
+  const bool model = phase_ == Phase::kModelCount;
+  // A lying count is rejected the moment it completes, not at end-of-stream:
+  // the model vector must leave room for the optimizer count behind it, and
+  // the optimizer vector must land EXACTLY on the announced total
+  // (total_ >= 16 was enforced at accept()).
+  if (model) {
+    if (count > (total_ - 16) / 4) {
+      throw std::invalid_argument("state chunk float count exceeds total");
+    }
+  } else {
+    const std::uint64_t room =
+        total_ - 16 - 4 * static_cast<std::uint64_t>(state_.model.size());
+    if (count != room / 4) {
+      throw std::invalid_argument("state chunk float count exceeds total");
+    }
+  }
+  auto& vec = model ? state_.model : state_.optimizer;
+  vec.reserve(static_cast<std::size_t>(count));
+  floats_left_ = count;
+  scalar_ = 0;
+  scalar_fill_ = 0;
+  phase_ = model ? (count > 0 ? Phase::kModelData : Phase::kOptCount)
+                 : (count > 0 ? Phase::kOptData : Phase::kDone);
 }
 
 void ChunkedStateAssembler::feed(const std::uint8_t* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) feed_byte(data[i]);
+  // The canonical little-endian fp32 bytes are the vector's memory only on
+  // little-endian hosts; elsewhere every float takes the byte machine.
+  constexpr bool kBlockCopy = std::endian::native == std::endian::little;
+  while (n > 0) {
+    std::size_t used = 0;
+    switch (phase_) {
+      case Phase::kModelCount:
+      case Phase::kOptCount:
+        used = fill_scalar(data, n, 8);
+        if (scalar_fill_ == 8) start_vector();
+        break;
+      case Phase::kModelData:
+      case Phase::kOptData: {
+        auto& vec =
+            phase_ == Phase::kModelData ? state_.model : state_.optimizer;
+        if (kBlockCopy && scalar_fill_ == 0 && n >= 4) {
+          // Whole floats, as many as this chunk holds: one block copy.
+          const auto count = static_cast<std::size_t>(
+              std::min<std::uint64_t>(n / 4, floats_left_));
+          const std::size_t at = vec.size();
+          vec.resize(at + count);
+          std::memcpy(vec.data() + at, data, 4 * count);
+          used = 4 * count;
+          floats_left_ -= count;
+        } else {
+          // A float split across chunks: carry its first 1-3 bytes, then
+          // complete it from the next chunk.
+          used = fill_scalar(data, n, 4);
+          if (scalar_fill_ == 4) {
+            vec.push_back(
+                std::bit_cast<float>(static_cast<std::uint32_t>(scalar_)));
+            scalar_ = 0;
+            scalar_fill_ = 0;
+            --floats_left_;
+          }
+        }
+        if (floats_left_ == 0) {
+          phase_ =
+              phase_ == Phase::kModelData ? Phase::kOptCount : Phase::kDone;
+        }
+        break;
+      }
+      case Phase::kDone:
+        throw std::invalid_argument("trailing bytes after state stream");
+    }
+    data += used;
+    n -= used;
+  }
 }
 
 void ChunkedStateAssembler::accept(const StateChunk& chunk) {
@@ -483,19 +529,25 @@ TrainState decode_train_state(const Bytes& in, std::size_t& offset) {
 }
 
 Bytes encode_proof_response(const ProofResponse& msg) {
-  Bytes out;
-  out.push_back(kTagProofResponse);
-  append_u64(out, msg.input_states.size());
-  for (const auto& s : msg.input_states) {
-    const Bytes encoded = encode_train_state(s);
-    append_u64(out, encoded.size());
-    out.insert(out.end(), encoded.begin(), encoded.end());
+  // Sized up front, and each state's encoding appended in place: the
+  // response is written once, with no per-state temporary.
+  const std::vector<TrainState>* lists[] = {&msg.input_states,
+                                            &msg.output_states};
+  std::uint64_t size = 1;
+  for (const auto* states : lists) {
+    size += 8;
+    for (const auto& s : *states) size += 8 + train_state_bytes(s);
   }
-  append_u64(out, msg.output_states.size());
-  for (const auto& s : msg.output_states) {
-    const Bytes encoded = encode_train_state(s);
-    append_u64(out, encoded.size());
-    out.insert(out.end(), encoded.begin(), encoded.end());
+  Bytes out;
+  out.reserve(static_cast<std::size_t>(size));
+  out.push_back(kTagProofResponse);
+  for (const auto* states : lists) {
+    append_u64(out, states->size());
+    for (const auto& s : *states) {
+      append_u64(out, train_state_bytes(s));
+      append_floats(out, s.model);
+      append_floats(out, s.optimizer);
+    }
   }
   return out;
 }

@@ -150,9 +150,11 @@ class ChunkedStateEncoder {
 };
 
 // Receiver side: consumes chunks strictly in offset order, decoding the
-// float stream incrementally (phase machine with an <= 8-byte carry) so the
-// full encoding is never buffered. accept() leaves the assembler UNCHANGED
-// when it throws, so a NACKed chunk can simply be retried. Rejected input:
+// float stream incrementally so the full encoding is never buffered: whole
+// floats are block-copied into the state, and a byte machine handles only
+// the two u64 counts and a float split across chunks (a carry of at most 3
+// bytes). accept() leaves the assembler UNCHANGED when it throws, so a
+// NACKed chunk can simply be retried. Rejected input:
 // out-of-order/duplicate/overlapping offsets, total_bytes disagreement
 // between chunks, totals above `max_total_bytes` (resource cap), and
 // streams whose float counts contradict the announced total.
@@ -175,14 +177,17 @@ class ChunkedStateAssembler {
   enum class Phase { kModelCount, kModelData, kOptCount, kOptData, kDone };
 
   void feed(const std::uint8_t* data, std::size_t n);
-  void feed_byte(std::uint8_t b);
+  // Moves up to width - scalar_fill_ bytes into `scalar_`; returns how many.
+  std::size_t fill_scalar(const std::uint8_t* data, std::size_t n, int width);
+  // Validates the completed count in `scalar_` and enters its vector.
+  void start_vector();
 
   std::uint64_t max_total_;
   std::uint64_t total_ = 0;       // 0 until the first chunk announces it
   std::uint64_t received_ = 0;
   bool taken_ = false;
   Phase phase_ = Phase::kModelCount;
-  std::uint64_t scalar_ = 0;      // u64 count / f32 bits under assembly
+  std::uint64_t scalar_ = 0;      // u64 count / split f32 under assembly
   int scalar_fill_ = 0;           // bytes of `scalar_` filled so far
   std::uint64_t floats_left_ = 0; // remaining floats of the current vector
   TrainState state_;

@@ -124,24 +124,27 @@ Delivery FaultInjector::attempt(int type) { return decide(type); }
 
 Delivery FaultInjector::transmit(int type, const Bytes& message) {
   Delivery delivery = decide(type);
-  if (delivery.status != DeliveryStatus::kDelivered) return delivery;
-
-  delivery.payload = message;
-  if (!delivery.corrupted) return delivery;
+  // Lost, delayed and clean attempts carry no bytes: a clean delivery is
+  // the sender's own buffer (Delivery::received).
+  if (delivery.status != DeliveryStatus::kDelivered || !delivery.corrupted) {
+    return delivery;
+  }
 
   if (last_mangle_ == Mangle::kTruncate) {
     const std::size_t keep = message.empty()
                                  ? 0
                                  : static_cast<std::size_t>(rng_.next_below(
                                        static_cast<std::uint64_t>(message.size())));
-    delivery.payload.resize(keep);
+    delivery.mangled.assign(message.begin(),
+                            message.begin() + static_cast<std::ptrdiff_t>(keep));
   } else {
-    if (!delivery.payload.empty()) {
+    delivery.mangled = message;
+    if (!delivery.mangled.empty()) {
       const int flips = 1 + static_cast<int>(rng_.next_below(4));
       for (int f = 0; f < flips; ++f) {
         const std::size_t pos = static_cast<std::size_t>(rng_.next_below(
-            static_cast<std::uint64_t>(delivery.payload.size())));
-        delivery.payload[pos] ^=
+            static_cast<std::uint64_t>(delivery.mangled.size())));
+        delivery.mangled[pos] ^=
             static_cast<std::uint8_t>(1 + rng_.next_below(255));
       }
     }

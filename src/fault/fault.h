@@ -12,14 +12,17 @@
 //                    states, proof withholding, oversized payloads).
 //   * FaultInjector — draws per-attempt fault decisions and mangles payload
 //                    bytes; same seed => bitwise-identical fault sequence.
-//   * FaultyChannel — wraps a byte-counting channel (core::CountingChannel)
+//                    Only a mangled attempt gets bytes of its own.
+//   * FaultyChannel — wraps a size-counting channel (core::CountingChannel)
 //                    WITHOUT disturbing its accounting: every transmission
-//                    attempt, retries and duplicates included, passes through
-//                    the inner channel, so per-type byte counters reflect
+//                    attempt, retries and duplicates included, is counted
+//                    by the inner channel, so per-type byte counters reflect
 //                    exactly what the sender put on the wire. Dropped,
 //                    delayed, and mangled messages still count their full
 //                    transmitted size; truncation and corruption happen
-//                    in flight.
+//                    in flight. The inner channel sees sizes only, and a
+//                    clean delivery is the sender's own buffer: a message
+//                    is never copied unless transit mangles it.
 //   * RetryPolicy  — the bounded timeout/retry/backoff parameters protocol
 //                    sessions and pools use to survive the plan.
 //
@@ -135,11 +138,20 @@ enum class DeliveryStatus : int {
   kDelayed,        // arrived after the receiver's timeout; discarded
 };
 
+// One transmission attempt. A clean delivery carries no bytes: what the
+// receiver reads is the sender's own buffer. Only a truncated or corrupted
+// attempt owns a copy, the mangled bytes that arrived.
 struct Delivery {
   DeliveryStatus status = DeliveryStatus::kDelivered;
-  bool corrupted = false;   // payload differs from what was sent
+  bool corrupted = false;   // what arrived differs from what was sent
   bool duplicated = false;  // transmitted twice on the wire
-  Bytes payload;            // delivered bytes (empty unless kDelivered)
+  Bytes mangled;            // arrived bytes when corrupted, else empty
+
+  // The bytes this attempt of `sent` hands the receiver: `sent` itself when
+  // it arrived clean, else the mangled copy (empty if nothing arrived).
+  const Bytes& received(const Bytes& sent) const {
+    return status == DeliveryStatus::kDelivered && !corrupted ? sent : mangled;
+  }
 };
 
 // Per-message-type fault occurrence counts, filled by FaultInjector.
@@ -165,7 +177,9 @@ class FaultInjector {
   explicit FaultInjector(const FaultPlan& plan, std::uint64_t stream = 0);
 
   // Applies the plan to one transmission attempt of `message` on `type`:
-  // decides the fault, mangles the payload if corrupt/truncate fired.
+  // decides the fault and, if truncate or corrupt fired, copies what
+  // arrives into Delivery::mangled (a truncation copies only the kept
+  // prefix). Every other attempt allocates nothing.
   Delivery transmit(int type, const Bytes& message);
 
   // Byte-free variant for orchestration layers that model traffic
@@ -189,13 +203,17 @@ class FaultInjector {
   Mangle last_mangle_ = Mangle::kNone;
 };
 
-// Wraps a byte-counting channel (any type exposing
-// `Bytes send_to_worker(MessageTypeT, Bytes)` / `send_to_manager`, e.g.
-// core::CountingChannel) with fault injection that never disturbs the
-// inner accounting: the ORIGINAL message is pushed through the inner
-// channel once per transmission (twice when duplicated), so retransmitted
-// bytes are counted under their message type exactly like first sends.
-// With a null plan the wrapper forwards directly — zero added state.
+// Wraps a size-counting channel (any type exposing
+// `count_to_worker(MessageTypeT, std::uint64_t bytes)` / `count_to_manager`,
+// e.g. core::CountingChannel) with fault injection that never disturbs the
+// inner accounting: the ORIGINAL message's size is counted once per
+// transmission (twice when duplicated), so retransmitted bytes are counted
+// under their message type exactly like first sends. The inner channel
+// never sees the bytes, and the returned Delivery holds only a mangled
+// copy: a clean delivery is `message` itself (Delivery::received), so the
+// sender keeps `message` alive until the receiver has decoded it. With a
+// null plan no fault is drawn and every delivery is clean — zero added
+// state.
 template <typename Channel>
 class FaultyChannel {
  public:
@@ -206,12 +224,12 @@ class FaultyChannel {
   }
 
   template <typename MessageTypeT>
-  Delivery send_to_worker(MessageTypeT type, Bytes message) {
-    return send(type, std::move(message), /*to_worker=*/true);
+  Delivery send_to_worker(MessageTypeT type, const Bytes& message) {
+    return send(type, message, /*to_worker=*/true);
   }
   template <typename MessageTypeT>
-  Delivery send_to_manager(MessageTypeT type, Bytes message) {
-    return send(type, std::move(message), /*to_worker=*/false);
+  Delivery send_to_manager(MessageTypeT type, const Bytes& message) {
+    return send(type, message, /*to_worker=*/false);
   }
 
   bool faulty() const { return injector_.has_value(); }
@@ -223,22 +241,19 @@ class FaultyChannel {
 
  private:
   template <typename MessageTypeT>
-  Delivery send(MessageTypeT type, Bytes message, bool to_worker) {
-    if (!injector_.has_value()) {
-      Delivery clean;
-      clean.payload = to_worker ? inner_.send_to_worker(type, std::move(message))
-                                : inner_.send_to_manager(type, std::move(message));
-      return clean;
-    }
-    Delivery delivery = injector_->transmit(static_cast<int>(type), message);
-    // Count what the sender transmitted (the original bytes), not what
+  Delivery send(MessageTypeT type, const Bytes& message, bool to_worker) {
+    Delivery delivery =
+        injector_.has_value()
+            ? injector_->transmit(static_cast<int>(type), message)
+            : Delivery{};
+    // Count what the sender transmitted (the original size), not what
     // survived transit; a duplicate is two full transmissions.
     const int copies = delivery.duplicated ? 2 : 1;
     for (int c = 0; c < copies; ++c) {
       if (to_worker) {
-        inner_.send_to_worker(type, message);
+        inner_.count_to_worker(type, message.size());
       } else {
-        inner_.send_to_manager(type, message);
+        inner_.count_to_manager(type, message.size());
       }
     }
     return delivery;

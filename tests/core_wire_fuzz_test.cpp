@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 
 #include "core/wire.h"
 #include "task_fixture.h"
@@ -310,11 +311,21 @@ struct ChunkFuzz : public FuzzFixture {
 
 TEST_F(ChunkFuzz, RoundTripAtManyChunkSizesReassemblesCanonicalBytes) {
   const Bytes whole = canonical();
-  for (const std::size_t chunk_bytes : {1ul, 3ul, 7ul, 16ul, 64ul, 1024ul,
-                                        whole.size(), whole.size() + 100}) {
+  // Sizes 1-9 put a chunk edge at every offset inside a float and inside
+  // each u64 count. SIZE_MAX must give one chunk, although a ceiling formed
+  // as total + size - 1 wraps to zero.
+  for (const std::size_t chunk_bytes :
+       {1ul, 2ul, 3ul, 4ul, 5ul, 6ul, 7ul, 8ul, 9ul, 16ul, 64ul, 1024ul,
+        whole.size(), whole.size() + 100,
+        std::numeric_limits<std::size_t>::max()}) {
     SCOPED_TRACE(chunk_bytes);
     ChunkedStateEncoder encoder(context.initial, chunk_bytes);
     ASSERT_EQ(encoder.total_bytes(), whole.size());
+    EXPECT_EQ(encoder.num_chunks(),
+              chunk_bytes >= whole.size()
+                  ? 1
+                  : static_cast<std::int64_t>(
+                        (whole.size() + chunk_bytes - 1) / chunk_bytes));
 
     Bytes concatenated;
     ChunkedStateAssembler assembler(whole.size());
@@ -502,6 +513,49 @@ TEST_F(ChunkFuzz, StreamLevelFloatCountLiesAreRejected) {
   retry.accept(honest);
   ASSERT_TRUE(retry.complete());
   EXPECT_EQ(retry.take().model, context.initial.model);
+}
+
+TEST_F(ChunkFuzz, RejectedChunkRollsBackSplitFloatAndBlockCopies) {
+  // The first chunk ends two bytes into a model float. The second finishes
+  // that float from the carry, block-copies the remaining model floats, and
+  // then carries an optimizer count that contradicts the total. Its throw
+  // must undo all of that, vector sizes and carry alike, so the honest
+  // second chunk still lands and the stream reassembles bit for bit.
+  const Bytes whole = canonical();
+  const std::size_t m = context.initial.model.size();
+  ASSERT_GE(m, 4u);
+  const std::size_t split = 8 + 4 * 2 + 2;
+  const std::size_t past_opt_count = 16 + 4 * m;
+  Bytes forged = whole;
+  const std::uint64_t lie = context.initial.optimizer.size() + 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    forged[8 + 4 * m + i] = static_cast<std::uint8_t>(lie >> (8 * i));
+  }
+  const auto window = [&](const Bytes& stream, std::size_t begin,
+                          std::size_t end) {
+    StateChunk chunk;
+    chunk.total_bytes = stream.size();
+    chunk.offset = begin;
+    chunk.payload.assign(stream.begin() + static_cast<std::ptrdiff_t>(begin),
+                         stream.begin() + static_cast<std::ptrdiff_t>(end));
+    chunk.payload_hash = sha256(chunk.payload);
+    return chunk;
+  };
+
+  ChunkedStateAssembler assembler(whole.size());
+  assembler.accept(window(whole, 0, split));
+  EXPECT_THROW(assembler.accept(window(forged, split, past_opt_count)),
+               std::invalid_argument);
+  EXPECT_EQ(assembler.bytes_received(), split);
+  EXPECT_FALSE(assembler.complete());
+  assembler.accept(window(whole, split, past_opt_count));
+  if (past_opt_count < whole.size()) {
+    assembler.accept(window(whole, past_opt_count, whole.size()));
+  }
+  ASSERT_TRUE(assembler.complete());
+  const TrainState out = assembler.take();
+  EXPECT_EQ(out.model, context.initial.model);
+  EXPECT_EQ(out.optimizer, context.initial.optimizer);
 }
 
 TEST_F(FuzzFixture, MutatedCommitmentNeverDecodesToDifferentValidRoot) {

@@ -482,6 +482,58 @@ TEST(FaultPrimitives, InjectorStreamsAreIndependentButReproducible) {
   EXPECT_TRUE(a1.stats() == a2.stats());
 }
 
+// Pins what the session transport delivers, attempt by attempt: every
+// attempt's status, flags and received bytes, then the inner channel's byte
+// counts per message type. Sizes cover the empty message, messages shorter
+// than a float, one that is not a whole number of floats and two large ones,
+// and truncation, corruption and duplication each fire on every one of them.
+// The digest was recorded while the channel still copied every attempt, so
+// the copy-free channel delivers the same bytes and counts.
+TEST(FaultPrimitives, TransmitDeliveriesMatchGolden) {
+  const fault::FaultPlan plan = fault::FaultPlan::transport(
+      uniform(0.1, 0.1, 0.1, 0.1, 0.1), /*seed=*/2024);
+  CountingChannel counting;
+  fault::FaultyChannel<CountingChannel> channel(counting, &plan);
+  const std::size_t sizes[] = {0, 1, 3, 65541, 1u << 20};
+  Bytes log;
+  for (std::size_t k = 0; k < std::size(sizes); ++k) {
+    Bytes message(sizes[k]);
+    for (std::size_t i = 0; i < message.size(); ++i) {
+      message[i] = static_cast<std::uint8_t>(i * 131 + k);
+    }
+    const auto type = static_cast<MessageType>(k);
+    for (int a = 0; a < 40; ++a) {
+      const fault::Delivery d = k % 2 == 0
+                                    ? channel.send_to_worker(type, message)
+                                    : channel.send_to_manager(type, message);
+      const Bytes& received = d.received(message);
+      if (d.status == fault::DeliveryStatus::kDelivered && !d.corrupted) {
+        // A clean delivery owns no copy: the receiver reads the sender's
+        // own buffer.
+        EXPECT_TRUE(d.mangled.empty());
+        EXPECT_EQ(&received, &message);
+      }
+      log.push_back(static_cast<std::uint8_t>(d.status));
+      log.push_back(d.corrupted ? 1 : 0);
+      log.push_back(d.duplicated ? 1 : 0);
+      append_u64(log, received.size());
+      const Digest h = sha256(received);
+      log.insert(log.end(), h.begin(), h.end());
+    }
+  }
+  for (const std::uint64_t bytes : counting.bytes_by_type()) {
+    append_u64(log, bytes);
+  }
+  const fault::FaultStats& stats = *channel.stats();
+  for (std::size_t k = 0; k < std::size(sizes); ++k) {
+    EXPECT_GT(stats.truncations[k], 0u);
+    EXPECT_GT(stats.corruptions[k], 0u);
+    EXPECT_GT(stats.duplicates[k], 0u);
+  }
+  EXPECT_EQ(digest_to_hex(sha256(log)),
+            "7dbc7180b9b636c52085a4aa38abbbf9a50aa69c6b1e3ea5ca2b32e31fe86b1c");
+}
+
 // ---------------------------------------------------------------------------
 // Chunked state transfer under faults (bounded-memory sessions): the global
 // state and the model update travel as independently integrity-checked
@@ -507,13 +559,16 @@ struct ChunkedSession : public FaultConformance {
 TEST_F(ChunkedSession, LosslessChunkedMatchesLegacyModelBits) {
   // Chunking is pure transport framing: on a clean channel the verdict and
   // every model bit must match the single-frame path at any chunk size,
-  // including one larger than the whole encoding (single-chunk stream).
+  // including one larger than the whole encoding (single-chunk stream) and
+  // SIZE_MAX, where a ceiling formed as total + size - 1 wraps to zero
+  // chunks and the worker would send nothing.
   Scenario s;
   s.name = "lossless_chunked";
   s.has_plan = false;
   const SessionOutcome legacy = run(s);
   ASSERT_EQ(legacy.status, SessionStatus::kAccepted);
-  for (const std::size_t chunk_bytes : {48ul, 256ul, 1ul << 20}) {
+  for (const std::size_t chunk_bytes :
+       {48ul, 256ul, 1ul << 20, std::numeric_limits<std::size_t>::max()}) {
     SCOPED_TRACE(chunk_bytes);
     const SessionOutcome chunked = run_chunked(s, chunk_bytes);
     EXPECT_EQ(chunked.status, SessionStatus::kAccepted);
