@@ -1,20 +1,16 @@
 // Microbenchmarks (google-benchmark) for the primitives on RPoL's hot
 // paths: hashing (commitments), p-stable LSH digests, AMLayer derivation,
-// training-step execution, and checkpoint state capture — plus a
-// deterministic kernel harness that times the runtime's blocked GEMM /
-// im2col kernels at the paper models' layer shapes
-// (src/sim/model_specs.cpp) and writes BENCH_micro.json so future PRs have
-// a perf trajectory (ops/sec, speedup vs. the seed scalar kernels, and
-// thread scaling).
+// training-step execution, and checkpoint state capture — plus three
+// harnesses that time production code and write rpol.bench.v1 records: the
+// crypto/commitment harness, the blocked-layout conv harness (Conv2d
+// against a bench-local im2col + GEMM reference), and the streaming
+// checkpoint harness.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -33,253 +29,6 @@
 
 namespace {
 using namespace rpol;
-
-// ---------------------------------------------------------------------------
-// Seed scalar reference kernels (frozen copies of the pre-runtime
-// implementations) — the baseline BENCH_micro.json speedups are measured
-// against. Do not "optimize" these; they exist to keep the comparison
-// honest across PRs.
-
-Tensor seed_matmul(const Tensor& a, const Tensor& b) {
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor c({m, n});
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float aik = pa[i * k + kk];
-      if (aik == 0.0F) continue;
-      const float* brow = pb + kk * n;
-      float* crow = pc + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
-  return c;
-}
-
-Tensor seed_im2col(const Tensor& input, const Conv2dSpec& spec) {
-  const std::int64_t n = input.dim(0), c = input.dim(1);
-  const std::int64_t h = input.dim(2), w = input.dim(3);
-  const std::int64_t oh = spec.out_size(h), ow = spec.out_size(w);
-  const std::int64_t patch = c * spec.kernel * spec.kernel;
-  Tensor cols({patch, n * oh * ow});
-  float* pc = cols.data();
-  const std::int64_t col_stride = n * oh * ow;
-  for (std::int64_t img = 0; img < n; ++img) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      for (std::int64_t kh = 0; kh < spec.kernel; ++kh) {
-        for (std::int64_t kw = 0; kw < spec.kernel; ++kw) {
-          const std::int64_t prow = (ch * spec.kernel + kh) * spec.kernel + kw;
-          for (std::int64_t y = 0; y < oh; ++y) {
-            const std::int64_t in_y = y * spec.stride + kh - spec.padding;
-            for (std::int64_t x = 0; x < ow; ++x) {
-              const std::int64_t in_x = x * spec.stride + kw - spec.padding;
-              const std::int64_t pcol = (img * oh + y) * ow + x;
-              float v = 0.0F;
-              if (in_y >= 0 && in_y < h && in_x >= 0 && in_x < w) {
-                v = input.at4(img, ch, in_y, in_x);
-              }
-              pc[prow * col_stride + pcol] = v;
-            }
-          }
-        }
-      }
-    }
-  }
-  return cols;
-}
-
-// ---------------------------------------------------------------------------
-// Frozen seed crypto reference (pre-pipeline implementations): staging-buffer
-// SHA-256, copy-then-hash state hashing, serial commitments, and
-// rebuild-the-tree-per-proof transition proofs. Same "do not optimize" rule
-// as the scalar kernels above — these anchor the crypto speedup records.
-
-class SeedSha256 {
- public:
-  void update(const std::uint8_t* data, std::size_t len) {
-    total_len_ += len;
-    while (len > 0) {
-      const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
-      std::memcpy(buffer_.data() + buffer_len_, data, take);
-      buffer_len_ += take;
-      data += take;
-      len -= take;
-      if (buffer_len_ == buffer_.size()) {
-        process_block(buffer_.data());
-        buffer_len_ = 0;
-      }
-    }
-  }
-  void update(const Bytes& data) { update(data.data(), data.size()); }
-
-  Digest finish() {
-    const std::uint64_t bit_len = total_len_ * 8;
-    const std::uint8_t pad_byte = 0x80;
-    update(&pad_byte, 1);
-    const std::uint8_t zero = 0x00;
-    while (buffer_len_ != 56) update(&zero, 1);
-    std::array<std::uint8_t, 8> len_bytes{};
-    for (int i = 0; i < 8; ++i) {
-      len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    }
-    std::memcpy(buffer_.data() + buffer_len_, len_bytes.data(), 8);
-    process_block(buffer_.data());
-    Digest out{};
-    for (int i = 0; i < 8; ++i) {
-      out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-      out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-      out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-      out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
-    }
-    return out;
-  }
-
- private:
-  static std::uint32_t rotr(std::uint32_t x, int n) {
-    return (x >> n) | (x << (32 - n));
-  }
-  void process_block(const std::uint8_t* block) {
-    static constexpr std::array<std::uint32_t, 64> kk = {
-        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-        0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-        0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-        0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-        0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-        0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-        0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-        0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-        0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-        0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
-    std::array<std::uint32_t, 64> w{};
-    for (int i = 0; i < 16; ++i) {
-      w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-             (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-             (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-             static_cast<std::uint32_t>(block[4 * i + 3]);
-    }
-    for (int i = 16; i < 64; ++i) {
-      const std::uint32_t s0 =
-          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-      const std::uint32_t s1 =
-          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-    auto a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    auto e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-    for (int i = 0; i < 64; ++i) {
-      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-      const std::uint32_t ch = (e & f) ^ (~e & g);
-      const std::uint32_t t1 = h + s1 + ch + kk[i] + w[i];
-      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-      const std::uint32_t t2 = s0 + maj;
-      h = g; g = f; f = e; e = d + t1;
-      d = c; c = b; b = a; a = t1 + t2;
-    }
-    state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-    state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
-  }
-
-  std::array<std::uint32_t, 8> state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                         0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                         0x1f83d9ab, 0x5be0cd19};
-  std::array<std::uint8_t, 64> buffer_{};
-  std::size_t buffer_len_ = 0;
-  std::uint64_t total_len_ = 0;
-};
-
-Digest seed_sha256(const Bytes& data) {
-  SeedSha256 h;
-  h.update(data);
-  return h.finish();
-}
-
-Digest seed_hash_state(const core::TrainState& s) {
-  return seed_sha256(core::serialize_state(s));  // full serialize copy
-}
-
-Digest seed_lsh_leaf(const lsh::LshDigest& d) {
-  SeedSha256 h;
-  const std::uint8_t domain = 0x4C;
-  h.update(&domain, 1);
-  h.update(lsh::serialize_lsh_digest(d));
-  return h.finish();
-}
-
-Digest seed_merkle_parent(const Digest& left, const Digest& right) {
-  SeedSha256 h;
-  const std::uint8_t domain = 0x01;
-  h.update(&domain, 1);
-  h.update(left.data(), left.size());
-  h.update(right.data(), right.size());
-  return h.finish();
-}
-
-// Serial bottom-up tree build; returns all levels (leaves first).
-std::vector<std::vector<Digest>> seed_merkle_levels(std::vector<Digest> leaves) {
-  std::vector<std::vector<Digest>> levels;
-  levels.push_back(std::move(leaves));
-  while (levels.back().size() > 1) {
-    const auto& prev = levels.back();
-    std::vector<Digest> next;
-    next.reserve((prev.size() + 1) / 2);
-    for (std::size_t i = 0; i < prev.size(); i += 2) {
-      const Digest& left = prev[i];
-      const Digest& right = (i + 1 < prev.size()) ? prev[i + 1] : prev[i];
-      next.push_back(seed_merkle_parent(left, right));
-    }
-    levels.push_back(std::move(next));
-  }
-  return levels;
-}
-
-std::vector<Digest> seed_merkle_prove(
-    const std::vector<std::vector<Digest>>& levels, std::size_t leaf) {
-  std::vector<Digest> siblings;
-  std::size_t idx = leaf;
-  for (std::size_t level = 0; level + 1 < levels.size(); ++level) {
-    const auto& nodes = levels[level];
-    const std::size_t sib = (idx % 2 == 0) ? idx + 1 : idx - 1;
-    siblings.push_back(sib < nodes.size() ? nodes[sib] : nodes[idx]);
-    idx /= 2;
-  }
-  return siblings;
-}
-
-core::Commitment seed_commit_v2(const core::EpochTrace& trace,
-                                const lsh::PStableLsh& hasher) {
-  core::Commitment c;
-  c.version = core::CommitmentVersion::kV2;
-  c.state_hashes.reserve(trace.checkpoints.size());
-  c.lsh_digests.reserve(trace.checkpoints.size());
-  for (const auto& state : trace.checkpoints) {
-    c.state_hashes.push_back(seed_hash_state(state));
-    c.lsh_digests.push_back(hasher.hash(state.model));
-  }
-  c.root = core::commitment_root(c);
-  return c;
-}
-
-// Seed-shaped proof generation: rebuilds the state tree AND re-hashes every
-// LSH leaf for each transition, exactly like the proof generation that
-// predates CommitmentIndex.
-std::vector<Digest> seed_transition_proof(const core::Commitment& full,
-                                          std::size_t transition) {
-  const auto state_levels = seed_merkle_levels(full.state_hashes);
-  std::vector<Digest> lsh_leaves;
-  lsh_leaves.reserve(full.lsh_digests.size());
-  for (const auto& d : full.lsh_digests) lsh_leaves.push_back(seed_lsh_leaf(d));
-  const auto lsh_levels = seed_merkle_levels(std::move(lsh_leaves));
-  std::vector<Digest> out = seed_merkle_prove(state_levels, transition);
-  const auto second = seed_merkle_prove(state_levels, transition + 1);
-  const auto third = seed_merkle_prove(lsh_levels, transition + 1);
-  out.insert(out.end(), second.begin(), second.end());
-  out.insert(out.end(), third.begin(), third.end());
-  return out;
-}
 
 // Best-of-k wall-clock seconds for fn(), with one warmup call. The sample
 // set is reduced through bench::summarize_latencies so the "best" reported
@@ -301,146 +50,6 @@ double time_best(Fn&& fn, double min_total_s = 0.3, int max_iters = 5) {
     total += s;
   }
   return bench::summarize_latencies(samples).best;
-}
-
-struct KernelResult {
-  std::string model, layer;
-  std::int64_t m = 0, k = 0, cols = 0, batch = 0, in_h = 0;
-  double gemm_flops = 0.0;
-  double seed_s = 0.0, new1_s = 0.0, new4_s = 0.0;       // conv GEMM (im2col+matmul)
-  double mm_seed_s = 0.0, mm_new1_s = 0.0, mm_new4_s = 0.0;  // pure GEMM
-};
-
-KernelResult run_shape(const std::string& model, const sim::ConvLayerShape& shape,
-                       std::int64_t batch, std::int64_t spatial_div) {
-  KernelResult r;
-  r.model = model;
-  r.layer = shape.layer;
-  sim::ConvLayerShape s = shape;
-  s.in_h /= spatial_div;
-  s.in_w /= spatial_div;
-  r.batch = batch;
-  r.in_h = s.in_h;
-  r.m = s.gemm_m();
-  r.k = s.gemm_k();
-  r.cols = s.gemm_n(batch);
-  r.gemm_flops = 2.0 * static_cast<double>(r.m) * static_cast<double>(r.k) *
-                 static_cast<double>(r.cols);
-
-  Rng rng(7);
-  const Tensor input =
-      Tensor::randn({batch, s.in_channels, s.in_h, s.in_w}, rng, 1.0F);
-  const Tensor weight = Tensor::randn({r.m, r.k}, rng, 0.05F);
-  const Conv2dSpec spec{s.in_channels, s.out_channels, s.kernel, s.stride,
-                        s.padding};
-
-  const Tensor cols = im2col(input, spec);
-  r.seed_s = time_best([&] {
-    benchmark::DoNotOptimize(seed_matmul(weight, seed_im2col(input, spec)));
-  });
-  r.mm_seed_s = time_best([&] {
-    benchmark::DoNotOptimize(seed_matmul(weight, cols));
-  });
-  runtime::set_threads(1);
-  r.new1_s = time_best([&] {
-    benchmark::DoNotOptimize(matmul(weight, im2col(input, spec)));
-  });
-  r.mm_new1_s = time_best([&] { benchmark::DoNotOptimize(matmul(weight, cols)); });
-  runtime::set_threads(4);
-  r.new4_s = time_best([&] {
-    benchmark::DoNotOptimize(matmul(weight, im2col(input, spec)));
-  });
-  r.mm_new4_s = time_best([&] { benchmark::DoNotOptimize(matmul(weight, cols)); });
-  return r;
-}
-
-void write_kernel_json(const std::vector<KernelResult>& results,
-                       int default_threads) {
-  std::FILE* f = std::fopen("BENCH_micro.json", "w");
-  if (f == nullptr) return;
-  std::fprintf(f, "{\n  \"bench\": \"micro_kernels\",\n");
-  std::fprintf(f, "  \"threads_default\": %d,\n", default_threads);
-  std::fprintf(f, "  \"note\": \"conv_gemm = im2col + GEMM at the layer shape; "
-                  "seed = frozen scalar kernels from the seed tree; "
-                  "speedups are wall-clock, new kernels at 1/4 threads\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"model\": \"%s\", \"layer\": \"%s\", \"batch\": %lld, "
-        "\"in_h\": %lld, \"m\": %lld, \"k\": %lld, \"cols\": %lld,\n"
-        "     \"conv_gemm\": {\"seed_gflops\": %.3f, \"new_1t_gflops\": %.3f, "
-        "\"new_4t_gflops\": %.3f, \"speedup_1t_vs_seed\": %.2f, "
-        "\"speedup_4t_vs_seed\": %.2f, \"speedup_4t_vs_1t\": %.2f},\n"
-        "     \"matmul\": {\"seed_gflops\": %.3f, \"new_1t_gflops\": %.3f, "
-        "\"new_4t_gflops\": %.3f, \"speedup_1t_vs_seed\": %.2f, "
-        "\"speedup_4t_vs_seed\": %.2f, \"speedup_4t_vs_1t\": %.2f}}%s\n",
-        r.model.c_str(), r.layer.c_str(), static_cast<long long>(r.batch),
-        static_cast<long long>(r.in_h), static_cast<long long>(r.m),
-        static_cast<long long>(r.k), static_cast<long long>(r.cols),
-        r.gemm_flops / r.seed_s / 1e9, r.gemm_flops / r.new1_s / 1e9,
-        r.gemm_flops / r.new4_s / 1e9, r.seed_s / r.new1_s,
-        r.seed_s / r.new4_s, r.new1_s / r.new4_s,
-        r.gemm_flops / r.mm_seed_s / 1e9, r.gemm_flops / r.mm_new1_s / 1e9,
-        r.gemm_flops / r.mm_new4_s / 1e9, r.mm_seed_s / r.mm_new1_s,
-        r.mm_seed_s / r.mm_new4_s, r.mm_new1_s / r.mm_new4_s,
-        i + 1 == results.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
-void run_kernel_harness() {
-  const int default_threads = runtime::threads();
-  std::vector<KernelResult> results;
-  // ResNet18 residual-stage shapes at full 224px spatial resolution,
-  // batch 1; VGG16's early layers at 1/4 spatial (their GEMMs are ~16x
-  // larger — same shape class, bench-sized spatial extent).
-  for (const auto& s : sim::resnet18_conv_shapes()) {
-    if (s.layer == "conv1" || s.layer.find("entry") != std::string::npos) continue;
-    results.push_back(run_shape("ResNet18", s, /*batch=*/1, /*spatial_div=*/1));
-  }
-  for (const auto& s : sim::vgg16_conv_shapes()) {
-    if (s.layer != "conv3_x" && s.layer != "conv5_x") continue;
-    results.push_back(run_shape("VGG16", s, /*batch=*/1, /*spatial_div=*/4));
-  }
-  runtime::set_threads(default_threads);
-  write_kernel_json(results, default_threads);
-
-  // Registry records (rpol.bench.v1) for the bench-diff trajectory: GFLOP/s
-  // per shape at 1 and 4 threads, keyed so baseline comparisons survive
-  // reordering.
-  // The measurements above ran at explicitly pinned thread counts and the
-  // ambient pool was restored before this point, so every record carries its
-  // measurement-time count (stamping the ambient value here mislabeled every
-  // .4t row as threads:1).
-  bench::BenchRecorder recorder("bench_micro");
-  for (const KernelResult& r : results) {
-    const std::string key = r.model + "." + r.layer;
-    recorder.add("conv_gemm." + key + ".gflops.1t", "gflop/s",
-                 r.gemm_flops / r.new1_s / 1e9, /*higher_is_better=*/true,
-                 /*threads=*/1);
-    recorder.add("conv_gemm." + key + ".gflops.4t", "gflop/s",
-                 r.gemm_flops / r.new4_s / 1e9, /*higher_is_better=*/true,
-                 /*threads=*/4);
-    recorder.add("matmul." + key + ".gflops.4t", "gflop/s",
-                 r.gemm_flops / r.mm_new4_s / 1e9, /*higher_is_better=*/true,
-                 /*threads=*/4);
-  }
-  recorder.write();
-
-  std::printf("kernel harness (threads default %d) -> BENCH_micro.json\n",
-              default_threads);
-  std::printf("%-10s %-10s %5s %5s %6s | conv_gemm gflops seed/1t/4t | speedup 4t vs seed\n",
-              "model", "layer", "m", "k", "cols");
-  for (const KernelResult& r : results) {
-    std::printf("%-10s %-10s %5lld %5lld %6lld | %7.3f %7.3f %7.3f | %.2fx\n",
-                r.model.c_str(), r.layer.c_str(), static_cast<long long>(r.m),
-                static_cast<long long>(r.k), static_cast<long long>(r.cols),
-                r.gemm_flops / r.seed_s / 1e9, r.gemm_flops / r.new1_s / 1e9,
-                r.gemm_flops / r.new4_s / 1e9, r.seed_s / r.new4_s);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -592,9 +201,9 @@ LayoutResult run_layout_shape(const std::string& model,
 void run_layout_harness() {
   const int default_threads = runtime::threads();
   std::vector<LayoutResult> results;
-  // Same shape selection as the kernel harness: ResNet18 residual stages at
-  // full spatial resolution (batch 1 — the verifier's re-execution regime),
-  // VGG16 mid/late stages at 1/4 spatial.
+  // ResNet18 residual stages at full spatial resolution (batch 1 — the
+  // verifier's re-execution regime), VGG16 mid/late stages at 1/4 spatial
+  // (their GEMMs are ~16x larger: same shape class, bench-sized extent).
   for (const auto& s : sim::resnet18_conv_shapes()) {
     if (s.layer == "conv1" || s.layer.find("entry") != std::string::npos) continue;
     results.push_back(run_layout_shape("ResNet18", s, /*batch=*/1, /*spatial_div=*/1));
@@ -648,8 +257,8 @@ void run_layout_harness() {
 
 // Crypto/commitment harness: SHA-256 streaming throughput, batched state
 // hashing, end-to-end commit_v1/commit_v2 at ResNet18-scale state sizes,
-// Merkle construction, and memoized transition proofs — each against the
-// frozen seed reference above, recorded in the rpol.bench.v1 registry.
+// Merkle construction, and memoized transition proofs, recorded in the
+// rpol.bench.v1 registry.
 void run_crypto_harness() {
   const int default_threads = runtime::threads();
   bench::BenchRecorder recorder("bench_micro");
@@ -660,11 +269,9 @@ void run_crypto_harness() {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     stream[i] = static_cast<std::uint8_t>(i * 131 + 7);
   }
-  const double seed_sha_s =
-      time_best([&] { benchmark::DoNotOptimize(seed_sha256(stream)); });
-  const double new_sha_s =
+  const double sha_s =
       time_best([&] { benchmark::DoNotOptimize(sha256(stream)); });
-  recorder.add("crypto.sha256.stream.mb_s", "MB/s", stream_mb / new_sha_s,
+  recorder.add("crypto.sha256.stream.mb_s", "MB/s", stream_mb / sha_s,
                /*higher_is_better=*/true, /*threads=*/1);
 
   // ResNet18-scale trace: 11.7M model floats + momentum-sized optimizer per
@@ -692,9 +299,6 @@ void run_crypto_harness() {
   lsh::LshConfig lsh_cfg{{1.0, 1, 2}, static_cast<std::int64_t>(model_n), 17};
   const lsh::PStableLsh hasher(lsh_cfg);
 
-  const double seed_v2_s = time_best(
-      [&] { benchmark::DoNotOptimize(seed_commit_v2(trace, hasher)); });
-
   runtime::set_threads(1);
   const double v1_1t_s =
       time_best([&] { benchmark::DoNotOptimize(core::commit_v1(trace)); });
@@ -716,8 +320,6 @@ void run_crypto_harness() {
                /*higher_is_better=*/false, /*threads=*/1);
   recorder.add("crypto.commit_v2.resnet18.s.4t", "s", v2_4t_s,
                /*higher_is_better=*/false, /*threads=*/4);
-  recorder.add("crypto.commit_v2.resnet18.speedup_vs_seed", "x",
-               seed_v2_s / v2_4t_s, /*higher_is_better=*/true, /*threads=*/4);
 
   // Merkle construction over 65536 leaves (parallel per-level build).
   std::vector<Digest> leaves(65'536);
@@ -726,16 +328,13 @@ void run_crypto_harness() {
     for (int j = 0; j < 8; ++j) b[j] = static_cast<std::uint8_t>(i >> (8 * j));
     leaves[i] = sha256(b);
   }
-  const double seed_merkle_s = time_best(
-      [&] { benchmark::DoNotOptimize(seed_merkle_levels(leaves)); });
   const double merkle_s =
       time_best([&] { benchmark::DoNotOptimize(MerkleTree(leaves)); });
   recorder.add("crypto.merkle.build_65536.s", "s", merkle_s,
                /*higher_is_better=*/false, /*threads=*/4);
 
-  // Transition proofs: n=1024 small checkpoints, q=16 sampled transitions.
-  // Seed rebuilds both trees per sample (O(n) hashing each); the pipeline
-  // builds a CommitmentIndex once and answers each sample in O(log n).
+  // Transition proofs: n=1024 small checkpoints, q=16 sampled transitions;
+  // a CommitmentIndex is built once and answers each sample in O(log n).
   core::EpochTrace small_trace;
   for (std::size_t i = 0; i < 1024; ++i) {
     core::TrainState s;
@@ -752,38 +351,27 @@ void run_crypto_harness() {
       core::commit_v2(small_trace, small_hasher);
   std::vector<std::size_t> samples;
   for (std::size_t q = 0; q < 16; ++q) samples.push_back((q * 61) % 1023);
-  const double seed_proofs_s = time_best([&] {
-    for (const std::size_t j : samples) {
-      benchmark::DoNotOptimize(seed_transition_proof(small_full, j));
-    }
-  });
-  const double new_proofs_s = time_best([&] {
+  const double proofs_s = time_best([&] {
     const core::CommitmentIndex index(small_full);
     for (const std::size_t j : samples) {
       benchmark::DoNotOptimize(
           index.prove_transition(static_cast<std::int64_t>(j)));
     }
   });
-  recorder.add("crypto.transition_proof.n1024.q16.speedup_vs_seed", "x",
-               seed_proofs_s / new_proofs_s, /*higher_is_better=*/true,
-               /*threads=*/4);
+  recorder.add("crypto.transition_proof.n1024.q16.s", "s", proofs_s,
+               /*higher_is_better=*/false, /*threads=*/4);
 
   runtime::set_threads(default_threads);
   recorder.write();
 
   std::printf("\ncrypto harness (state = %.1f MB/commit)\n", commit_mb);
-  std::printf("  sha256 stream 8MiB      : seed %7.1f MB/s, new %7.1f MB/s (%.2fx)\n",
-              stream_mb / seed_sha_s, stream_mb / new_sha_s,
-              seed_sha_s / new_sha_s);
+  std::printf("  sha256 stream 8MiB      : %7.1f MB/s\n", stream_mb / sha_s);
   std::printf("  commit_v1 resnet18      : 1t %.3fs, 4t %.3fs\n", v1_1t_s,
               v1_4t_s);
-  std::printf("  commit_v2 resnet18      : seed %.3fs, 1t %.3fs, 4t %.3fs "
-              "(%.2fx vs seed)\n",
-              seed_v2_s, v2_1t_s, v2_4t_s, seed_v2_s / v2_4t_s);
-  std::printf("  merkle build 65536      : seed %.4fs, new %.4fs (%.2fx)\n",
-              seed_merkle_s, merkle_s, seed_merkle_s / merkle_s);
-  std::printf("  transition proofs q16   : seed %.4fs, indexed %.4fs (%.1fx)\n",
-              seed_proofs_s, new_proofs_s, seed_proofs_s / new_proofs_s);
+  std::printf("  commit_v2 resnet18      : 1t %.3fs, 4t %.3fs\n", v2_1t_s,
+              v2_4t_s);
+  std::printf("  merkle build 65536      : %.4fs\n", merkle_s);
+  std::printf("  transition proofs q16   : %.3f ms\n", proofs_s * 1e3);
 }
 
 // ---------------------------------------------------------------------------
@@ -987,24 +575,10 @@ void BM_CheckpointSaveRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointSaveRestore);
 
-void BM_ConvGemm_ResNet18_conv2(benchmark::State& state) {
-  const auto shapes = sim::resnet18_conv_shapes();
-  const sim::ConvLayerShape& s = shapes[1];  // conv2_x
-  Rng rng(7);
-  const Tensor input = Tensor::randn({1, s.in_channels, s.in_h, s.in_w}, rng);
-  const Tensor weight = Tensor::randn({s.gemm_m(), s.gemm_k()}, rng, 0.05F);
-  const Conv2dSpec spec{s.in_channels, s.out_channels, s.kernel, s.stride,
-                        s.padding};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matmul(weight, im2col(input, spec)));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ConvGemm_ResNet18_conv2);
-
 constexpr const char* kUsage =
     "usage: bench_micro [MODE] [--benchmark_...]\n"
-    "  (no mode)       every harness, then the google-benchmark suites\n"
+    "  (no mode)       the layout, crypto and stream harnesses, then the\n"
+    "                  google-benchmark suites\n"
     "  --crypto-only   crypto/commitment harness only\n"
     "  --layout-only   blocked-layout conv harness only\n"
     "  --stream-only   streaming checkpoint harness only\n"
@@ -1016,8 +590,8 @@ constexpr const char* kUsage =
 int main(int argc, char** argv) {
   // Every argument is checked before a harness runs, so --help or a typo
   // exits at once and writes no BENCH_*.json. The --*-only modes run one
-  // harness (the tier-1 advisory bench-diff runs these; the kernel harness
-  // + google-benchmark suite take much longer).
+  // harness (the tier-1 advisory bench-diff runs these; the whole set plus
+  // the google-benchmark suites takes much longer).
   void (*only)() = nullptr;
   std::vector<char*> rest{argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -1046,7 +620,6 @@ int main(int argc, char** argv) {
     only();
     return 0;
   }
-  run_kernel_harness();
   run_layout_harness();
   run_crypto_harness();
   run_stream_harness();

@@ -44,17 +44,14 @@ struct ExchangeDriver {
   const SessionConfig& config;
   SessionOutcome& outcome;
   bool failed = false;
-  // Trace context that rode the envelope of the last successfully decoded
-  // message — what the receiving side's spans adopt as their remote parent.
+  // Trace context of the sender of the last successfully decoded message:
+  // what the receiving side's spans adopt as their remote parent.
   obs::TraceContext last_rx{};
 
-  // `sender` is the transmitting span's trace context. The envelope is
-  // attached AFTER fault delivery and stripped before decode: fault
-  // injection, size caps, and byte accounting all see only the canonical
-  // inner message, so a traced run takes byte-identical protocol decisions
-  // to an untraced one (the determinism contract). On a real network the
-  // envelope would wrap the whole frame; the strip-before-decode point is
-  // the same either way.
+  // `sender` is the transmitting span's trace context. It crosses by value,
+  // beside the message and never inside it, so fault injection, size caps,
+  // byte accounting and decoding see the same bytes whether or not a run is
+  // traced (the determinism contract).
   template <typename DecodeFn>
   auto run(MessageType type, const Bytes& encoded, bool to_worker,
            DecodeFn&& decode, const obs::TraceContext& sender = {},
@@ -107,17 +104,9 @@ struct ExchangeDriver {
         continue;
       }
       try {
-        if (obs::enabled()) {
-          const Bytes framed = core::wrap_trace_envelope(
-              sender.trace_id, sender.span_id, received);
-          obs::TraceContext rx;
-          const Bytes inner =
-              strip_trace_envelope(framed, &rx.trace_id, &rx.span_id);
-          auto result = decode(inner);
-          last_rx = rx;
-          return result;
-        }
-        return decode(received);
+        auto result = decode(received);
+        last_rx = sender;
+        return result;
       } catch (const std::exception&) {
         obs::count("session.decode_reject", 1);
         last_failure_was_decode = true;
@@ -140,13 +129,15 @@ void perturb_state(TrainState& state, float delta) {
   if (!state.model.empty()) state.model[0] += delta;
 }
 
-// Transfers one TrainState as a sequence of integrity-checked chunks, each
+// Transfers one TrainState as a sequence of digest-checked chunks, each
 // chunk a full exchange (timeout/retry/backoff, fault injection, byte
-// accounting) under the logical `type`. `validate` (may be empty) runs once
-// over the fully assembled state; a throw NACKs the final chunk, and since
-// the assembler has already consumed that offset, the retransmits exhaust
-// the budget into kDecodeRejected — a state that fails validation is never
-// taken, so a torn or forged transfer cannot be accepted.
+// accounting) under the logical `type`; it is the only way a session moves
+// a state. A chunk whose payload does not match its digest NACKs and is
+// retransmitted. `validate` (may be empty) runs once over the fully
+// assembled state; a throw NACKs the final chunk, and since the assembler
+// has already consumed that offset, the retransmits exhaust the budget into
+// kDecodeRejected — a state that fails validation is never taken, so a torn
+// or forged transfer cannot be accepted.
 std::optional<TrainState> exchange_state_chunked(
     ExchangeDriver& exchange, MessageType type, const TrainState& state,
     bool to_worker, const SessionConfig& config,
@@ -157,7 +148,7 @@ std::optional<TrainState> exchange_state_chunked(
   const std::int64_t n = encoder.num_chunks();
   for (std::int64_t i = 0; i < n; ++i) {
     // Materialized per iteration: the sender's resident wire footprint is
-    // one encoded chunk, never the full state encoding.
+    // one encoded chunk.
     const Bytes frame = encode_state_chunk(encoder.chunk(i));
     const auto ok = exchange.run(
         type, frame, to_worker,
@@ -210,6 +201,9 @@ SessionOutcome run_protocol_session(
   if (config.retry.max_attempts < 1) {
     throw std::invalid_argument("retry budget needs >= 1 attempt");
   }
+  if (config.chunk_bytes == 0) {
+    throw std::invalid_argument("state chunks need >= 1 payload byte");
+  }
 
   obs::Span session_span("session", config.trace_parent);
   const bool use_lsh = config.scheme == Scheme::kRPoLv2;
@@ -252,34 +246,19 @@ SessionOutcome run_protocol_session(
         s.context());
     if (!worker_view.has_value()) return finish(std::move(outcome));
 
-    // The worker validates the transfer against the announced hash; a
-    // mismatch (in-flight corruption that still decodes) is indistinct from
-    // a decode failure at the protocol level, so it NACKs and the manager
-    // retransmits. Chunked mode applies the same check once the stream
-    // assembles; per-chunk digests catch transport corruption earlier.
-    const auto validate_initial = [&](const TrainState& state) {
-      if (!digest_equal(hash_state(state), worker_view->initial_state_hash)) {
-        throw std::runtime_error("state transfer corrupted");
-      }
-    };
-    if (config.chunk_bytes > 0) {
-      worker_initial = exchange_state_chunked(
-          exchange, MessageType::kGlobalState, global_state,
-          /*to_worker=*/true, config, validate_initial, s.context());
-    } else {
-      worker_initial = exchange.run(
-          MessageType::kGlobalState, encode_train_state(global_state),
-          /*to_worker=*/true, [&](const Bytes& b) {
-            std::size_t offset = 0;
-            TrainState state = decode_train_state(b, offset);
-            if (offset != b.size()) {
-              throw std::invalid_argument("trailing bytes in state");
-            }
-            validate_initial(state);
-            return state;
-          },
-          s.context());
-    }
+    // Per-chunk digests catch transport corruption chunk by chunk; once the
+    // stream assembles, the worker also checks it against the announced
+    // hash. A mismatch NACKs the last chunk like any other decode failure.
+    worker_initial = exchange_state_chunked(
+        exchange, MessageType::kGlobalState, global_state, /*to_worker=*/true,
+        config,
+        [&](const TrainState& state) {
+          if (!digest_equal(hash_state(state),
+                            worker_view->initial_state_hash)) {
+            throw std::runtime_error("state transfer corrupted");
+          }
+        },
+        s.context());
     if (!worker_initial.has_value()) return finish(std::move(outcome));
   }
 
@@ -362,27 +341,13 @@ SessionOutcome run_protocol_session(
           s.context());
       if (!manager_commitment.has_value()) return finish(std::move(outcome));
 
-      // The model update itself (final weights) travels with the commitment.
+      // The model update itself (final weights) travels with the commitment;
+      // its chunk digests bind it in transit.
       TrainState update;
       update.model = trace.checkpoints.back().model;
-      if (config.chunk_bytes > 0) {
-        manager_update = exchange_state_chunked(
-            exchange, MessageType::kUpdate, update, /*to_worker=*/false,
-            config, /*validate=*/nullptr, s.context());
-      } else {
-        manager_update = exchange.run(
-            MessageType::kUpdate, encode_train_state(update),
-            /*to_worker=*/false,
-            [](const Bytes& b) {
-              std::size_t offset = 0;
-              TrainState state = decode_train_state(b, offset);
-              if (offset != b.size()) {
-                throw std::invalid_argument("trailing bytes in update");
-              }
-              return state;
-            },
-            s.context());
-      }
+      manager_update = exchange_state_chunked(
+          exchange, MessageType::kUpdate, update, /*to_worker=*/false, config,
+          /*validate=*/nullptr, s.context());
       if (!manager_update.has_value()) return finish(std::move(outcome));
     }
   }

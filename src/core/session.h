@@ -11,9 +11,12 @@
 //   M -> W : TaskAnnouncement            (epoch, nonce, hp, state hash, LSH)
 //   M -> W : global TrainState           (the model to train from)
 //   W -> M : CommitmentMessage           (after local training)
+//   W -> M : update TrainState           (the final model, paid for)
 //   M -> W : ProofRequest                (post-commitment samples)
 //   W -> M : ProofResponse               (requested checkpoint states)
 //   M      : re-execution & decision
+//
+// Both TrainStates cross as digest-checked StateChunk frames (core/wire.h).
 //
 // Tests use it to assert that the analytic cost model's message structure
 // matches what the protocol actually sends, and that a malicious worker
@@ -30,6 +33,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 
 #include "core/pool.h"
 #include "core/wire.h"
@@ -69,9 +73,6 @@ class CountingChannel {
   std::uint64_t bytes_to_manager() const { return to_manager_; }
   std::uint64_t total_bytes() const { return to_worker_ + to_manager_; }
 
-  std::uint64_t bytes_for(MessageType type) const {
-    return by_type_[static_cast<std::size_t>(type)];
-  }
   const std::array<std::uint64_t, kNumMessageTypes>& bytes_by_type() const {
     return by_type_;
   }
@@ -94,18 +95,19 @@ struct SessionConfig {
   const fault::FaultPlan* fault_plan = nullptr;
   // Timeout/retry/backoff budget the session grants each message exchange.
   fault::RetryPolicy retry;
-  // Chunked TrainState transfer (bounded-memory sessions): when > 0, the
-  // global-state download and the update upload travel as kTagStateChunk
-  // frames carrying at most this many payload bytes each. Every chunk is
-  // its own retried exchange under the SAME MessageType (so per-type fault
-  // profiles and byte accounting apply per chunk) with its own integrity
-  // digest, and neither endpoint ever materializes the full encoding —
-  // the sender slices on demand, the receiver decodes incrementally.
-  // 0 keeps the legacy single-frame path. ProofResponse stays unchunked:
-  // one response frame carries all q requested input states (and, for
-  // RPoLv1, their q output states), so its receiver does buffer the whole
-  // encoding.
-  std::size_t chunk_bytes = 0;
+  // Payload bytes per state chunk. The global-state download and the update
+  // upload always travel as kTagStateChunk frames carrying at most this
+  // many payload bytes each; the default sends each state as one chunk, so
+  // one frame per state. Every chunk is its own retried exchange under the
+  // SAME MessageType (so per-type fault profiles and byte accounting apply
+  // per chunk) with its own payload digest. With chunks smaller than the
+  // state, neither endpoint materializes the full encoding: the sender
+  // slices on demand, the receiver decodes incrementally. 0 is refused
+  // (std::invalid_argument).
+  // ProofResponse stays one frame: it carries all q requested input states
+  // (and, for RPoLv1, their q output states), so its receiver does buffer
+  // the whole encoding.
+  std::size_t chunk_bytes = std::numeric_limits<std::size_t>::max();
   // Receiver-side cap on the announced total of a chunked state stream; a
   // stream claiming more is rejected before any buffering (the chunked
   // counterpart of RetryPolicy::max_message_bytes).

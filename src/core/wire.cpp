@@ -552,36 +552,6 @@ Bytes encode_proof_response(const ProofResponse& msg) {
   return out;
 }
 
-Bytes wrap_trace_envelope(std::uint64_t trace_id, std::uint64_t span_id,
-                          const Bytes& payload) {
-  Bytes out;
-  out.reserve(kTraceEnvelopeBytes + payload.size());
-  out.push_back(kTagTraceEnvelope);
-  append_u64(out, trace_id);
-  append_u64(out, span_id);
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
-
-Bytes strip_trace_envelope(const Bytes& in, std::uint64_t* trace_id,
-                           std::uint64_t* span_id) {
-  if (in.empty() || in[0] != kTagTraceEnvelope) {
-    if (trace_id != nullptr) *trace_id = 0;
-    if (span_id != nullptr) *span_id = 0;
-    return in;
-  }
-  if (in.size() < kTraceEnvelopeBytes) {
-    throw std::invalid_argument("truncated trace envelope");
-  }
-  std::size_t offset = 1;
-  const std::uint64_t tid = read_u64(in, offset);
-  const std::uint64_t sid = read_u64(in, offset);
-  if (trace_id != nullptr) *trace_id = tid;
-  if (span_id != nullptr) *span_id = sid;
-  return Bytes(in.begin() + static_cast<std::ptrdiff_t>(kTraceEnvelopeBytes),
-               in.end());
-}
-
 ProofResponse decode_proof_response(const Bytes& in) {
   std::size_t offset = 0;
   expect_tag(in, offset, kTagProofResponse);

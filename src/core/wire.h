@@ -1,9 +1,11 @@
 // Canonical wire encoding of RPoL protocol messages.
 //
-// The pool protocol exchanges four message kinds per epoch (Fig. 2):
+// The pool protocol exchanges these message kinds per epoch (Fig. 2):
 //   manager -> worker : TaskAnnouncement (epoch, nonce, hyper-parameters,
 //                       global-state hash, LSH configuration for RPoLv2)
+//   manager -> worker : StateChunks (the global TrainState)
 //   worker  -> manager: CommitmentMessage (the checkpoint commitment)
+//   worker  -> manager: StateChunks (the update: the final model)
 //   manager -> worker : ProofRequest (sampled transition indices)
 //   worker  -> manager: ProofResponse (the requested TrainStates)
 //
@@ -28,17 +30,6 @@ inline constexpr std::uint8_t kTagCommitment = 0x02;
 inline constexpr std::uint8_t kTagProofRequest = 0x03;
 inline constexpr std::uint8_t kTagProofResponse = 0x04;
 inline constexpr std::uint8_t kTagStateChunk = 0x05;
-
-// Optional trace-context envelope (observability propagation, PR 4): a
-// 17-byte prefix [tag][trace_id u64 le][span_id u64 le] wrapped AROUND a
-// canonical message so causal links can cross the wire without ever
-// entering the message bytes that decoders parse and hashes commit to.
-// The tag is deliberately outside the message-tag range so an enveloped
-// frame can never be confused with (or decode as) a bare message, and a
-// legacy receiver that strips nothing simply rejects the unknown tag —
-// the envelope is ignorable metadata, not protocol surface.
-inline constexpr std::uint8_t kTagTraceEnvelope = 0x7C;
-inline constexpr std::size_t kTraceEnvelopeBytes = 17;
 
 struct TaskAnnouncement {
   std::int64_t epoch = 0;
@@ -94,7 +85,8 @@ Bytes encode_train_state(const TrainState& state);
 TrainState decode_train_state(const Bytes& in, std::size_t& offset);
 
 // ---------------------------------------------------------------------------
-// Chunked TrainState transfer (bounded-memory sessions, ROADMAP item 5).
+// Chunked TrainState transfer: how every global state and every update
+// crosses the wire.
 //
 // A full model state can dwarf every other message in the protocol; sending
 // it as one frame forces both endpoints to materialize the whole encoding.
@@ -130,7 +122,7 @@ StateChunk decode_state_chunk(const Bytes& in);
 
 // Produces the chunks of one state's canonical encoding ON DEMAND: chunk(i)
 // materializes only that window (plus its digest), so the sender's resident
-// wire footprint is one chunk, never the full encoding.
+// wire footprint is one chunk.
 class ChunkedStateEncoder {
  public:
   // `state` must outlive the encoder. chunk_payload_bytes >= 1 or throws.
@@ -192,20 +184,5 @@ class ChunkedStateAssembler {
   std::uint64_t floats_left_ = 0; // remaining floats of the current vector
   TrainState state_;
 };
-
-// Prefixes `payload` with a canonical trace envelope. The payload bytes are
-// copied verbatim — wrap(strip(x)) == x for any enveloped frame.
-Bytes wrap_trace_envelope(std::uint64_t trace_id, std::uint64_t span_id,
-                          const Bytes& payload);
-
-// Removes a leading trace envelope if present, returning the inner message
-// and (optionally) the carried ids. Frames that do not start with
-// kTagTraceEnvelope pass through unchanged with ids reported as 0 — this is
-// what makes the envelope ignorable by construction: receivers always strip
-// before decoding, and un-enveloped legacy traffic is a no-op strip. An
-// envelope tag with fewer than kTraceEnvelopeBytes bytes behind it throws
-// std::invalid_argument like every other truncated frame.
-Bytes strip_trace_envelope(const Bytes& in, std::uint64_t* trace_id = nullptr,
-                           std::uint64_t* span_id = nullptr);
 
 }  // namespace rpol::core

@@ -232,12 +232,9 @@ class FaultyChannel {
     return send(type, message, /*to_worker=*/false);
   }
 
-  bool faulty() const { return injector_.has_value(); }
   const FaultStats* stats() const {
     return injector_.has_value() ? &injector_->stats() : nullptr;
   }
-  Channel& inner() { return inner_; }
-  const Channel& inner() const { return inner_; }
 
  private:
   template <typename MessageTypeT>

@@ -32,11 +32,12 @@
 // Causal propagation: every span carries a trace_id (the id of the root
 // span of its causal tree — one tree per epoch/submission) and, when its
 // parent lives in ANOTHER agent, a `link` to that remote span. The
-// TraceContext {trace_id, span_id} pair is what crosses the wire (see
-// core/wire.h's trace envelope); receivers adopt it so one epoch becomes a
+// TraceContext {trace_id, span_id} pair is what crosses an agent boundary
+// (core/session.cpp hands the sending span's context to the receiver by
+// value, beside each message); receivers adopt it so one epoch becomes a
 // single stitched tree spanning manager and workers. Propagation is as
-// write-only as everything else here: contexts ride OUTSIDE the canonical
-// message bytes and are stripped before any decode or hash.
+// write-only as everything else here: contexts never enter the canonical
+// message bytes, so no decode or hash ever sees them.
 
 #pragma once
 

@@ -12,7 +12,7 @@ namespace {
 constexpr double kNsToS = 1e-9;
 
 // The causal parent used for tree reconstruction: same-agent `parent` when
-// present, otherwise the cross-agent `link` the wire envelope carried.
+// present, otherwise the cross-agent `link` to a remote sender's span.
 std::uint64_t effective_parent(const SpanRecord& s) {
   return s.parent != 0 ? s.parent : s.link;
 }

@@ -1,6 +1,6 @@
 // Causal timeline reconstruction over a rpol.trace.v2 export: stitches the
 // per-epoch span trees back together (same-agent `parent` edges plus
-// cross-agent `link` edges carried by the wire envelope), attributes each
+// cross-agent `link` edges to a remote sender's span), attributes each
 // epoch's wall time to protocol phases, surfaces per-worker costs and the
 // critical path, and flags referential damage (orphan parents / broken
 // links). Backs the `rpol timeline` CLI subcommand and the Chrome-trace /

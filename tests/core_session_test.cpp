@@ -244,5 +244,17 @@ TEST_F(SessionFixture, InvalidRetryPolicyRejected) {
       std::invalid_argument);
 }
 
+TEST_F(SessionFixture, ZeroChunkSizeRejected) {
+  // Every state crosses as digest-checked chunks; a chunk holds >= 1 byte.
+  HonestPolicy honest;
+  SessionConfig cfg = config(Scheme::kRPoLv2);
+  cfg.chunk_bytes = 0;
+  EXPECT_THROW(
+      run_protocol_session(task.factory, task.hp, cfg, global, 505, view,
+                           honest, sim::device_ga10(), 3, sim::device_g3090(),
+                           4),
+      std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace rpol::core

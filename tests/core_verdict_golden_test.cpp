@@ -16,13 +16,14 @@
 //     workers and a wrong initial hash, under two sampling seeds;
 //   * run_protocol_session, RPoLv1 and RPoLv2, for honest, replay and spoof
 //     workers and each fault::Byzantine script, lossless and under a seeded
-//     drop/corrupt/truncate plan, chunked and unchunked;
+//     drop/corrupt/truncate plan, one transcript per chunk size;
 //   * DecentralizedVerifier votes and verdicts for an honest and a spoofed
 //     trace, with one colluding and one slandering committee member.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "core/ckptstore.h"
@@ -238,21 +239,33 @@ TEST_F(VerdictGoldenFixture, VerifierResultsMatchGoldens) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire sessions: every peer, lossless and faulty, chunked and unchunked.
+// Wire sessions: every peer, lossless and faulty, at each chunk size. Each
+// chunk size is its own transcript and draws the same plan seeds, so a
+// transcript does not depend on which other sizes are pinned.
+
+// SessionConfig's default: each state crosses as one chunk.
+constexpr std::size_t kOneChunk = std::numeric_limits<std::size_t>::max();
 
 struct SessionGolden {
   Scheme scheme;
   bool tight;  // see VerdictGoldenFixture::lsh_config
+  std::size_t chunk_bytes;
   const char* hex;
 };
 
 constexpr SessionGolden kSessionGoldens[] = {
-    {Scheme::kRPoLv1, false,
-     "b593cf78d393658765beec906005a87f11243bd46933723bf018f0eeab84fa61"},
-    {Scheme::kRPoLv2, false,
-     "505c2f7b928188561d60ad2633b77288fb24ea6d987980014b17d7718a08cb7f"},
-    {Scheme::kRPoLv2, true,
-     "643ee0c16134f2cb7f554fca45110749e1f5d3056d4552d3001cca8f09e26eae"},
+    {Scheme::kRPoLv1, false, 512,
+     "99a4b51ba5ad0e5b24ce7143d685e5cc8f94acb15fb0314a8a0e73944d128c89"},
+    {Scheme::kRPoLv1, false, kOneChunk,
+     "a0a10d108497736bf1c5f5620574e8c9bd712315a65450bd7b498b175fbebf2b"},
+    {Scheme::kRPoLv2, false, 512,
+     "12f6423cc86cb40233384509e8867ae7ca59298f736c8dd00547cc56d39c0216"},
+    {Scheme::kRPoLv2, false, kOneChunk,
+     "629c6172aeab08b1c8753648560ac1b914a9de917c211ff42a62238f26596e79"},
+    {Scheme::kRPoLv2, true, 512,
+     "adba67ceb3f4957ab8df868d0289e66db0adaa8c715091fccfcc06312b5690da"},
+    {Scheme::kRPoLv2, true, kOneChunk,
+     "f3129a82633c969028d5aeaed9c05de0ab79e1d5bb3959a5ca8065bf39a634f5"},
 };
 
 TEST_F(VerdictGoldenFixture, SessionOutcomesMatchGoldens) {
@@ -270,52 +283,51 @@ TEST_F(VerdictGoldenFixture, SessionOutcomesMatchGoldens) {
   for (const SessionGolden& g : kSessionGoldens) {
     Transcript t;
     std::uint64_t plan_seed = 900;
-    for (const std::size_t chunk_bytes : {std::size_t{0}, std::size_t{512}}) {
-      for (const bool faulty : {false, true}) {
-        // Peers: the worker policies with an honest transport, then an
-        // honest policy under each scripted byzantine behaviour.
-        struct Peer {
-          std::unique_ptr<WorkerPolicy> policy;
-          fault::Byzantine script;
-        };
-        std::vector<Peer> peers;
-        peers.push_back({std::make_unique<HonestPolicy>(), fault::Byzantine::kNone});
-        peers.push_back({std::make_unique<ReplayPolicy>(), fault::Byzantine::kNone});
-        peers.push_back(
-            {std::make_unique<SpoofPolicy>(0.5, 0.5), fault::Byzantine::kNone});
-        for (const fault::Byzantine script : scripts) {
-          peers.push_back({std::make_unique<HonestPolicy>(), script});
+    for (const bool faulty : {false, true}) {
+      // Peers: the worker policies with an honest transport, then an honest
+      // policy under each scripted byzantine behaviour.
+      struct Peer {
+        std::unique_ptr<WorkerPolicy> policy;
+        fault::Byzantine script;
+      };
+      std::vector<Peer> peers;
+      peers.push_back({std::make_unique<HonestPolicy>(), fault::Byzantine::kNone});
+      peers.push_back({std::make_unique<ReplayPolicy>(), fault::Byzantine::kNone});
+      peers.push_back(
+          {std::make_unique<SpoofPolicy>(0.5, 0.5), fault::Byzantine::kNone});
+      for (const fault::Byzantine script : scripts) {
+        peers.push_back({std::make_unique<HonestPolicy>(), script});
+      }
+
+      for (Peer& peer : peers) {
+        ++plan_seed;
+        std::optional<fault::FaultPlan> plan;
+        if (faulty) {
+          plan = fault::FaultPlan::transport(lossy, plan_seed);
+          plan->byzantine = peer.script;
+        } else if (peer.script != fault::Byzantine::kNone) {
+          plan = fault::FaultPlan::adversary(peer.script, plan_seed);
         }
+        if (plan.has_value()) plan->oversized_payload_bytes = 2u << 20;
 
-        for (Peer& peer : peers) {
-          ++plan_seed;
-          std::optional<fault::FaultPlan> plan;
-          if (faulty) {
-            plan = fault::FaultPlan::transport(lossy, plan_seed);
-            plan->byzantine = peer.script;
-          } else if (peer.script != fault::Byzantine::kNone) {
-            plan = fault::FaultPlan::adversary(peer.script, plan_seed);
-          }
-          if (plan.has_value()) plan->oversized_payload_bytes = 2u << 20;
+        SessionConfig cfg;
+        cfg.scheme = g.scheme;
+        cfg.samples_q = 3;
+        cfg.beta = kBeta;
+        if (g.scheme == Scheme::kRPoLv2) cfg.lsh = lsh_config(g.tight);
+        cfg.fault_plan = plan.has_value() ? &*plan : nullptr;
+        cfg.retry.max_message_bytes = 1u << 20;
+        cfg.chunk_bytes = g.chunk_bytes;
 
-          SessionConfig cfg;
-          cfg.scheme = g.scheme;
-          cfg.samples_q = 3;
-          cfg.beta = kBeta;
-          if (g.scheme == Scheme::kRPoLv2) cfg.lsh = lsh_config(g.tight);
-          cfg.fault_plan = plan.has_value() ? &*plan : nullptr;
-          cfg.retry.max_message_bytes = 1u << 20;
-          cfg.chunk_bytes = chunk_bytes;
-
-          const SessionOutcome outcome = run_protocol_session(
-              task.factory, task.hp, cfg, context.initial, /*nonce=*/505,
-              view, *peer.policy, sim::device_ga10(), /*worker_seed=*/3,
-              sim::device_g3090(), /*manager_seed=*/4);
-          add_outcome(t, outcome);
-        }
+        const SessionOutcome outcome = run_protocol_session(
+            task.factory, task.hp, cfg, context.initial, /*nonce=*/505, view,
+            *peer.policy, sim::device_ga10(), /*worker_seed=*/3,
+            sim::device_g3090(), /*manager_seed=*/4);
+        add_outcome(t, outcome);
       }
     }
-    EXPECT_EQ(t.hex(), g.hex) << scheme_name(g.scheme) << " tight=" << g.tight;
+    EXPECT_EQ(t.hex(), g.hex) << scheme_name(g.scheme) << " tight=" << g.tight
+                              << " chunk_bytes=" << g.chunk_bytes;
   }
 }
 

@@ -204,61 +204,5 @@ TEST_F(WireFixture, DecodedStateReloadsIntoExecutor) {
   EXPECT_EQ(executor.save_state().model, trace.checkpoints.back().model);
 }
 
-// ---------------------------------------------------------------------------
-// Trace-context envelope (observability propagation)
-
-TEST(Wire, TraceEnvelopeRoundTripsAnyPayload) {
-  const Bytes payload = {0x02, 0xFF, 0x00, 0x7C, 0x01};  // arbitrary bytes
-  const Bytes framed = wrap_trace_envelope(42, 7, payload);
-  ASSERT_EQ(framed.size(), payload.size() + kTraceEnvelopeBytes);
-  EXPECT_EQ(framed[0], kTagTraceEnvelope);
-
-  std::uint64_t trace_id = 0, span_id = 0;
-  const Bytes inner = strip_trace_envelope(framed, &trace_id, &span_id);
-  EXPECT_EQ(inner, payload);  // wrap(strip(x)) == x, byte for byte
-  EXPECT_EQ(trace_id, 42U);
-  EXPECT_EQ(span_id, 7U);
-}
-
-TEST(Wire, StripPassesNonEnvelopedFramesThrough) {
-  // Legacy traffic never starts with the envelope tag; strip is a no-op
-  // reporting zero ids, so receivers can strip unconditionally.
-  const Bytes bare = {kTagCommitment, 0x01, 0x02};
-  std::uint64_t trace_id = 99, span_id = 99;
-  const Bytes out = strip_trace_envelope(bare, &trace_id, &span_id);
-  EXPECT_EQ(out, bare);
-  EXPECT_EQ(trace_id, 0U);
-  EXPECT_EQ(span_id, 0U);
-  // The id out-params are optional.
-  EXPECT_EQ(strip_trace_envelope(bare), bare);
-  EXPECT_TRUE(strip_trace_envelope(Bytes{}).empty());
-}
-
-TEST(Wire, TruncatedEnvelopeRejected) {
-  const Bytes framed = wrap_trace_envelope(1, 2, {0xAA});
-  for (std::size_t len = 1; len < kTraceEnvelopeBytes; ++len) {
-    const Bytes cut(framed.begin(),
-                    framed.begin() + static_cast<std::ptrdiff_t>(len));
-    EXPECT_THROW(strip_trace_envelope(cut), std::invalid_argument) << len;
-  }
-}
-
-TEST_F(WireFixture, EnvelopeNeverEntersMessageBytesOrHashes) {
-  // The canonical encoding of a commitment is identical whether or not the
-  // frame travels inside an envelope, so every digest computed over message
-  // bytes (state hashing, commitment roots) is envelope-blind.
-  const Commitment commitment = commit_v1(trace);
-  const Bytes canonical = encode_commitment(commitment);
-  const Bytes framed = wrap_trace_envelope(1234, 5678, canonical);
-  const Bytes stripped = strip_trace_envelope(framed);
-  EXPECT_EQ(stripped, canonical);
-  EXPECT_TRUE(digest_equal(sha256(stripped), sha256(canonical)));
-  // An enveloped frame can never be mistaken for a decodable message.
-  EXPECT_THROW(decode_commitment(framed), std::invalid_argument);
-  // And the carried ids do not perturb the payload bytes.
-  EXPECT_EQ(strip_trace_envelope(wrap_trace_envelope(1, 1, canonical)),
-            strip_trace_envelope(wrap_trace_envelope(9999, 42, canonical)));
-}
-
 }  // namespace
 }  // namespace rpol::core

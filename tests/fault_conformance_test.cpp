@@ -60,8 +60,9 @@ fault::FaultProfile uniform(double drop, double delay, double truncate,
 }
 
 // Corruption is only recoverable on messages whose receiver can validate
-// integrity and NACK (state: announced hash; commitment: root binding;
-// proof response: commitment hashes; announcement: its trailing seal, see
+// integrity and NACK (state and update: chunk digests, and the state's
+// announced hash; commitment: root binding; proof response: commitment
+// hashes; announcement: its trailing seal, see
 // SealedAnnouncementSurvivesCorruption). The proof request carries no
 // binding, so a corrupted-but-decodable copy would silently change protocol
 // semantics — honest-transport scenarios keep corruption off it.
@@ -308,6 +309,40 @@ TEST_F(FaultConformance, SealedAnnouncementSurvivesCorruption) {
   EXPECT_GT(announcement_retries, 0u);  // the plan did corrupt announcements
 }
 
+TEST_F(FaultConformance, CorruptedUpdateNeverChangesThePaidModel) {
+  // Only the update upload is corrupted. The worker is paid for the model
+  // the manager takes, so an accepted session must carry the model the
+  // worker trained, bit for bit; a corrupted update that would still decode
+  // is refused by its chunk digest, and a session whose retries run out
+  // ends in a typed decode rejection.
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    Scenario lossless;
+    lossless.scheme = scheme;
+    lossless.has_plan = false;
+    const SessionOutcome reference = run(lossless);
+    ASSERT_EQ(reference.status, SessionStatus::kAccepted);
+
+    std::uint64_t update_retries = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      Scenario s;
+      s.scheme = scheme;
+      s.plan = fault::FaultPlan::transport({}, seed);
+      s.plan.profile(kIdxUpdate).corrupt = 0.5;
+      const SessionOutcome outcome = run(s);
+      if (outcome.accepted) {
+        EXPECT_EQ(outcome.final_model, reference.final_model)
+            << "seed " << seed << " accepted an altered update";
+      } else {
+        EXPECT_EQ(outcome.status, SessionStatus::kDecodeRejected)
+            << "seed " << seed << ": " << session_status_name(outcome.status);
+      }
+      update_retries += outcome.retries_by_type[kIdxUpdate];
+    }
+    EXPECT_GT(update_retries, 0u);  // the plan did corrupt updates
+  }
+}
+
 TEST_F(FaultConformance, ScenarioTable) {
   const auto table = scenarios();
   ASSERT_GE(table.size(), 12u);
@@ -539,9 +574,9 @@ TEST(FaultPrimitives, TransmitDeliveriesMatchGolden) {
 // state and the model update travel as independently integrity-checked
 // chunks (core/wire.h StateChunk) under their logical MessageType, so the
 // per-type fault profiles and retry budgets apply to every chunk. The
-// contracts mirror the legacy table, plus one new one: a transfer that loses
-// a middle chunk ends in a TYPED failure — a torn or partially-assembled
-// state is never accepted.
+// contracts mirror the table above at small chunk sizes, plus one new one:
+// a transfer that loses a middle chunk ends in a TYPED failure — a torn or
+// partially-assembled state is never accepted.
 
 struct ChunkedSession : public FaultConformance {
   SessionOutcome run_chunked(const Scenario& scenario,
@@ -556,23 +591,23 @@ struct ChunkedSession : public FaultConformance {
   }
 };
 
-TEST_F(ChunkedSession, LosslessChunkedMatchesLegacyModelBits) {
+TEST_F(ChunkedSession, LosslessChunkedMatchesOneChunkModelBits) {
   // Chunking is pure transport framing: on a clean channel the verdict and
-  // every model bit must match the single-frame path at any chunk size,
-  // including one larger than the whole encoding (single-chunk stream) and
-  // SIZE_MAX, where a ceiling formed as total + size - 1 wraps to zero
-  // chunks and the worker would send nothing.
+  // every model bit must match the default session, which sends each state
+  // as one chunk, at any chunk size, including one larger than the whole
+  // encoding. The default chunk size is SIZE_MAX, where a ceiling formed as
+  // total + size - 1 would wrap to zero chunks and the worker would send
+  // nothing.
   Scenario s;
   s.name = "lossless_chunked";
   s.has_plan = false;
-  const SessionOutcome legacy = run(s);
-  ASSERT_EQ(legacy.status, SessionStatus::kAccepted);
-  for (const std::size_t chunk_bytes :
-       {48ul, 256ul, 1ul << 20, std::numeric_limits<std::size_t>::max()}) {
+  const SessionOutcome one_chunk = run(s);
+  ASSERT_EQ(one_chunk.status, SessionStatus::kAccepted);
+  for (const std::size_t chunk_bytes : {48ul, 256ul, 1ul << 20}) {
     SCOPED_TRACE(chunk_bytes);
     const SessionOutcome chunked = run_chunked(s, chunk_bytes);
     EXPECT_EQ(chunked.status, SessionStatus::kAccepted);
-    EXPECT_EQ(chunked.final_model, legacy.final_model);
+    EXPECT_EQ(chunked.final_model, one_chunk.final_model);
     // Byte accounting still balances with chunk framing in play.
     std::uint64_t typed_total = 0;
     for (const std::uint64_t b : chunked.bytes_by_type) typed_total += b;

@@ -433,11 +433,10 @@ TEST(TrainingDeterminism, TracedRunIsBitwiseIdenticalToUntraced) {
 
 // The same guarantee through the FULL protocol stack: a pool run with
 // tracing on exercises causal propagation end to end — epoch root spans,
-// TraceContext riding the wire envelope on every session message, workers
-// adopting remote parents — and must still produce bit-identical protocol
-// results. This is the strongest form of "envelopes never reach a hash":
-// if a single envelope byte leaked into any commitment, digest, or decode,
-// the global models would diverge.
+// and re-execution spans that adopt the verify phase's context as a remote
+// parent — and must still produce bit-identical protocol results. If trace
+// state leaked into any commitment, digest, or decode, the global models
+// would diverge.
 TEST(TrainingDeterminism, TracedPoolRunWithPropagationIsBitwiseIdentical) {
   auto run_pool = [](bool traced) {
     obs::set_enabled(traced);
@@ -490,7 +489,7 @@ TEST(TrainingDeterminism, TracedPoolRunWithPropagationIsBitwiseIdentical) {
   EXPECT_GT(traced.spans, 0U);
   EXPECT_TRUE(traced.propagated);
   // ...and not one protocol byte moved: same model floats, same accuracy,
-  // same WAN byte accounting (envelopes are excluded from it by design).
+  // same WAN byte accounting (trace contexts never enter it).
   EXPECT_EQ(untraced.model, traced.model);
   EXPECT_EQ(untraced.final_accuracy, traced.final_accuracy);
   EXPECT_EQ(untraced.total_bytes, traced.total_bytes);

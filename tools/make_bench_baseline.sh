@@ -3,9 +3,10 @@
 # seeds the performance trajectory (`rpol bench-diff BENCH_baseline.json ...`).
 #
 # Only the smoke-shape benches feed the baseline (the full suite takes
-# minutes): bench_micro's kernel, crypto/commitment, blocked-layout conv, and
-# streaming-checkpoint harnesses (wall-clock GFLOP/s, SHA/commit throughput,
-# direct-vs-fallback speedups, and core.stream.* bounded-memory rows),
+# minutes): bench_micro's crypto/commitment, blocked-layout conv, and
+# streaming-checkpoint harnesses (SHA/commit throughput, Merkle and
+# transition-proof times, Conv2d-vs-reference speedups, and core.stream.*
+# bounded-memory rows),
 # bench_table3's deterministic cost-model rows, and bench_pool_scale's
 # sharded-manager pool.scale.* rows (submissions/sec at >= 1k workers plus an
 # explicit peak-RSS row). All write into the same file via RPOL_BENCH_FILE;
@@ -28,8 +29,8 @@ done
 
 rm -f BENCH_baseline.json
 
-# The kernel harness always runs; '^$' filters out the google-benchmark
-# suite so the baseline pass stays short.
+# With no mode bench_micro runs all three harnesses; '^$' filters out the
+# google-benchmark suites so the baseline pass stays short.
 RPOL_BENCH_FILE=BENCH_baseline.json \
   "$BUILD/bench/bench_micro" --benchmark_filter='^$' >/dev/null
 
