@@ -1,6 +1,6 @@
 // Sharded-manager scale bench: submissions/sec and peak RSS for a
-// mining-pool-sized worker set (ISSUE 10 / Sec. II's 10^3..10^4 regime)
-// driven through core/sharded_pool.h with bounded admission queues.
+// mining-pool-sized worker set (Sec. II's 10^3..10^4 regime) driven
+// through core/sharded_pool.h.
 //
 // Two regimes bracket the manager's operating envelope:
 //   * verifier_bound  — lossless transport: wall time is dominated by
@@ -46,8 +46,6 @@ struct RegimeResult {
   std::int64_t accepted = 0;
   std::int64_t session_failures = 0;
   std::int64_t retransmissions = 0;
-  std::int64_t requeued = 0;
-  std::int64_t max_queue_depth = 0;
   std::uint64_t wan_bytes = 0;
 };
 
@@ -56,7 +54,7 @@ struct RegimeResult {
 RegimeResult run_regime(const ScaleConfig& scale,
                         const fault::FaultPlan* plan) {
   // The per-worker task is deliberately tiny: the bench loads the MANAGER
-  // (admission, sharded verification, health bookkeeping), not the workers.
+  // (sharded verification, health bookkeeping), not the workers.
   data::SyntheticBlobConfig data_cfg;
   data_cfg.num_classes = 4;
   data_cfg.num_examples = static_cast<std::int64_t>(8 * (scale.workers + 1));
@@ -79,8 +77,6 @@ RegimeResult run_regime(const ScaleConfig& scale,
   cfg.base.fault_plan = plan;
   cfg.base.eviction_threshold = 3;
   cfg.shards = scale.shards;
-  cfg.queue_capacity = 64;
-  cfg.overflow = core::AdmissionPolicy::kRequeue;
 
   std::vector<core::WorkerSpec> workers;
   const auto devices = sim::all_devices();
@@ -105,8 +101,6 @@ RegimeResult run_regime(const ScaleConfig& scale,
     for (const bool a : epoch.accepted) r.accepted += a ? 1 : 0;
     r.session_failures += epoch.session_failures;
     r.retransmissions += epoch.retransmissions;
-    r.requeued += epoch.admission_requeued;
-    r.max_queue_depth = std::max(r.max_queue_depth, epoch.max_queue_depth);
     r.wan_bytes += epoch.bytes_this_epoch;
   }
   r.subs_per_s = wall > 0.0 ? static_cast<double>(r.submissions) / wall : 0.0;
@@ -115,14 +109,11 @@ RegimeResult run_regime(const ScaleConfig& scale,
 
 void print_regime(const char* name, const RegimeResult& r) {
   std::printf("%-16s %10.0f subs/s  wall %6.2fs  verified %6lld  "
-              "failed %5lld  retrans %6lld  requeued %6lld  depth<=%lld  "
-              "WAN %.1f MB\n",
+              "failed %5lld  retrans %6lld  WAN %.1f MB\n",
               name, r.subs_per_s, r.wall_s,
               static_cast<long long>(r.submissions),
               static_cast<long long>(r.session_failures),
               static_cast<long long>(r.retransmissions),
-              static_cast<long long>(r.requeued),
-              static_cast<long long>(r.max_queue_depth),
               static_cast<double>(r.wan_bytes) / (1024.0 * 1024.0));
 }
 
@@ -161,8 +152,7 @@ int main(int argc, char** argv) {
   const fault::FaultPlan plan = fault::FaultPlan::transport(lossy, 4242);
   const RegimeResult network_bound = run_regime(scale, &plan);
 
-  std::printf("\n%zu workers over %d shards, %lld epochs, queue cap 64 "
-              "(requeue)\n\n",
+  std::printf("\n%zu workers over %d shards, %lld epochs\n\n",
               scale.workers, scale.shards,
               static_cast<long long>(scale.epochs));
   print_regime("verifier_bound", verifier_bound);

@@ -102,9 +102,10 @@ EpochCostReport estimate_epoch_cost(const CostScenario& scenario) {
   }
 
   // --- Epoch wall time ---------------------------------------------------
-  sim::Network net(s.network, s.num_workers);
-  const double t_down = net.download(0, weight_bytes, s.num_workers);
-  const double t_up = net.upload(0, upload_per_worker, s.num_workers);
+  const double t_down =
+      sim::transfer_seconds(s.network, weight_bytes, s.num_workers);
+  const double t_up =
+      sim::transfer_seconds(s.network, upload_per_worker, s.num_workers);
   const std::size_t parallelism =
       s.manager_verify_parallelism != 0
           ? s.manager_verify_parallelism

@@ -24,6 +24,7 @@
 #include "core/pool.h"
 #include "sim/cost.h"
 #include "sim/model_specs.h"
+#include "sim/network.h"
 
 namespace rpol::core {
 

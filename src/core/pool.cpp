@@ -79,7 +79,6 @@ MiningPool::MiningPool(PoolConfig config, nn::ModelFactory factory,
       test_(std::move(test)),
       workers_(std::move(workers)),
       manager_executor_(factory_, config_.hp),
-      network_(config_.network, std::max<std::size_t>(workers_.size(), 1)),
       health_(static_cast<int>(config_.eviction_threshold), workers_.size()) {
   if (workers_.empty()) throw std::invalid_argument("pool needs >= 1 worker");
   // n+1 i.i.d. parts: the manager keeps part 0 for calibration (Sec. V-C).
@@ -152,29 +151,25 @@ double MiningPool::evaluate_global() {
 }
 
 bool MiningPool::deliver_leg(EpochWorkspace& ws, std::size_t w, int leg,
-                             const char* counter, std::uint64_t bytes,
-                             bool upload) {
+                             const char* counter, std::uint64_t bytes) {
   // One protocol leg under the fault environment. Every transmission
   // attempt — retransmissions and duplicates included — counts the full leg
   // toward the worker's byte tally: that is what the sender actually
-  // transmitted. The tallies replay into sim::Network in worker order at
-  // finish_epoch (its counters are shared, so shard threads must not touch
-  // them mid-epoch).
+  // transmitted.
   EpochWorkspace::WorkerSlot& slot = ws.slots[w];
   const bool faulty = slot.injector.has_value();
   const int attempts = faulty ? config_.retry.max_attempts : 1;
-  std::uint64_t& tally = upload ? slot.uploaded_bytes : slot.downloaded_bytes;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       ++slot.retransmissions;
       obs::count("pool.retransmission", 1);
     }
-    tally += bytes;
+    slot.wan_bytes += bytes;
     obs::count(counter, bytes);
     if (!faulty) return true;
     const fault::Delivery d = slot.injector->attempt(leg);
     if (d.duplicated) {
-      tally += bytes;
+      slot.wan_bytes += bytes;
       obs::count(counter, bytes);
     }
     if (d.status == fault::DeliveryStatus::kDelivered && !d.corrupted) {
@@ -266,8 +261,7 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
   ctx.initial = ws.initial;
 
   // Global model out to the worker.
-  if (!deliver_leg(ws, w, kLegState, "bytes.state", ws.model_bytes,
-                   /*upload=*/false)) {
+  if (!deliver_leg(ws, w, kLegState, "bytes.state", ws.model_bytes)) {
     slot.participated = false;
     slot.accepted = false;
     slot.status = SessionStatus::kTimeout;
@@ -333,10 +327,8 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
                                              ? slot.compact->byte_size()
                                              : slot.commitment.byte_size();
   const bool uploaded =
-      deliver_leg(ws, w, kLegUpdate, "bytes.update", ws.model_bytes,
-                  /*upload=*/true) &&
-      deliver_leg(ws, w, kLegCommitment, "bytes.commitment", commitment_bytes,
-                  /*upload=*/true);
+      deliver_leg(ws, w, kLegUpdate, "bytes.update", ws.model_bytes) &&
+      deliver_leg(ws, w, kLegCommitment, "bytes.commitment", commitment_bytes);
   if (!uploaded) {
     slot.participated = false;
     slot.accepted = false;
@@ -382,7 +374,7 @@ void MiningPool::verify_worker(EpochWorkspace& ws, std::size_t w,
   // Proofs fetched on demand; losing them means the manager cannot
   // reach a verdict, which fails the session rather than rejecting it.
   if (!deliver_leg(ws, w, kLegProofResponse, "bytes.proof_response",
-                   vr.proof_bytes, /*upload=*/true)) {
+                   vr.proof_bytes)) {
     slot.participated = false;
     slot.accepted = false;
     slot.status = SessionStatus::kTimeout;
@@ -424,24 +416,18 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
     report.manager_reexecuted_steps += slot.reexecuted_steps;
     report.worker_storage_bytes =
         std::max(report.worker_storage_bytes, slot.storage_bytes);
+    report.bytes_this_epoch += slot.wan_bytes;
   }
-  report.admission_enqueued = ws.admission_enqueued;
-  report.admission_requeued = ws.admission_requeued;
-  report.admission_rejected = ws.admission_rejected;
-  report.max_queue_depth = ws.max_queue_depth;
 
   // Graceful degradation, routed through the health registry: loss and
   // rejection strikes accrue on SEPARATE consecutive counters (obs/health.h
   // splits the kinds so a lossy link is not byzantine evidence);
   // eviction_threshold consecutive strikes of either kind retire the worker
   // and subsequent epochs run with the survivors. One accepted session
-  // clears the record. Admission-rejected submissions (a sharded manager
-  // shedding load) are neither a strike nor a success: the pool never
-  // judged them, so they must not move the worker's record at all.
+  // clears the record.
   for (std::size_t w = 0; w < n; ++w) {
     if (health_.evicted(w)) continue;
     const EpochWorkspace::WorkerSlot& slot = ws.slots[w];
-    if (slot.status == SessionStatus::kAdmissionRejected) continue;
     obs::HealthOutcome outcome;
     outcome.participated = slot.participated;
     outcome.accepted = slot.accepted;
@@ -458,18 +444,17 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
     report.evicted_count += health_.evicted(w) ? 1 : 0;
   }
 
-  // Aggregation, Eq. (1) with equal |D_w| weights renormalized over the
-  // accepted set (FedAvg convention): rejected submissions are excluded
-  // entirely, so detecting a free-riding worker restores the full step size
-  // instead of diluting the update — the mechanism behind Fig. 6's gap
-  // between verified and unverified pools.
+  // Aggregation, Eq. (1) with eta = 1 and equal |D_w| weights
+  // renormalized over the accepted set (FedAvg convention): rejected
+  // submissions are excluded entirely, so detecting a free-riding worker
+  // restores the full step size instead of diluting the update — the
+  // mechanism behind Fig. 6's gap between verified and unverified pools.
   std::size_t accepted_count = 0;
   for (const bool a : report.accepted) accepted_count += a ? 1 : 0;
   if (accepted_count > 0) {
     obs::Span s("aggregate", *ws.epoch_span, /*worker=*/-1, ws.epoch);
     s.attr("accepted_count", static_cast<std::int64_t>(accepted_count));
-    const float weight = static_cast<float>(config_.global_learning_rate) /
-                         static_cast<float>(accepted_count);
+    const float weight = 1.0F / static_cast<float>(accepted_count);
     std::vector<float> next = global_model_;
     for (std::size_t w = 0; w < n; ++w) {
       if (!report.accepted[w]) continue;
@@ -491,19 +476,6 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
     report.test_accuracy = evaluate_global();
     s.attr("accuracy", report.test_accuracy);
   }
-  // Replay the deferred per-worker WAN tallies into the (shared,
-  // single-threaded) network counters, in worker order. Totals are integer
-  // sums of exactly the legacy per-attempt charges, so bytes_this_epoch is
-  // bitwise identical to the inline-counting path.
-  network_.reset_counters();
-  for (std::size_t w = 0; w < n; ++w) {
-    const EpochWorkspace::WorkerSlot& slot = ws.slots[w];
-    if (slot.downloaded_bytes > 0) {
-      network_.download(w, slot.downloaded_bytes, 1);
-    }
-    if (slot.uploaded_bytes > 0) network_.upload(w, slot.uploaded_bytes, 1);
-  }
-  report.bytes_this_epoch = network_.total_bytes();
   ws.epoch_span->attr("session_failures", report.session_failures);
   ws.epoch_span->attr("evicted", report.evicted_count);
   return report;

@@ -36,7 +36,6 @@
 #include "obs/health.h"
 #include "obs/mem.h"
 #include "obs/obs.h"
-#include "sim/network.h"
 
 namespace rpol::core {
 
@@ -45,9 +44,9 @@ enum class Scheme { kBaseline, kRPoLv1, kRPoLv2 };
 std::string scheme_name(Scheme scheme);
 
 // Why a session / submission ended — the typed outcome taxonomy shared by
-// protocol sessions (core/session.h, which includes this header), the pool
-// layers, and the sharded manager (core/sharded_pool.h). Pinned by
-// tests/core_session_test.cpp and swept by tests/fault_conformance_test.cpp:
+// protocol sessions (core/session.h, which includes this header) and the
+// pool. Pinned by tests/core_session_test.cpp and swept by
+// tests/fault_conformance_test.cpp:
 //   kAccepted          every exchange delivered and every sampled transition
 //                      verified;
 //   kVerdictRejected   all messages arrived but verification failed (hash
@@ -59,13 +58,11 @@ std::string scheme_name(Scheme scheme);
 //                      transport noise explains within budget;
 //   kTimeout           a message was never delivered within the retry budget
 //                      (drops, delays, or a withholding peer);
-//   kAdmissionRejected shed by a full shard submission queue under the
-//                      kReject overflow policy — delivered but never
-//                      verified, and deliberately NOT a health strike (a
-//                      manager overload is not worker misbehavior);
-//   kRequeued          transient: waiting in a shard's overflow backlog for
-//                      queue capacity (final statuses overwrite it once the
-//                      submission is verified).
+//   kAdmissionRejected, kRequeued
+//                      produced by nothing: the pool has no admission
+//                      queue. They keep values 4 and 5 because perfbench
+//                      reads them: its status loop runs up to kRequeued,
+//                      and its Outcome enum mirrors these values by cast.
 enum class SessionStatus : int {
   kAccepted = 0,
   kVerdictRejected,
@@ -83,9 +80,7 @@ struct PoolConfig {
   std::int64_t epochs = 10;
   std::int64_t samples_q = 3;          // q, Sec. VII-A default
   CalibrationConfig calibration;
-  double global_learning_rate = 1.0;   // eta of Eq. (1)
   std::uint64_t seed = 7;
-  sim::NetworkSpec network;
   // Ablation switch: when false, calibrate only once (epoch 0) instead of
   // adapting every epoch.
   bool calibrate_every_epoch = true;
@@ -141,14 +136,8 @@ struct EpochReport {
   std::int64_t retransmissions = 0;      // extra transmissions this epoch
   std::int64_t evicted_count = 0;        // cumulative evictions so far
   // Typed per-worker outcome (kTimeout for lost sessions and sat-out
-  // evicted workers, kVerdictRejected / kAccepted for judged ones,
-  // kAdmissionRejected for submissions shed by a sharded manager).
+  // evicted workers, kVerdictRejected / kAccepted for judged ones).
   std::vector<SessionStatus> status;
-  // Admission accounting of the shard queues (core/sharded_pool.h).
-  std::int64_t admission_enqueued = 0;   // submissions that entered a queue
-  std::int64_t admission_requeued = 0;   // held in an overflow backlog first
-  std::int64_t admission_rejected = 0;   // shed under the kReject policy
-  std::int64_t max_queue_depth = 0;      // peak per-shard queue depth
 };
 
 struct PoolRunReport {
@@ -175,7 +164,7 @@ struct PoolRunReport {
 // with its family and each shard verifier borrows it, so a verifier must be
 // re-pointed (configure_epoch_verifier) before each epoch's verify_worker.
 //
-// All cross-worker mutation (network counters, report totals, health
+// All cross-worker mutation (WAN byte totals, report totals, health
 // records, aggregation) is deferred to finish_epoch, which merges slots in
 // worker-index order — the ordering that makes a run's report and model
 // bitwise identical at any shard and thread count (§6).
@@ -213,10 +202,9 @@ struct EpochWorkspace {
     std::int64_t double_checks = 0;
     std::int64_t reexecuted_steps = 0;
     std::uint64_t storage_bytes = 0;     // trace / store residency
-    // Deferred WAN byte tallies, replayed into sim::Network in worker
-    // order by finish_epoch (the network's counters are not thread-safe).
-    std::uint64_t uploaded_bytes = 0;
-    std::uint64_t downloaded_bytes = 0;
+    // Every byte this worker's legs put on the WAN, both directions;
+    // finish_epoch sums the slots into bytes_this_epoch.
+    std::uint64_t wan_bytes = 0;
     // Telemetry (report-only wall clock).
     std::uint64_t start_ns = 0;
     std::uint64_t end_ns = 0;
@@ -235,12 +223,6 @@ struct EpochWorkspace {
 
   // Shared (epoch-level) tag charges, also released by the destructor.
   std::uint64_t mem_checkpoint = 0;
-
-  // Admission accounting, filled by ShardedPool.
-  std::int64_t admission_enqueued = 0;
-  std::int64_t admission_requeued = 0;
-  std::int64_t admission_rejected = 0;
-  std::int64_t max_queue_depth = 0;
 
   // Roots the epoch's causal tree; alive for the workspace's lifetime.
   std::optional<obs::Span> epoch_span;
@@ -272,7 +254,7 @@ class MiningPool {
   // workers whose session already failed.
   void verify_worker(EpochWorkspace& ws, std::size_t w, Verifier& verifier);
   // Merges slots in worker order: health records, eviction, aggregation
-  // (Eq. 1), evaluation, WAN byte replay, report assembly.
+  // (Eq. 1), evaluation, WAN byte total, report assembly.
   EpochReport finish_epoch(EpochWorkspace& ws);
 
   // A fresh verifier configured for this pool (same sampling seed for
@@ -313,7 +295,6 @@ class MiningPool {
 
   StepExecutor manager_executor_;  // evaluation + state templating
   std::vector<std::unique_ptr<StepExecutor>> worker_executors_;
-  sim::Network network_;
 
   std::vector<float> global_model_;     // current global model state vector
   std::vector<float> fresh_optimizer_;  // pristine optimizer state template
@@ -334,10 +315,10 @@ class MiningPool {
   // Top-2 device profiles among the pool's registered workers.
   std::pair<sim::DeviceProfile, sim::DeviceProfile> top_two_devices() const;
   // One protocol leg for worker w under the fault environment: retries up
-  // to the budget, tallies bytes/retransmissions into the worker's slot
-  // (deferred; see EpochWorkspace), returns false when the budget is spent.
+  // to the budget, tallies bytes/retransmissions into the worker's slot,
+  // returns false when the budget is spent.
   bool deliver_leg(EpochWorkspace& ws, std::size_t w, int leg,
-                   const char* counter, std::uint64_t bytes, bool upload);
+                   const char* counter, std::uint64_t bytes);
 };
 
 }  // namespace rpol::core

@@ -118,8 +118,8 @@ struct SessionConfig {
   obs::TraceContext trace_parent{};
 };
 
-// SessionStatus — the typed outcome taxonomy sessions share with the pool
-// admission layer — lives in core/pool.h (this header includes it).
+// SessionStatus — the typed outcome taxonomy sessions share with the pool —
+// lives in core/pool.h (this header includes it).
 
 struct SessionOutcome {
   bool accepted = false;

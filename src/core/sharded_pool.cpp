@@ -1,10 +1,7 @@
 #include "core/sharded_pool.h"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
 
-#include "obs/obs.h"
 #include "runtime/thread_pool.h"
 
 namespace rpol::core {
@@ -18,10 +15,9 @@ int resolve_shards(int configured, std::size_t workers) {
 ShardedPool::ShardedPool(ShardedPoolConfig config, nn::ModelFactory factory,
                          const data::Dataset& train, data::DatasetView test,
                          std::vector<WorkerSpec> workers)
-    : cfg_(std::move(config)),
-      pool_(cfg_.base, std::move(factory), train, std::move(test),
-            std::move(workers)) {
-  const int shards = resolve_shards(cfg_.shards, pool_.num_workers());
+    : pool_(std::move(config.base), std::move(factory), train,
+            std::move(test), std::move(workers)) {
+  const int shards = resolve_shards(config.shards, pool_.num_workers());
   verifiers_.reserve(static_cast<std::size_t>(shards));
   for (int s = 0; s < shards; ++s) verifiers_.push_back(pool_.make_verifier());
   verifier_mem_.set(pool_.state_bytes() * static_cast<std::uint64_t>(shards));
@@ -39,117 +35,29 @@ ShardRange ShardedPool::shard_range(int shard) const {
   return r;
 }
 
-ShardedPool::ShardTally ShardedPool::admit_and_verify_shard(EpochWorkspace& ws,
-                                                           int shard) {
-  ShardTally tally;
-  if (!ws.needs_rpol) return tally;  // kBaseline: no verification, no queue
-  const ShardRange r = shard_range(shard);
-  Verifier& verifier = *verifiers_[static_cast<std::size_t>(shard)];
-
-  // Arrival burst: every surviving submission of the shard, in worker
-  // order (the lockstep protocol delivers them all at the end of the
-  // training phase). Worker order in, worker order out — so under
-  // kRequeue the verification ORDER is independent of queue_capacity and
-  // the verdict stream matches the unbounded run bitwise.
-  const std::size_t cap = cfg_.queue_capacity == 0
-                              ? std::numeric_limits<std::size_t>::max()
-                              : cfg_.queue_capacity;
-  std::deque<std::size_t> queue;
-  std::deque<std::size_t> backlog;
-  for (std::size_t w = r.begin; w < r.end; ++w) {
-    EpochWorkspace::WorkerSlot& slot = ws.slots[w];
-    // Lost sessions and submissions rejected before verification never
-    // reach the queue.
-    if (!slot.awaits_verdict()) continue;
-    if (queue.size() < cap) {
-      queue.push_back(w);
-      ++tally.enqueued;
-      tally.max_depth = std::max(tally.max_depth,
-                                 static_cast<std::int64_t>(queue.size()));
-    } else if (cfg_.overflow == AdmissionPolicy::kRequeue) {
-      slot.status = SessionStatus::kRequeued;
-      backlog.push_back(w);
-      ++tally.requeued;
-    } else {
-      // Load shedding: delivered but never judged. finish_epoch excludes
-      // the submission from aggregation AND from health strikes.
-      slot.status = SessionStatus::kAdmissionRejected;
-      slot.accepted = false;
-      ++tally.rejected;
-    }
-  }
-
-  // Drain in order, readmitting from the backlog as capacity frees
-  // (kRequeue keeps submissions alive; kReject already shed its overflow at
-  // arrival, so its backlog is empty).
-  while (!queue.empty()) {
-    const std::size_t w = queue.front();
-    queue.pop_front();
-    pool_.verify_worker(ws, w, verifier);
-    while (!backlog.empty() && queue.size() < cap) {
-      queue.push_back(backlog.front());
-      backlog.pop_front();
-      ++tally.enqueued;  // a requeued submission enqueues twice by design
-      tally.max_depth = std::max(tally.max_depth,
-                                 static_cast<std::int64_t>(queue.size()));
-    }
-  }
-  return tally;
-}
-
-void ShardedPool::publish_admission_metrics(const EpochWorkspace& ws) const {
-  // Decision-blind telemetry (§6): counters mirror what the report already
-  // states; nothing downstream reads them back.
-  if (ws.admission_enqueued > 0) {
-    obs::count("pool.admission.enqueued",
-               static_cast<std::uint64_t>(ws.admission_enqueued));
-  }
-  if (ws.admission_requeued > 0) {
-    obs::count("pool.admission.requeued",
-               static_cast<std::uint64_t>(ws.admission_requeued));
-  }
-  if (ws.admission_rejected > 0) {
-    obs::count("pool.admission.rejected",
-               static_cast<std::uint64_t>(ws.admission_rejected));
-  }
-  if (obs::enabled()) {
-    obs::gauge("pool.admission.max_queue_depth")
-        .set(static_cast<double>(ws.max_queue_depth));
-  }
-}
-
 EpochReport ShardedPool::run_epoch(std::int64_t epoch) {
-  const int s = shards();
   std::unique_ptr<EpochWorkspace> ws = pool_.prepare_epoch(epoch);
-
-  // Steps 1-2, sharded: slots of distinct workers are disjoint (pool.h),
-  // so shard threads never contend.
-  runtime::parallel_for(0, s, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      const ShardRange r = shard_range(static_cast<int>(i));
-      for (std::size_t w = r.begin; w < r.end; ++w) {
-        pool_.train_commit_worker(*ws, w);
+  // Runs fn(shard, w) for every worker: shards in parallel, each shard's
+  // workers in worker order on one thread. Slots of distinct workers are
+  // disjoint (pool.h), so shard threads never contend.
+  auto by_shard = [&](const auto& fn) {
+    runtime::parallel_for(0, shards(), 1, [&](std::int64_t b, std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        const ShardRange r = shard_range(static_cast<int>(i));
+        for (std::size_t w = r.begin; w < r.end; ++w) {
+          fn(static_cast<std::size_t>(i), w);
+        }
       }
-    }
+    });
+  };
+  by_shard([&](std::size_t, std::size_t w) {
+    pool_.train_commit_worker(*ws, w);
   });
-
-  // Step 3, sharded: per-shard verifier + bounded admission queue.
+  // verify_worker skips kBaseline and slots with nothing to judge.
   for (auto& v : verifiers_) pool_.configure_epoch_verifier(*ws, *v);
-  std::vector<ShardTally> tallies(static_cast<std::size_t>(s));
-  runtime::parallel_for(0, s, 1, [&](std::int64_t b, std::int64_t e) {
-    for (std::int64_t i = b; i < e; ++i) {
-      tallies[static_cast<std::size_t>(i)] =
-          admit_and_verify_shard(*ws, static_cast<int>(i));
-    }
+  by_shard([&](std::size_t shard, std::size_t w) {
+    pool_.verify_worker(*ws, w, *verifiers_[shard]);
   });
-  for (const ShardTally& t : tallies) {
-    ws->admission_enqueued += t.enqueued;
-    ws->admission_requeued += t.requeued;
-    ws->admission_rejected += t.rejected;
-    ws->max_queue_depth = std::max(ws->max_queue_depth, t.max_depth);
-  }
-
-  publish_admission_metrics(*ws);
   return pool_.finish_epoch(*ws);
 }
 

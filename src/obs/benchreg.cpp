@@ -12,23 +12,6 @@
 namespace rpol::obs {
 namespace {
 
-void write_escaped(std::FILE* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", out); break;
-      case '\\': std::fputs("\\\\", out); break;
-      case '\n': std::fputs("\\n", out); break;
-      case '\t': std::fputs("\\t", out); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", c);
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
-}
-
 std::string require_string(const Json& obj, const char* key) {
   const Json* v = obj.find(key);
   if (v == nullptr || v->kind != Json::Kind::kString) {
@@ -58,11 +41,11 @@ std::size_t write_bench_json(const BenchReport& report, std::FILE* out) {
     const BenchRecord& r = sorted.records[i];
     std::fputs(i == 0 ? "\n" : ",\n", out);
     std::fputs(" {\"bench\":\"", out);
-    write_escaped(out, r.bench);
+    std::fputs(json_escape(r.bench).c_str(), out);
     std::fputs("\",\"name\":\"", out);
-    write_escaped(out, r.name);
+    std::fputs(json_escape(r.name).c_str(), out);
     std::fputs("\",\"unit\":\"", out);
-    write_escaped(out, r.unit);
+    std::fputs(json_escape(r.unit).c_str(), out);
     std::fprintf(out, "\",\"value\":%.9g,\"higher_is_better\":%s", r.value,
                  r.higher_is_better ? "true" : "false");
     if (r.has_stats) {
@@ -73,9 +56,9 @@ std::size_t write_bench_json(const BenchReport& report, std::FILE* out) {
     }
     std::fprintf(out, ",\"env\":{\"threads\":%lld,\"build\":\"",
                  static_cast<long long>(r.env.threads));
-    write_escaped(out, r.env.build);
+    std::fputs(json_escape(r.env.build).c_str(), out);
     std::fputs("\",\"compiler\":\"", out);
-    write_escaped(out, r.env.compiler);
+    std::fputs(json_escape(r.env.compiler).c_str(), out);
     std::fprintf(out, "\",\"peak_rss_bytes\":%llu}}",
                  static_cast<unsigned long long>(r.env.peak_rss_bytes));
   }

@@ -1,11 +1,19 @@
 #include "obs/json.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace rpol::obs {
 
 namespace {
+
+int hex_digit(char c) {
+  if (c >= '0' && c <= '9') return c - '0';
+  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+  return -1;
+}
 
 class JsonParser {
  public:
@@ -124,12 +132,16 @@ class JsonParser {
         case 't': v.token += '\t'; break;
         case 'u': {
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          const unsigned long cp =
-              std::strtoul(std::string(text_.substr(pos_, 4)).c_str(),
-                           nullptr, 16);
-          pos_ += 4;
-          // The exporters only escape control characters, all < 0x80.
-          v.token += static_cast<char>(cp & 0x7F);
+          unsigned cp = 0;
+          for (int i = 0; i < 4; ++i, ++pos_) {
+            const int digit = hex_digit(text_[pos_]);
+            if (digit < 0) fail("\\u escape needs four hex digits");
+            cp = cp * 16 + static_cast<unsigned>(digit);
+          }
+          // A code point below 0x80 is one byte, and json_escape writes no
+          // other; a wider one would need UTF-8, which this reader skips.
+          if (cp >= 0x80) fail("\\u escape above 0x7f");
+          v.token += static_cast<char>(cp);
           break;
         }
         default: fail("unsupported escape");
@@ -200,6 +212,30 @@ const Json* Json::find(std::string_view key) const {
 }
 
 Json parse_json(std::string_view text) { return JsonParser(text).parse(); }
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 void read_jsonl(std::istream& in, bool strict, std::string_view doc,
                 JsonlDamage& damage,

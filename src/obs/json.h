@@ -1,12 +1,12 @@
-// Minimal JSON reader shared by the trace analyzer (src/obs/analyze.cpp),
-// the timeline reconstructor (src/obs/timeline.cpp), the benchmark
-// registry (src/obs/benchreg.cpp) and the health reader
-// (src/obs/health_read.cpp) — just enough for the objects, nested objects,
-// and arrays the rpol.trace.v2 / rpol.bench.v1 / rpol.health.v1 exporters
-// emit. Numbers keep their raw token so u64 fields (byte counts,
-// timestamps) parse losslessly; rpol::obs emitters never produce values a
-// double can't round-trip except those u64s, which callers read back via
-// as_u64().
+// Minimal JSON reader and string writer. The reader is shared by the trace
+// analyzer (src/obs/analyze.cpp), the timeline reconstructor
+// (src/obs/timeline.cpp), the benchmark registry (src/obs/benchreg.cpp)
+// and the health reader (src/obs/health_read.cpp) — just enough for the
+// objects, nested objects, and arrays the rpol.trace.v2 / rpol.bench.v1 /
+// rpol.health.v1 exporters emit. Numbers keep their raw token so u64
+// fields (byte counts, timestamps) parse losslessly; rpol::obs emitters
+// never produce values a double can't round-trip except those u64s, which
+// callers read back via as_u64().
 //
 // read_jsonl is the one line reader behind both JSONL documents (trace and
 // health): it owns line splitting, the strict/tolerant damage rule and the
@@ -40,8 +40,15 @@ struct Json {
 
 // Parses one complete JSON value (whitespace incl. newlines allowed around
 // tokens, nothing may trail it); throws std::runtime_error on malformed
-// input with the failing byte offset in the message.
+// input with the failing byte offset in the message. A \u escape must
+// carry four hex digits and a code point below 0x80, the only ones
+// json_escape writes.
 Json parse_json(std::string_view text);
+
+// `s` as the inside of a JSON string literal (no quotes): `"`, `\` and the
+// bytes below 0x20 escaped, every other byte as is; parse_json reads it
+// back to `s`.
+std::string json_escape(std::string_view s);
 
 // What a tolerant JSONL read left out. Damaged interior lines are skipped
 // and counted, with the first few messages kept for diagnosis. A final line

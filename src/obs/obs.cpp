@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 
+#include "obs/json.h"
 #include "obs/mem.h"
 
 namespace rpol::obs {
@@ -30,26 +31,6 @@ bool env_enabled() {
 std::chrono::steady_clock::time_point steady_anchor() {
   static const auto anchor = std::chrono::steady_clock::now();
   return anchor;
-}
-
-void json_escape(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -361,7 +342,6 @@ void Registry::reset() {
 std::size_t Registry::export_jsonl(std::FILE* out) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
   std::size_t lines = 0;
-  std::string buf;
 
   std::fprintf(out,
                "{\"type\":\"meta\",\"schema\":\"rpol.trace.v2\","
@@ -374,18 +354,15 @@ std::size_t Registry::export_jsonl(std::FILE* out) const {
   // ever registered (handles survive Registry::reset()).
   for (const auto& [name, c] : impl_->counter_by_name) {
     if (c->value() == 0) continue;
-    buf.clear();
-    json_escape(buf, name);
     std::fprintf(out, "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%llu}\n",
-                 buf.c_str(), static_cast<unsigned long long>(c->value()));
+                 json_escape(name).c_str(),
+                 static_cast<unsigned long long>(c->value()));
     ++lines;
   }
   for (const auto& [name, g] : impl_->gauge_by_name) {
     if (g->value() == 0.0) continue;
-    buf.clear();
-    json_escape(buf, name);
     std::fprintf(out, "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%.17g}\n",
-                 buf.c_str(), g->value());
+                 json_escape(name).c_str(), g->value());
     ++lines;
   }
   for (const auto& [name, h] : impl_->histogram_by_name) {
@@ -394,13 +371,12 @@ std::size_t Registry::export_jsonl(std::FILE* out) const {
     // satisfies count == sum over buckets even with recorders running.
     const Histogram::Snapshot snap = h->snapshot();
     if (snap.count == 0) continue;
-    buf.clear();
-    json_escape(buf, name);
     std::fprintf(out,
                  "{\"type\":\"histogram\",\"name\":\"%s\",\"count\":%llu,"
                  "\"sum\":%llu,\"max\":%llu,\"p50\":%llu,\"p95\":%llu,"
                  "\"buckets\":[",
-                 buf.c_str(), static_cast<unsigned long long>(snap.count),
+                 json_escape(name).c_str(),
+                 static_cast<unsigned long long>(snap.count),
                  static_cast<unsigned long long>(snap.sum),
                  static_cast<unsigned long long>(snap.max),
                  static_cast<unsigned long long>(snap.approx_percentile(50.0)),
@@ -419,8 +395,6 @@ std::size_t Registry::export_jsonl(std::FILE* out) const {
     ++lines;
   }
   for (const SpanRecord& s : impl_->spans) {
-    buf.clear();
-    json_escape(buf, s.name);
     std::fprintf(out,
                  "{\"type\":\"span\",\"id\":%llu,\"parent\":%llu,"
                  "\"trace\":%llu,\"link\":%llu,"
@@ -429,20 +403,18 @@ std::size_t Registry::export_jsonl(std::FILE* out) const {
                  static_cast<unsigned long long>(s.id),
                  static_cast<unsigned long long>(s.parent),
                  static_cast<unsigned long long>(s.trace_id),
-                 static_cast<unsigned long long>(s.link), buf.c_str(),
+                 static_cast<unsigned long long>(s.link),
+                 json_escape(s.name).c_str(),
                  static_cast<long long>(s.worker),
                  static_cast<long long>(s.epoch),
                  static_cast<unsigned long long>(s.start_ns),
                  static_cast<unsigned long long>(s.dur_ns));
     for (std::size_t i = 0; i < s.attrs.size(); ++i) {
       const SpanAttr& a = s.attrs[i];
-      buf.clear();
-      json_escape(buf, a.key);
-      std::fprintf(out, "%s\"%s\":", i == 0 ? "" : ",", buf.c_str());
+      std::fprintf(out, "%s\"%s\":", i == 0 ? "" : ",",
+                   json_escape(a.key).c_str());
       if (a.quoted) {
-        buf.clear();
-        json_escape(buf, a.value);
-        std::fprintf(out, "\"%s\"", buf.c_str());
+        std::fprintf(out, "\"%s\"", json_escape(a.value).c_str());
       } else {
         std::fprintf(out, "%s", a.value.c_str());
       }

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "obs/json.h"
+
 namespace rpol::obs {
 namespace {
 
@@ -24,23 +26,6 @@ bool is_train_phase(const std::string& name) {
 bool is_verify_phase(const std::string& name) {
   return name == "verify" || name == "reexecute" || name == "serve_proof" ||
          name == "proof_exchange";
-}
-
-void write_json_escaped(std::FILE* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': std::fputs("\\\"", out); break;
-      case '\\': std::fputs("\\\\", out); break;
-      case '\n': std::fputs("\\n", out); break;
-      case '\t': std::fputs("\\t", out); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::fprintf(out, "\\u%04x", c);
-        } else {
-          std::fputc(c, out);
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -293,7 +278,7 @@ std::size_t export_chrome_trace(const Trace& trace, std::FILE* out) {
                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%llu,"
                  "\"tid\":0,\"args\":{\"name\":\"",
                  static_cast<unsigned long long>(trace_id));
-    write_json_escaped(out, root->name);
+    std::fputs(json_escape(root->name).c_str(), out);
     if (root->epoch >= 0) {
       std::fprintf(out, " epoch %lld", static_cast<long long>(root->epoch));
     }
@@ -320,7 +305,7 @@ std::size_t export_chrome_trace(const Trace& trace, std::FILE* out) {
   for (const auto& s : trace.spans) {
     emit_comma();
     std::fputs("{\"name\":\"", out);
-    write_json_escaped(out, s.name);
+    std::fputs(json_escape(s.name).c_str(), out);
     std::fprintf(
         out,
         "\",\"cat\":\"rpol\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"

@@ -1,54 +1,18 @@
 #include "sim/network.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace rpol::sim {
 
-Network::Network(NetworkSpec spec, std::size_t num_workers)
-    : spec_(spec), workers_(num_workers) {
-  if (num_workers == 0) throw std::invalid_argument("network needs >= 1 worker");
-}
-
-double Network::transfer_seconds(std::uint64_t bytes, std::size_t concurrent) const {
+double transfer_seconds(const NetworkSpec& spec, std::uint64_t bytes,
+                        std::size_t concurrent) {
   if (concurrent == 0) throw std::invalid_argument("concurrent must be >= 1");
   const double manager_share =
-      spec_.manager_bandwidth_bps / static_cast<double>(concurrent);
-  const double effective_bps = std::min(spec_.worker_bandwidth_bps, manager_share);
-  return spec_.latency_seconds +
+      spec.manager_bandwidth_bps / static_cast<double>(concurrent);
+  const double effective_bps = std::min(spec.worker_bandwidth_bps, manager_share);
+  return spec.latency_seconds +
          static_cast<double>(bytes) * 8.0 / effective_bps;
-}
-
-double Network::upload(std::size_t worker, std::uint64_t bytes,
-                       std::size_t concurrent) {
-  workers_.at(worker).bytes_sent += bytes;
-  manager_.bytes_received += bytes;
-  return transfer_seconds(bytes, concurrent);
-}
-
-double Network::download(std::size_t worker, std::uint64_t bytes,
-                         std::size_t concurrent) {
-  workers_.at(worker).bytes_received += bytes;
-  manager_.bytes_sent += bytes;
-  return transfer_seconds(bytes, concurrent);
-}
-
-std::uint64_t Network::total_bytes() const {
-  // Every byte crosses the WAN once; count the manager side only.
-  return manager_.total();
-}
-
-void Network::reset_counters() {
-  manager_ = TrafficCounter{};
-  for (auto& w : workers_) w = TrafficCounter{};
-}
-
-std::string format_gb(std::uint64_t bytes) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2fGB",
-                static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0));
-  return buf;
 }
 
 }  // namespace rpol::sim

@@ -1,21 +1,19 @@
-// Wide-area network model and traffic accounting.
+// Wide-area network timing model.
 //
 // Sec. VII-E's setting: one manager on a 10 Gbps link, workers on 100 Mbps
-// links. Protocol messages are real byte buffers; this module converts their
-// sizes into deterministic transfer times and keeps per-entity up/down
-// counters so Tables II and III can report communication volume and epoch
-// wall time.
+// links. Protocol messages are real byte buffers whose sizes the pool
+// counts itself; this module only converts a size into a deterministic
+// transfer time, which prices Table II's epoch wall time.
 //
-// Timing model for one transfer of B bytes between worker w and manager M:
+// Timing model for one transfer of B bytes between a worker and the manager:
 //     t = latency + B / min(worker_bw, manager_share)
 // where manager_share = manager_bw / concurrent_streams models the manager
 // link being divided across workers that talk simultaneously.
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace rpol::sim {
 
@@ -25,45 +23,10 @@ struct NetworkSpec {
   double latency_seconds = 0.02;         // WAN round-trip contribution
 };
 
-// Aggregated traffic counters for one entity.
-struct TrafficCounter {
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-
-  std::uint64_t total() const { return bytes_sent + bytes_received; }
-};
-
-class Network {
- public:
-  explicit Network(NetworkSpec spec, std::size_t num_workers);
-
-  const NetworkSpec& spec() const { return spec_; }
-
-  // Transfer worker -> manager; returns simulated seconds. `concurrent`
-  // is how many workers perform this transfer at the same time (>= 1).
-  double upload(std::size_t worker, std::uint64_t bytes, std::size_t concurrent = 1);
-
-  // Transfer manager -> worker; returns simulated seconds.
-  double download(std::size_t worker, std::uint64_t bytes,
-                  std::size_t concurrent = 1);
-
-  const TrafficCounter& manager_traffic() const { return manager_; }
-  const TrafficCounter& worker_traffic(std::size_t worker) const {
-    return workers_.at(worker);
-  }
-  std::uint64_t total_bytes() const;
-
-  void reset_counters();
-
- private:
-  double transfer_seconds(std::uint64_t bytes, std::size_t concurrent) const;
-
-  NetworkSpec spec_;
-  TrafficCounter manager_;
-  std::vector<TrafficCounter> workers_;
-};
-
-// Pretty-printing helper (GB with two decimals).
-std::string format_gb(std::uint64_t bytes);
+// Simulated seconds for one transfer of `bytes` in either direction, while
+// `concurrent` workers (>= 1; 0 throws std::invalid_argument) transfer at
+// the same time.
+double transfer_seconds(const NetworkSpec& spec, std::uint64_t bytes,
+                        std::size_t concurrent);
 
 }  // namespace rpol::sim

@@ -186,6 +186,17 @@ TEST_F(SessionFixture, StatusTaxonomyNamesArePinned) {
   EXPECT_STREQ(session_status_name(SessionStatus::kDecodeRejected),
                "decode_rejected");
   EXPECT_STREQ(session_status_name(SessionStatus::kTimeout), "timeout");
+  EXPECT_STREQ(session_status_name(SessionStatus::kAdmissionRejected),
+               "admission_rejected");
+  EXPECT_STREQ(session_status_name(SessionStatus::kRequeued), "requeued");
+  // perfbench casts these values to its own Outcome enum and names its
+  // session.status.* rows from them, so renumbering breaks the benchmark.
+  EXPECT_EQ(static_cast<int>(SessionStatus::kAccepted), 0);
+  EXPECT_EQ(static_cast<int>(SessionStatus::kVerdictRejected), 1);
+  EXPECT_EQ(static_cast<int>(SessionStatus::kDecodeRejected), 2);
+  EXPECT_EQ(static_cast<int>(SessionStatus::kTimeout), 3);
+  EXPECT_EQ(static_cast<int>(SessionStatus::kAdmissionRejected), 4);
+  EXPECT_EQ(static_cast<int>(SessionStatus::kRequeued), 5);
 }
 
 TEST_F(SessionFixture, AcceptedSessionsCarryAcceptedStatus) {

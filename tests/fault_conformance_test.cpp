@@ -716,7 +716,7 @@ TEST_F(ChunkedSession, MiddleChunkFaultSweepNeverAcceptsTornState) {
         break;
       case SessionStatus::kAdmissionRejected:
       case SessionStatus::kRequeued:
-        ADD_FAILURE() << "a single session has no admission queue (seed "
+        ADD_FAILURE() << "no session produces this status (seed "
                       << seed << ", status "
                       << session_status_name(outcome.status) << ")";
         break;

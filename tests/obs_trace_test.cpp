@@ -18,6 +18,7 @@
 
 #include "bench_util.h"
 #include "obs/analyze.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "sim/stats.h"
 
@@ -365,6 +366,33 @@ TEST_F(ObsTest, ParserRejectsMalformedInput) {
   EXPECT_THROW(obs::parse_trace_jsonl(garbage), std::runtime_error);
   EXPECT_THROW(obs::load_trace_file("does_not_exist.jsonl"),
                std::runtime_error);
+}
+
+TEST(Json, EveryAsciiByteRoundTripsThroughTheWriter) {
+  const auto round_trip = [](const std::string& s) {
+    std::string literal(1, '"');
+    literal += obs::json_escape(s);
+    literal += '"';
+    return obs::parse_json(literal);
+  };
+  std::string all;
+  for (int b = 0x01; b <= 0x7f; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    const obs::Json v = round_trip(one);
+    ASSERT_EQ(v.kind, obs::Json::Kind::kString) << "byte " << b;
+    EXPECT_EQ(v.token, one) << "byte " << b;
+    all += one;
+  }
+  EXPECT_EQ(round_trip(all).token, all);
+}
+
+TEST(Json, UnicodeEscapesNeedFourHexDigitsBelow0x80) {
+  EXPECT_EQ(obs::parse_json("\"\\u0041\"").token, "A");
+  // A code point above 0x7f or a non-hex digit is an error, never some
+  // other byte.
+  for (const char* bad : {"\"\\u00e9\"", "\"\\u00zz\"", "\"\\uZZZZ\""}) {
+    EXPECT_THROW(obs::parse_json(bad), std::runtime_error) << bad;
+  }
 }
 
 TEST_F(ObsTest, TolerantParserSkipsDamagedRecordsAndCountsThem) {

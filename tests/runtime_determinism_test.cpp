@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -727,10 +726,9 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
 // loop. Every per-worker decision input (injector stream, device seed,
 // nonce, verifier samples) is derived from (epoch, GLOBAL worker index) and
 // all cross-worker mutation is merged in worker order by finish_epoch — so a
-// run must reproduce the same digest at ANY shard count, at any thread
-// count, and with bounded admission queues engaged. Faults and an adversary
-// are on so the digest covers real verdicts, retries, and evictions, not
-// just the happy path.
+// run must reproduce the same digest at ANY shard count and at any thread
+// count. Faults and an adversary are on so the digest covers real
+// verdicts, retries, and evictions, not just the happy path.
 
 // Order-sensitive digest of a pool run: the final global model's bytes;
 // each epoch's accepted, participated, status and test_accuracy bits; then
@@ -765,8 +763,6 @@ TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
     std::string hex;
     std::vector<bool> evicted;
     bool first_accepted = true;  // worker 0 (the adversary), epoch 0
-    std::int64_t requeued = 0;
-    std::int64_t max_depth = 0;
   };
   const fault::FaultPlan plan = [] {
     fault::FaultProfile p;
@@ -775,7 +771,7 @@ TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
     p.corrupt = 0.05;
     return fault::FaultPlan::transport(p, 515);
   }();
-  auto run_sharded = [&](int shards, int threads, std::size_t queue_capacity) {
+  auto run_sharded = [&](int shards, int threads) {
     const ThreadGuard guard;
     runtime::set_threads(threads);
     const testing::TinyTask task = testing::TinyTask::make(61, 10, 3);
@@ -790,8 +786,6 @@ TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
     cfg.base.eviction_threshold = 2;
     cfg.base.fault_plan = &plan;
     cfg.shards = shards;
-    cfg.queue_capacity = queue_capacity;
-    cfg.overflow = core::AdmissionPolicy::kRequeue;
     std::vector<core::WorkerSpec> workers;
     const auto devices = sim::all_devices();
     for (std::size_t w = 0; w < 5; ++w) {
@@ -812,28 +806,19 @@ TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
       r.evicted.push_back(pool.pool().health().evicted(w));
     }
     if (!report.epochs.empty()) r.first_accepted = report.epochs[0].accepted[0];
-    for (const auto& epoch : report.epochs) {
-      r.requeued += epoch.admission_requeued;
-      r.max_depth = std::max(r.max_depth, epoch.max_queue_depth);
-    }
     return r;
   };
 
-  const Result one_shard = run_sharded(1, 1, 0);
-  const Result four_1t = run_sharded(4, 1, 0);
-  const Result four_4t = run_sharded(4, 4, 0);
-  const Result four_bounded = run_sharded(4, 4, /*queue_capacity=*/1);
+  const Result one_shard = run_sharded(1, 1);
+  const Result four_1t = run_sharded(4, 1);
+  const Result four_4t = run_sharded(4, 4);
 
   // One shard reproduces the recorded run bit for bit; four shards
-  // re-schedule it without moving a byte, whatever the thread count; and a
-  // bounded queue under kRequeue changes only the admission counters.
-  for (const Result* r : {&one_shard, &four_1t, &four_4t, &four_bounded}) {
+  // re-schedule it without moving a byte, whatever the thread count.
+  for (const Result* r : {&one_shard, &four_1t, &four_4t}) {
     EXPECT_EQ(r->hex, kPoolGoldenHex);
     EXPECT_EQ(r->evicted, one_shard.evicted);
   }
-  EXPECT_EQ(four_4t.requeued, 0);
-  EXPECT_GT(four_bounded.requeued, 0);
-  EXPECT_LE(four_bounded.max_depth, 1);
   // The digest covers real decisions: the replay adversary was rejected and
   // eventually evicted.
   EXPECT_TRUE(one_shard.evicted[0]);

@@ -131,49 +131,24 @@ TEST(Device, PerturbGradientsGolden) {
 // Network
 
 TEST(Network, TransferTimeMatchesBandwidth) {
-  Network net(NetworkSpec{10e9, 100e6, 0.0}, 1);
   // 100 Mbps worker link: 12.5 MB/s => 125 MB takes 10 s.
-  const double t = net.upload(0, 125'000'000ULL, 1);
-  EXPECT_NEAR(t, 10.0, 1e-6);
+  const NetworkSpec spec{10e9, 100e6, 0.0};
+  EXPECT_NEAR(transfer_seconds(spec, 125'000'000ULL, 1), 10.0, 1e-6);
 }
 
 TEST(Network, ManagerLinkSharedAcrossConcurrentStreams) {
-  Network net(NetworkSpec{10e9, 1e9, 0.0}, 200);
   // 200 concurrent workers share 10 Gbps: each sees 50 Mbps < its own 1 Gbps.
-  const double t = net.download(0, 1'000'000ULL, 200);
-  EXPECT_NEAR(t, 8e6 / 50e6, 1e-9);
-}
-
-TEST(Network, CountersAccumulate) {
-  Network net(NetworkSpec{}, 2);
-  net.upload(0, 100, 1);
-  net.upload(1, 50, 1);
-  net.download(0, 30, 1);
-  EXPECT_EQ(net.worker_traffic(0).bytes_sent, 100u);
-  EXPECT_EQ(net.worker_traffic(1).bytes_sent, 50u);
-  EXPECT_EQ(net.worker_traffic(0).bytes_received, 30u);
-  EXPECT_EQ(net.manager_traffic().bytes_received, 150u);
-  EXPECT_EQ(net.manager_traffic().bytes_sent, 30u);
-  EXPECT_EQ(net.total_bytes(), 180u);
-  net.reset_counters();
-  EXPECT_EQ(net.total_bytes(), 0u);
+  const NetworkSpec spec{10e9, 1e9, 0.0};
+  EXPECT_NEAR(transfer_seconds(spec, 1'000'000ULL, 200), 8e6 / 50e6, 1e-9);
 }
 
 TEST(Network, LatencyAdds) {
-  Network net(NetworkSpec{10e9, 100e6, 0.5}, 1);
-  EXPECT_NEAR(net.upload(0, 0, 1), 0.5, 1e-12);
+  EXPECT_NEAR(transfer_seconds(NetworkSpec{10e9, 100e6, 0.5}, 0, 1), 0.5,
+              1e-12);
 }
 
 TEST(Network, InvalidUsageThrows) {
-  EXPECT_THROW(Network(NetworkSpec{}, 0), std::invalid_argument);
-  Network net(NetworkSpec{}, 1);
-  EXPECT_THROW(net.upload(0, 1, 0), std::invalid_argument);
-  EXPECT_THROW(net.upload(5, 1, 1), std::out_of_range);
-}
-
-TEST(Network, FormatGb) {
-  EXPECT_EQ(format_gb(1024ULL * 1024 * 1024), "1.00GB");
-  EXPECT_EQ(format_gb(1536ULL * 1024 * 1024), "1.50GB");
+  EXPECT_THROW(transfer_seconds(NetworkSpec{}, 1, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,8 +25,12 @@
 # bytes through every decoder, so memory or UB findings anywhere are real
 # bugs, not flakiness.
 #
+# After the fast passes it builds and self-tests the benchmark
+# (python3 perfbench/run.py --selftest).
+#
 # Usage: tools/run_tier1.sh [build-dir]   (default: build)
-# Set RPOL_SKIP_SANITIZERS=1 to run only the four fast passes.
+# Set RPOL_SKIP_SANITIZERS=1 to run only the four fast passes and the
+# perfbench selftest.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -94,8 +98,16 @@ if [[ -f BENCH_baseline.json ]]; then
     || echo "==> advisory bench-diff flagged deltas (non-fatal)"
 fi
 
+# The benchmark builds from this source tree (into the gitignored
+# .bench_build/) and calls the pool and session APIs; no other step compiles
+# perfbench/workload.cpp, so an API change that breaks it fails here, not
+# first in a benchmark run. Runs with or without the sanitizer passes.
+echo "==> tier-1 perfbench selftest: build the benchmark, check its metrics"
+python3 perfbench/run.py --selftest
+
 if [[ "${RPOL_SKIP_SANITIZERS:-0}" == "1" ]]; then
-  echo "==> tier-1 OK: four fast configurations green (sanitizers skipped)"
+  echo "==> tier-1 OK: four fast configurations and the perfbench selftest"
+  echo "    green (sanitizers skipped)"
   exit 0
 fi
 
