@@ -9,6 +9,9 @@ std::vector<std::vector<std::size_t>> assign_verifiers(
     std::uint64_t seed, const Digest& commitment_root,
     const std::vector<std::int64_t>& samples, std::size_t num_verifiers,
     std::int64_t verifiers_per_sample) {
+  if (verifiers_per_sample < 1) {
+    throw std::invalid_argument("each sample needs at least one verifier");
+  }
   if (num_verifiers < static_cast<std::size_t>(verifiers_per_sample)) {
     throw std::invalid_argument("not enough verifiers for the replication level");
   }
@@ -41,7 +44,11 @@ std::vector<std::vector<std::size_t>> assign_verifiers(
 DecentralizedVerifier::DecentralizedVerifier(const nn::ModelFactory& factory,
                                              const Hyperparams& hp,
                                              DecentralizedConfig config)
-    : hp_(hp), config_(config), executor_(factory, hp) {}
+    : config_(config),
+      verifier_(factory, hp,
+                {.samples_q = config.samples_q,
+                 .beta = config.beta,
+                 .sampling_seed = config.assignment_seed}) {}
 
 DecentralizedResult DecentralizedVerifier::verify(
     const Commitment& commitment, const EpochTrace& trace,
@@ -49,35 +56,37 @@ DecentralizedResult DecentralizedVerifier::verify(
     const std::vector<VerifierNode>& verifiers,
     const obs::TraceContext& trace_parent) {
   DecentralizedResult result;
-  const std::int64_t transitions = trace.num_transitions();
-  if (transitions <= 0 ||
-      commitment.state_hashes.size() != trace.checkpoints.size() ||
-      trace.step_of != hp_.checkpoint_boundaries() ||
-      !commitment_consistent(commitment) ||
-      !digest_equal(commitment.state_hashes.front(), expected_initial_hash)) {
+  if (verifier_.precheck(commitment, trace.num_checkpoints(), trace.step_of,
+                         expected_initial_hash) != VerifyFailure::kNone) {
     return result;
   }
 
-  result.samples = sample_transitions(config_.assignment_seed, commitment.root,
-                                      transitions, config_.samples_q);
+  result.samples =
+      sample_transitions(config_.assignment_seed, commitment.root,
+                         trace.num_transitions(), config_.samples_q);
   const auto assignment =
       assign_verifiers(config_.assignment_seed, commitment.root, result.samples,
                        verifiers.size(), config_.verifiers_per_sample);
-  const DeterministicSelector selector(context.nonce);
-  const std::vector<bool>& mask = executor_.trainable_mask();
 
   std::vector<std::int64_t> per_verifier_steps(verifiers.size(), 0);
   bool all_passed = true;
   for (std::size_t s = 0; s < result.samples.size(); ++s) {
     const std::int64_t j = result.samples[s];
-    const TrainState& proof_in = trace.checkpoints[static_cast<std::size_t>(j)];
-    const TrainState& claimed =
-        trace.checkpoints[static_cast<std::size_t>(j + 1)];
+    const auto in = static_cast<std::size_t>(j);
+    // Hashed once per sample; each honest vote gets its own copies.
     const bool hashes_ok =
-        digest_equal(hash_state(proof_in),
-                     commitment.state_hashes[static_cast<std::size_t>(j)]) &&
-        digest_equal(hash_state(claimed),
-                     commitment.state_hashes[static_cast<std::size_t>(j + 1)]);
+        digest_equal(hash_state(trace.checkpoints[in]),
+                     commitment.state_hashes[in]) &&
+        digest_equal(hash_state(trace.checkpoints[in + 1]),
+                     commitment.state_hashes[in + 1]);
+    SampleProofs proofs;  // RPoLv1: no LSH digests
+    proofs.input = [&](std::int64_t) -> std::optional<TrainState> {
+      if (!hashes_ok) return std::nullopt;
+      return trace.checkpoints[in];
+    };
+    proofs.output = [&](std::int64_t) -> std::optional<TrainState> {
+      return trace.checkpoints[in + 1];
+    };
 
     std::vector<VerifierVote> votes;
     int pass_votes = 0;
@@ -93,31 +102,18 @@ DecentralizedResult DecentralizedVerifier::verify(
           vote.pass = false;
           break;
         case VerifierBehavior::kHonest: {
-          if (!hashes_ok) {
-            vote.pass = false;
-            break;
-          }
           sim::DeviceExecution device(
               node.device,
               derive_seed(node.run_seed,
                           (static_cast<std::uint64_t>(s) << 20) |
                               static_cast<std::uint64_t>(j)));
-          const std::optional<TrainState> replay = reexecute_transition(
-              executor_, proof_in, trace.step_of, j, *context.dataset,
-              selector, device, trace_parent);
-          if (replay.has_value()) {
-            const std::int64_t count =
-                trace.step_of[static_cast<std::size_t>(j + 1)] -
-                trace.step_of[static_cast<std::size_t>(j)];
-            result.total_reexecuted_steps += count;
-            per_verifier_steps[v] += count;
-          }
-          const TransitionCheck check = judge_transition(
-              j, replay, /*committed_lsh=*/nullptr, /*hasher=*/nullptr,
-              config_.beta, mask,
-              [&] { return std::optional<TrainState>(claimed); });
-          vote.distance = check.distance;
-          vote.pass = check.passed;
+          const VerifyResult r = verifier_.verify_samples(
+              {j}, proofs, trace.step_of, *context.dataset, context.nonce,
+              device, trace_parent, /*stop_at_first_failure=*/false);
+          result.total_reexecuted_steps += r.reexecuted_steps;
+          per_verifier_steps[v] += r.reexecuted_steps;
+          vote.distance = r.checks.front().distance;
+          vote.pass = r.accepted;
           break;
         }
       }

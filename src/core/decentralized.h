@@ -52,7 +52,8 @@ struct DecentralizedResult {
 };
 
 // PRF-derived assignment: for each sample, r distinct verifier indices out
-// of `num_verifiers` (requires num_verifiers >= r).
+// of `num_verifiers`. Throws std::invalid_argument unless
+// 1 <= r <= num_verifiers.
 std::vector<std::vector<std::size_t>> assign_verifiers(
     std::uint64_t seed, const Digest& commitment_root,
     const std::vector<std::int64_t>& samples, std::size_t num_verifiers,
@@ -63,11 +64,9 @@ class DecentralizedVerifier {
   DecentralizedVerifier(const nn::ModelFactory& factory, const Hyperparams& hp,
                         DecentralizedConfig config);
 
-  const DecentralizedConfig& config() const { return config_; }
-  void set_beta(double beta) { config_.beta = beta; }
-
-  // `trace_parent` (observability only) parents the honest members'
-  // re-execution spans, as in Verifier::verify.
+  // A commitment failing Verifier::precheck gets no samples or votes. An
+  // honest vote on sample j is Verifier::verify_samples({j}) on the member's
+  // device; `trace_parent` (observability only) parents its spans.
   DecentralizedResult verify(const Commitment& commitment,
                              const EpochTrace& trace, const EpochContext& context,
                              const Digest& expected_initial_hash,
@@ -75,10 +74,10 @@ class DecentralizedVerifier {
                              const obs::TraceContext& trace_parent = {});
 
  private:
-  Hyperparams hp_;
   DecentralizedConfig config_;
-  StepExecutor executor_;  // shared re-execution engine (verifier-device noise
-                           // is injected per verifier via DeviceExecution)
+  // RPoLv1 re-execution engine shared by the honest members; each vote's
+  // device noise comes from its member's own DeviceExecution.
+  Verifier verifier_;
 };
 
 }  // namespace rpol::core

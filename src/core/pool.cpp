@@ -366,9 +366,7 @@ void MiningPool::verify_worker(EpochWorkspace& ws, std::size_t w,
                             ctx, ws.initial_hash, manager_device, s.context());
   s.attr("accepted", vr.accepted);
   s.attr("double_checks", vr.double_checks);
-  s.attr("lsh_mismatches", vr.lsh_mismatches);
   s.attr("reexecuted_steps", vr.reexecuted_steps);
-  slot.lsh_mismatches += vr.lsh_mismatches;
   slot.double_checks += vr.double_checks;
   slot.reexecuted_steps += vr.reexecuted_steps;
   // Proofs fetched on demand; losing them means the manager cannot
@@ -411,7 +409,6 @@ EpochReport MiningPool::finish_epoch(EpochWorkspace& ws) {
     report.session_failures += slot.session_failures;
     report.retransmissions += slot.retransmissions;
     report.rejected_count += slot.rejected;
-    report.lsh_mismatches += slot.lsh_mismatches;
     report.double_checks += slot.double_checks;
     report.manager_reexecuted_steps += slot.reexecuted_steps;
     report.worker_storage_bytes =

@@ -124,7 +124,6 @@ struct EpochReport {
   double alpha = 0.0;
   double beta = 0.0;
   lsh::LshParams lsh_params;
-  std::int64_t lsh_mismatches = 0;
   std::int64_t double_checks = 0;
   std::uint64_t bytes_this_epoch = 0;    // WAN traffic
   std::uint64_t worker_storage_bytes = 0;  // max per-worker checkpoint store
@@ -198,7 +197,6 @@ struct EpochWorkspace {
     std::int64_t session_failures = 0;
     std::int64_t retransmissions = 0;
     std::int64_t rejected = 0;           // 1 when rejected (verdict or commit)
-    std::int64_t lsh_mismatches = 0;
     std::int64_t double_checks = 0;
     std::int64_t reexecuted_steps = 0;
     std::uint64_t storage_bytes = 0;     // trace / store residency

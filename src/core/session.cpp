@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -433,19 +434,17 @@ SessionOutcome run_protocol_session(
 
   // --- Manager: re-execute and decide. -------------------------------------
   obs::Span verify_span("verify", session_span, /*worker=*/0);
-  StepExecutor manager_executor(factory, hp);
-  const std::vector<bool>& mask = manager_executor.trainable_mask();
   const auto manager_hasher =
       use_lsh ? std::make_unique<lsh::PStableLsh>(*config.lsh) : nullptr;
-  const DeterministicSelector selector(nonce);
+  Verifier verifier(factory, hp,
+                    {.samples_q = config.samples_q, .beta = config.beta,
+                     .lsh_family = manager_hasher.get(),
+                     .sampling_seed = config.sampling_seed});
   sim::DeviceExecution manager_gpu(manager_device, manager_run_seed);
 
   // Double-check round trip for the raw C_{j+1}, under the same retry
   // machinery as every other exchange; a failed one sets `exchange.failed`.
   const auto double_check = [&](std::int64_t j) -> std::optional<TrainState> {
-    ++outcome.double_checks;
-    obs::count("verify.lsh_mismatch", 1);
-    obs::count("verify.double_check", 1);
     ProofRequest dc_request;
     dc_request.transitions = {j};  // re-request: raw output this time
     const auto dc_seen = exchange.run(
@@ -477,35 +476,42 @@ SessionOutcome run_protocol_session(
   // The session stops at its first failed sample. Every state in
   // manager_response already hash-matched the commitment in the decode
   // validator above (mismatches NACK and exhaust the retry budget before
-  // reaching this loop), so the states are bound without re-hashing
+  // reaching the loop), so the states are moved in without re-hashing
   // multi-megabyte checkpoints here.
-  bool all_passed = digest_equal(manager_commitment->state_hashes.front(),
-                                 announcement.initial_state_hash);
-  for (std::size_t s = 0; all_passed && s < request.transitions.size(); ++s) {
-    const std::int64_t j = request.transitions[s];
-    const std::optional<TrainState> replay = reexecute_transition(
-        manager_executor, std::move(manager_response->input_states[s]),
-        step_of, j, worker_data, selector, manager_gpu, verify_span.context(),
-        /*worker=*/0);
-    const auto next = static_cast<std::size_t>(j + 1);
-    const TransitionCheck check = judge_transition(
-        j, replay, use_lsh ? &manager_commitment->lsh_digests[next] : nullptr,
-        manager_hasher.get(), config.beta, mask,
-        [&]() -> std::optional<TrainState> {
-          if (use_lsh) return double_check(j);
-          return std::move(manager_response->output_states[s]);
-        });
-    if (exchange.failed) return finish(std::move(outcome));
-    all_passed = check.passed;
+  const auto slot = [&](std::int64_t j) {  // j's place in the response
+    const std::vector<std::int64_t>& t = request.transitions;
+    return static_cast<std::size_t>(std::ranges::lower_bound(t, j) - t.begin());
+  };
+  VerifyResult verdict;
+  verdict.failure = verifier.precheck(*manager_commitment, std::ssize(step_of),
+                                      step_of, announcement.initial_state_hash);
+  if (verdict.failure == VerifyFailure::kNone) {
+    verdict = verifier.verify_samples(
+        request.transitions,
+        {.input = [&](std::int64_t j) -> std::optional<TrainState> {
+           return std::move(manager_response->input_states[slot(j)]);
+         },
+         .output = [&](std::int64_t j) -> std::optional<TrainState> {
+           if (use_lsh) return double_check(j);
+           return std::move(manager_response->output_states[slot(j)]);
+         },
+         .output_lsh = [&](std::int64_t j) -> const lsh::LshDigest& {
+           const auto next = static_cast<std::size_t>(j + 1);
+           return manager_commitment->lsh_digests[next];
+         }},
+        step_of, worker_data, nonce, manager_gpu, verify_span.context(),
+        /*stop_at_first_failure=*/true);
   }
+  outcome.double_checks = verdict.double_checks;
+  if (exchange.failed) return finish(std::move(outcome));
 
-  outcome.accepted = all_passed;
-  outcome.status =
-      all_passed ? SessionStatus::kAccepted : SessionStatus::kVerdictRejected;
+  record_verdict(verdict);
+  outcome.accepted = verdict.accepted;
+  outcome.status = verdict.accepted ? SessionStatus::kAccepted
+                                    : SessionStatus::kVerdictRejected;
   outcome.final_model = manager_update->model;
   verify_span.attr("accepted", outcome.accepted);
   verify_span.attr("double_checks", outcome.double_checks);
-  obs::count(all_passed ? "verify.accept" : "verify.reject", 1);
   return finish(std::move(outcome));
 }
 

@@ -8,11 +8,6 @@
 
 namespace rpol::core {
 
-namespace {
-
-// Shared verdict accounting for both verification paths. The registry is
-// write-only from here: nothing read back, so tracing cannot perturb the
-// accept/reject decision.
 void record_verdict(const VerifyResult& result) {
   obs::count(result.accepted ? "verify.accept" : "verify.reject", 1);
   if (!result.accepted) {
@@ -20,21 +15,30 @@ void record_verdict(const VerifyResult& result) {
                    verify_failure_name(result.failure),
                1);
   }
-  if (result.lsh_mismatches > 0) {
-    obs::count("verify.lsh_mismatch",
-               static_cast<std::uint64_t>(result.lsh_mismatches));
-  }
-  if (result.double_checks > 0) {
-    obs::count("verify.double_check",
-               static_cast<std::uint64_t>(result.double_checks));
-  }
 }
 
+namespace {
+
 // Records and returns a verdict rejected before any transition was sampled.
-VerifyResult reject_unsampled(VerifyResult result, VerifyFailure failure) {
+VerifyResult reject_unsampled(VerifyFailure failure,
+                              std::uint64_t proof_bytes = 0) {
+  VerifyResult result;
   result.failure = failure;
+  result.proof_bytes = proof_bytes;
   record_verdict(result);
   return result;
+}
+
+// Fetches a copy of checkpoint `index` (maybe reloaded from a spill file)
+// and charges it; returns it iff it hashes to `committed`.
+std::optional<TrainState> fetch_committed(const CheckpointSource& source,
+                                          std::int64_t index,
+                                          const Digest& committed,
+                                          std::uint64_t& proof_bytes) {
+  TrainState state = source.fetch(index);
+  proof_bytes += state.byte_size();
+  if (!digest_equal(hash_state(state), committed)) return std::nullopt;
+  return state;
 }
 
 }  // namespace
@@ -100,24 +104,6 @@ bool commitment_fits_task(CommitmentVersion version, std::int64_t checkpoints,
              static_cast<std::int64_t>(hp.checkpoint_boundaries().size());
 }
 
-std::optional<TrainState> reexecute_transition(
-    StepExecutor& executor, TrainState input,
-    const std::vector<std::int64_t>& step_of, std::int64_t j,
-    const data::DatasetView& data, const DeterministicSelector& selector,
-    sim::DeviceExecution& device, const obs::TraceContext& parent,
-    std::int64_t worker) {
-  if (!executor.fits(input)) return std::nullopt;
-  const std::int64_t first = step_of[static_cast<std::size_t>(j)];
-  const std::int64_t count = step_of[static_cast<std::size_t>(j + 1)] - first;
-  obs::Span reexec("reexecute", parent, worker);
-  reexec.attr("transition", j);
-  reexec.attr("steps", count);
-  executor.load_state(input);
-  executor.run_steps(first, count, data, selector, &device);
-  input = TrainState{};  // released before theta' is copied out
-  return executor.save_state();
-}
-
 TransitionCheck judge_transition(
     std::int64_t j, const std::optional<TrainState>& replay,
     const lsh::LshDigest* committed_lsh, const lsh::PStableLsh* hasher,
@@ -167,79 +153,54 @@ TransitionCheck judge_transition(
   return check;
 }
 
-namespace {
-
-// The sampled loop of both Verifier entry points: judges every sample. `open`
-// yields transition j's committed hashes and v2 LSH digest, or nullopt when
-// the opening fails; it may charge proof bytes.
-VerifyResult verify_samples(
-    VerifyResult result, const VerifierConfig& config, StepExecutor& executor,
-    const Digest& sampling_key, const CheckpointSource& source,
-    const std::vector<std::int64_t>& step_of, const EpochContext& context,
-    sim::DeviceExecution& device, const obs::TraceContext& trace_parent,
-    const std::function<std::optional<TransitionProof>(std::int64_t,
-                                                       VerifyResult&)>& open) {
-  const auto samples =
-      sample_transitions(config.sampling_seed, sampling_key,
-                         source.num_checkpoints() - 1, config.samples_q);
-  const DeterministicSelector selector(context.nonce);
-  const std::vector<bool>& mask = executor.trainable_mask();
-
-  bool all_passed = true;
+VerifyResult Verifier::verify_samples(const std::vector<std::int64_t>& samples,
+                                      const SampleProofs& proofs,
+                                      const std::vector<std::int64_t>& step_of,
+                                      const data::DatasetView& data,
+                                      std::uint64_t nonce,
+                                      sim::DeviceExecution& device,
+                                      const obs::TraceContext& trace_parent,
+                                      bool stop_at_first_failure) {
+  const DeterministicSelector selector(nonce);
+  const lsh::PStableLsh* family = config_.lsh_family;  // null for v1
+  VerifyResult result;
+  result.accepted = true;
   for (const std::int64_t j : samples) {
     TransitionCheck check{.transition = j,
                           .failure = VerifyFailure::kHashMismatch};
-    const std::optional<TransitionProof> opened = open(j, result);
-    bool bound = false;  // C_j hash-matched its opening
-    std::optional<TrainState> replay;
-    if (opened.has_value()) {
-      // Fetch C_j and hash-check it against the opening. The fetch is a
-      // copy (possibly reloaded from a spill file) that the replay
-      // consumes, so at most one non-replay checkpoint is resident at once.
-      TrainState proof_in = source.fetch(j);
-      result.proof_bytes += proof_in.byte_size();
-      bound = digest_equal(hash_state(proof_in), opened->in_hash);
-      if (bound) {
-        replay = reexecute_transition(executor, std::move(proof_in), step_of,
-                                      j, *context.dataset, selector, device,
-                                      trace_parent);
+    if (std::optional<TrainState> input = proofs.input(j)) {
+      std::optional<TrainState> replay;
+      if (executor_.fits(*input)) {
+        const std::int64_t first = step_of[static_cast<std::size_t>(j)];
+        const std::int64_t count =
+            step_of[static_cast<std::size_t>(j + 1)] - first;
+        obs::Span reexec("reexecute", trace_parent);
+        reexec.attr("transition", j);
+        reexec.attr("steps", count);
+        executor_.load_state(*input);
+        executor_.run_steps(first, count, data, selector, &device);
+        input.reset();  // released before theta' is copied out
+        replay = executor_.save_state();
+        result.reexecuted_steps += count;
       }
-      if (replay.has_value()) {
-        result.reexecuted_steps += step_of[static_cast<std::size_t>(j + 1)] -
-                                   step_of[static_cast<std::size_t>(j)];
-      }
-    }
-    if (bound) {
-      // The claimed C_{j+1} is fetched on demand only: always for RPoLv1,
-      // on an LSH miss (the double-check) for RPoLv2.
-      const lsh::PStableLsh* family = config.lsh_family;  // null for v1
       check = judge_transition(
-          j, replay, family != nullptr ? &opened->out_lsh : nullptr, family,
-          config.beta, mask, [&]() -> std::optional<TrainState> {
-            TrainState claimed = source.fetch(j + 1);
-            result.proof_bytes += claimed.byte_size();
-            if (!digest_equal(hash_state(claimed), opened->out_hash)) {
-              return std::nullopt;
-            }
-            return claimed;
-          });
+          j, replay, family != nullptr ? &proofs.output_lsh(j) : nullptr,
+          family, config_.beta, executor_.trainable_mask(),
+          [&] { return proofs.output(j); });
       if (check.double_checked) {
-        ++result.lsh_mismatches;
         ++result.double_checks;
+        obs::count("verify.double_check", 1);
       }
     }
     if (!check.passed && result.failure == VerifyFailure::kNone) {
       result.failure = check.failure;  // the first failing sample wins
     }
-    all_passed = all_passed && check.passed;
+    result.accepted = result.accepted && check.passed;
     result.checks.push_back(check);
+    if (stop_at_first_failure && !check.passed) break;
   }
-  result.accepted = all_passed;
-  record_verdict(result);
   return result;
 }
-
-}  // namespace
 
 VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
                                       const Commitment& full,
@@ -254,7 +215,7 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
       compact.num_checkpoints != source.num_checkpoints() ||
       compact.version != full.version ||
       step_of != hp_.checkpoint_boundaries()) {
-    return reject_unsampled({}, VerifyFailure::kMalformed);
+    return reject_unsampled(VerifyFailure::kMalformed);
   }
 
   // One memoized tree build covers the leaf-0 binding AND every sampled
@@ -264,27 +225,62 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
 
   // Initial-state binding: the worker proves leaf 0 under state_root is the
   // distributed state's hash.
-  VerifyResult result;
+  std::uint64_t proof_bytes = 0;
   const TransitionProof leaf0 = index.prove_transition(0);
-  result.proof_bytes += leaf0.byte_size();
+  proof_bytes += leaf0.byte_size();
   if (!digest_equal(leaf0.in_hash, expected_initial_hash) ||
       leaf0.in_membership.path_index() != 0 ||
       !MerkleTree::verify(compact.state_root, leaf0.in_hash,
                           leaf0.in_membership)) {
-    return reject_unsampled(std::move(result), VerifyFailure::kInitialBinding);
+    return reject_unsampled(VerifyFailure::kInitialBinding, proof_bytes);
   }
 
-  // Transition j opens through membership proofs generated worker-side.
-  return verify_samples(
-      std::move(result), config_, executor_,
-      compact_commitment_binding(compact), source, step_of, context, device,
-      trace_parent,
-      [&](std::int64_t j, VerifyResult& r) -> std::optional<TransitionProof> {
-        TransitionProof proof = index.prove_transition(j);
-        r.proof_bytes += proof.byte_size();
-        if (!verify_transition_proof(compact, proof)) return std::nullopt;
-        return proof;
-      });
+  // Transition j opens through a membership proof generated worker-side;
+  // C_j is fetched only when the proof verifies, and both states are
+  // checked against the proof's hashes.
+  TransitionProof opened;
+  VerifyResult result = verify_samples(
+      sample_transitions(config_.sampling_seed,
+                         compact_commitment_binding(compact),
+                         source.num_checkpoints() - 1, config_.samples_q),
+      {.input = [&](std::int64_t j) -> std::optional<TrainState> {
+         opened = index.prove_transition(j);
+         proof_bytes += opened.byte_size();
+         if (!verify_transition_proof(compact, opened)) return std::nullopt;
+         return fetch_committed(source, j, opened.in_hash, proof_bytes);
+       },
+       .output = [&](std::int64_t j) {
+         return fetch_committed(source, j + 1, opened.out_hash, proof_bytes);
+       },
+       .output_lsh = [&](std::int64_t) -> const lsh::LshDigest& {
+         return opened.out_lsh;
+       }},
+      step_of, *context.dataset, context.nonce, device, trace_parent,
+      /*stop_at_first_failure=*/false);
+  result.proof_bytes = proof_bytes;
+  record_verdict(result);
+  return result;
+}
+
+VerifyFailure Verifier::precheck(const Commitment& commitment,
+                                 std::int64_t checkpoints,
+                                 const std::vector<std::int64_t>& step_of,
+                                 const Digest& expected_initial_hash) const {
+  // The step boundaries are derived from the agreed hyper-parameters, never
+  // trusted from the prover: malformed step_of vectors (zero-length
+  // intervals, wrong counts) are rejected outright.
+  const std::int64_t committed = std::ssize(commitment.state_hashes);
+  if (!commitment_fits_task(commitment.version, committed,
+                            config_.lsh_family != nullptr, hp_) ||
+      committed != checkpoints || step_of != hp_.checkpoint_boundaries() ||
+      !commitment_consistent(commitment)) {
+    return VerifyFailure::kMalformed;
+  }
+  // The first checkpoint must be exactly the state the manager handed out.
+  if (!digest_equal(commitment.state_hashes.front(), expected_initial_hash)) {
+    return VerifyFailure::kInitialBinding;
+  }
+  return VerifyFailure::kNone;
 }
 
 VerifyResult Verifier::verify(const Commitment& commitment,
@@ -294,39 +290,30 @@ VerifyResult Verifier::verify(const Commitment& commitment,
                               const Digest& expected_initial_hash,
                               sim::DeviceExecution& device,
                               const obs::TraceContext& trace_parent) {
-  // The step boundaries are derived from the agreed hyper-parameters, never
-  // trusted from the prover: malformed step_of vectors (zero-length
-  // intervals, wrong counts) are rejected outright.
-  const auto checkpoints =
-      static_cast<std::int64_t>(commitment.state_hashes.size());
-  if (!commitment_fits_task(commitment.version, checkpoints,
-                            config_.lsh_family != nullptr, hp_) ||
-      checkpoints != source.num_checkpoints() ||
-      step_of != hp_.checkpoint_boundaries() ||
-      !commitment_consistent(commitment)) {
-    return reject_unsampled({}, VerifyFailure::kMalformed);
-  }
-
-  // The first checkpoint must be exactly the state the manager handed out.
-  if (!digest_equal(commitment.state_hashes.front(), expected_initial_hash)) {
-    return reject_unsampled({}, VerifyFailure::kInitialBinding);
-  }
+  const VerifyFailure unfit = precheck(commitment, source.num_checkpoints(),
+                                       step_of, expected_initial_hash);
+  if (unfit != VerifyFailure::kNone) return reject_unsampled(unfit);
 
   // Transition j opens straight from the committed lists.
-  return verify_samples(
-      {}, config_, executor_, commitment.root, source, step_of, context,
-      device, trace_parent,
-      [&](std::int64_t j, VerifyResult&) -> std::optional<TransitionProof> {
-        TransitionProof opened;
-        opened.in_hash = commitment.state_hashes[static_cast<std::size_t>(j)];
-        opened.out_hash =
-            commitment.state_hashes[static_cast<std::size_t>(j + 1)];
-        if (config_.lsh_family != nullptr) {
-          opened.out_lsh =
-              commitment.lsh_digests[static_cast<std::size_t>(j + 1)];
-        }
-        return opened;
-      });
+  std::uint64_t proof_bytes = 0;
+  const auto fetch = [&](std::int64_t index) {
+    return fetch_committed(
+        source, index,
+        commitment.state_hashes[static_cast<std::size_t>(index)], proof_bytes);
+  };
+  VerifyResult result = verify_samples(
+      sample_transitions(config_.sampling_seed, commitment.root,
+                         source.num_checkpoints() - 1, config_.samples_q),
+      {.input = fetch,
+       .output = [&](std::int64_t j) { return fetch(j + 1); },
+       .output_lsh = [&](std::int64_t j) -> const lsh::LshDigest& {
+         return commitment.lsh_digests[static_cast<std::size_t>(j + 1)];
+       }},
+      step_of, *context.dataset, context.nonce, device, trace_parent,
+      /*stop_at_first_failure=*/false);
+  result.proof_bytes = proof_bytes;
+  record_verdict(result);
+  return result;
 }
 
 }  // namespace rpol::core

@@ -42,8 +42,8 @@ struct VerifierConfig {
 };
 
 // Why a verification rejected (kNone when accepted). The first failing
-// condition wins; each rejection also bumps a `verify.reject.<reason>`
-// counter so traces can break verdicts down by cause.
+// condition wins; record_verdict bumps a `verify.reject.<reason>` counter
+// for each rejection so traces can break verdicts down by cause.
 enum class VerifyFailure : int {
   kNone = 0,        // accepted
   kMalformed,       // wrong shapes/boundaries/version — rejected unsampled
@@ -72,9 +72,12 @@ struct VerifyResult {
   std::vector<TransitionCheck> checks;
   std::uint64_t proof_bytes = 0;        // states fetched from the worker
   std::int64_t reexecuted_steps = 0;    // manager compute
-  std::int64_t lsh_mismatches = 0;
-  std::int64_t double_checks = 0;
+  std::int64_t double_checks = 0;       // RPoLv2 LSH misses re-judged raw
 };
+
+// Counts a reached verdict (`verify.accept`, or `verify.reject` and
+// `verify.reject.<reason>`); write-only, so tracing cannot sway it.
+void record_verdict(const VerifyResult& result);
 
 // Deterministic post-commitment sampling: q indices in [0, transitions),
 // drawn without replacement when q <= transitions (q > transitions clamps).
@@ -92,23 +95,10 @@ Digest compact_commitment_binding(const CompactCommitment& compact);
 bool commitment_fits_task(CommitmentVersion version, std::int64_t checkpoints,
                           bool use_lsh, const Hyperparams& hp);
 
-// Loads C_j (`input`) and runs steps [step_of[j], step_of[j+1]) under a
-// "reexecute" span; returns the replayed state theta', or nullopt without
-// running a step when C_j's model or optimizer length is not the
-// executor's. `input` is released before theta' is saved, so the two are
-// never resident together.
-std::optional<TrainState> reexecute_transition(
-    StepExecutor& executor, TrainState input,
-    const std::vector<std::int64_t>& step_of, std::int64_t j,
-    const data::DatasetView& data, const DeterministicSelector& selector,
-    sim::DeviceExecution& device, const obs::TraceContext& parent,
-    std::int64_t worker = -1);
-
-// Step 3c for every verdict path (Verifier, wire session, committee), on
-// the replayed state of transition j (step 3b is reexecute_transition).
-// A missing replay (C_j of the wrong shape) fails as kMalformed. RPoLv2
-// (`committed_lsh` and `hasher` set) passes an LSH group match of the
-// trainable weights, which must all be finite before they are hashed;
+// Step 3c on the replayed state of transition j (Verifier::verify_samples
+// runs step 3b). A missing replay (C_j of the wrong shape) fails as
+// kMalformed. RPoLv2 (`committed_lsh` and `hasher` set) passes an LSH group
+// match of the trainable weights, which must all be finite before hashing;
 // otherwise `fetch_claimed` runs once for C_{j+1}, already hash-checked
 // (nullopt if that check failed). A claimed model whose length differs
 // from the replay's fails as kMalformed; otherwise both states' trainable
@@ -119,13 +109,22 @@ TransitionCheck judge_transition(
     double beta, const std::vector<bool>& mask,
     const std::function<std::optional<TrainState>()>& fetch_claimed);
 
+// How a verdict path serves sampled transition j: each state already
+// checked against the commitment (nullopt if that check fails), handed over,
+// not copied. `output` (C_{j+1}) is asked for by a distance test only, and
+// `output_lsh` (C_{j+1}'s committed digest) by RPoLv2 only.
+struct SampleProofs {
+  std::function<std::optional<TrainState>(std::int64_t j)> input;  // C_j
+  std::function<std::optional<TrainState>(std::int64_t j)> output;
+  std::function<const lsh::LshDigest&(std::int64_t j)> output_lsh;
+};
+
 // Owns its re-execution executor only. Shard verifiers borrow the one LSH
 // family of their pool's workspace (VerifierConfig::lsh_family), re-pointed
 // before each epoch's verify_worker.
 class Verifier {
  public:
-  // `factory`/`hp` must match the task distributed to workers; `device` is
-  // the manager's verification hardware.
+  // `factory`/`hp` must match the task distributed to workers.
   Verifier(const nn::ModelFactory& factory, const Hyperparams& hp,
            VerifierConfig config);
 
@@ -160,6 +159,27 @@ class Verifier {
     return verify(commitment, trace, trace.step_of, context,
                   expected_initial_hash, device, trace_parent);
   }
+
+  // Step 0 and the C_0 binding (§2.4) of a hash-list commitment to
+  // `checkpoints` states at `step_of`; kNone when sampling may start.
+  VerifyFailure precheck(const Commitment& commitment, std::int64_t checkpoints,
+                         const std::vector<std::int64_t>& step_of,
+                         const Digest& expected_initial_hash) const;
+
+  // The one loop over sampled transitions, for every verdict path: per j,
+  // re-executes C_j (released before theta' is saved) under a "reexecute"
+  // span, judges it and tallies all but proof_bytes, which the caller
+  // charges before its record_verdict. Each double-check bumps
+  // `verify.double_check` as it runs, so one whose fetch fails counts too.
+  // `stop_at_first_failure` (the wire session) skips later samples.
+  VerifyResult verify_samples(const std::vector<std::int64_t>& samples,
+                              const SampleProofs& proofs,
+                              const std::vector<std::int64_t>& step_of,
+                              const data::DatasetView& data,
+                              std::uint64_t nonce,
+                              sim::DeviceExecution& device,
+                              const obs::TraceContext& trace_parent,
+                              bool stop_at_first_failure);
 
   // Compact-commitment variant (Sec. V-B's Merkle construction): the worker
   // uploaded only the O(1) CompactCommitment; sampled transitions arrive

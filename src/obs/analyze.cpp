@@ -256,12 +256,9 @@ void print_trace_summary(const Trace& trace, std::FILE* out) {
     return it == trace.counters.end() ? 0 : it->second;
   };
   std::fprintf(out,
-               "\nverify verdicts: accept=%llu reject=%llu lsh_mismatch=%llu "
-               "double_check=%llu\n",
+               "\nverify verdicts: accept=%llu reject=%llu double_check=%llu\n",
                static_cast<unsigned long long>(counter_or_zero("verify.accept")),
                static_cast<unsigned long long>(counter_or_zero("verify.reject")),
-               static_cast<unsigned long long>(
-                   counter_or_zero("verify.lsh_mismatch")),
                static_cast<unsigned long long>(
                    counter_or_zero("verify.double_check")));
   // Fault/retry resilience counters (src/fault/): only printed when the run

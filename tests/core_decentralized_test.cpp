@@ -99,6 +99,14 @@ TEST(Assignment, CoversAllVerifiersEventually) {
 TEST(Assignment, TooFewVerifiersThrows) {
   EXPECT_THROW(assign_verifiers(1, sha256(std::string("x")), {0}, 2, 3),
                std::invalid_argument);
+  // Replication 0 would leave every sample voteless, so it fails, and with
+  // no members at all there would be no per-verifier load to take a max of.
+  for (const std::size_t members : {std::size_t{0}, std::size_t{5}}) {
+    EXPECT_THROW(
+        assign_verifiers(1, sha256(std::string("x")), {0}, members, 0),
+        std::invalid_argument)
+        << members << " members";
+  }
 }
 
 TEST_F(DecentralizedFixture, HonestMajorityAcceptsHonestWorker) {
@@ -190,11 +198,22 @@ TEST_F(DecentralizedFixture, MalformedCommitmentRejected) {
   DecentralizedVerifier verifier(task.factory, task.hp, config());
   Commitment broken = commit_v1(honest_trace);
   broken.state_hashes.pop_back();
-  const auto result =
-      verifier.verify(broken, honest_trace, context,
-                      hash_state(context.initial), verifier_pool(0, 0));
-  EXPECT_FALSE(result.accepted);
-  EXPECT_TRUE(result.votes.empty());
+  // The honest trace's RPoLv2 commitment is consistent and binds C_0, but
+  // the committee judges under RPoLv1, so step 0 refuses its version.
+  StepExecutor probe(task.factory, task.hp);
+  const std::vector<bool>& mask = probe.trainable_mask();
+  lsh::LshConfig lsh_cfg;
+  lsh_cfg.dim = static_cast<std::int64_t>(
+      extract_trainable(context.initial.model, mask).size());
+  const lsh::PStableLsh hasher(lsh_cfg);
+  const Commitment v2 = commit_v2(honest_trace, hasher, &mask);
+  for (const Commitment& commitment : {broken, v2}) {
+    const auto result =
+        verifier.verify(commitment, honest_trace, context,
+                        hash_state(context.initial), verifier_pool(0, 0));
+    EXPECT_FALSE(result.accepted);
+    EXPECT_TRUE(result.votes.empty());
+  }
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ TEST_F(PoolFixture, BaselineAcceptsEveryone) {
   ShardedPool pool = make_pool(Scheme::kBaseline, 2, true);
   const EpochReport epoch = pool.run_epoch(0);
   EXPECT_EQ(epoch.rejected_count, 0);
-  EXPECT_EQ(epoch.lsh_mismatches, 0);
+  EXPECT_EQ(epoch.double_checks, 0);
   EXPECT_EQ(epoch.manager_reexecuted_steps, 0);
 }
 

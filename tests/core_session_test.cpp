@@ -267,5 +267,90 @@ TEST_F(SessionFixture, ZeroChunkSizeRejected) {
       std::invalid_argument);
 }
 
+// ---------------------------------------------------------------------------
+// What a session counts: one verdict for each session that reaches one, one
+// `verify.double_check` for each double-check its outcome reports (one whose
+// exchange then fails included), and one `verify.reject.<reason>` for each
+// rejection.
+
+struct VerdictCounters {
+  std::uint64_t verdicts = 0;  // verify.accept + verify.reject
+  std::uint64_t double_checks = 0;
+  std::vector<std::uint64_t> reasons;  // verify.reject.<reason>, by failure
+
+  static VerdictCounters read() {
+    VerdictCounters c;
+    c.verdicts = obs::counter("verify.accept").value() +
+                 obs::counter("verify.reject").value();
+    c.double_checks = obs::counter("verify.double_check").value();
+    for (int f = static_cast<int>(VerifyFailure::kMalformed);
+         f <= static_cast<int>(VerifyFailure::kNonFinite); ++f) {
+      c.reasons.push_back(
+          obs::counter(std::string("verify.reject.") +
+                       verify_failure_name(static_cast<VerifyFailure>(f)))
+              .value());
+    }
+    return c;
+  }
+};
+
+TEST_F(SessionFixture, CountersMatchEveryOutcome) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  int rejections = 0;
+  int failed_after_double_check = 0;
+  for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+    SessionConfig cfg = config(scheme);
+    // The verdict goldens' tight family: honest replays miss it, so every
+    // RPoLv2 sample takes the double-check.
+    if (cfg.lsh.has_value()) cfg.lsh->params = lsh::LshParams{1e-6, 2, 2};
+    cfg.retry.max_attempts = 2;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      fault::FaultPlan plan;
+      plan.seed = seed;
+      plan.profile(static_cast<int>(MessageType::kProofRequest)).drop = 0.5;
+      plan.profile(static_cast<int>(MessageType::kProofResponse)).drop = 0.5;
+      cfg.fault_plan = &plan;
+      HonestPolicy honest;
+      ReplayPolicy replay;
+      SpoofPolicy spoof(0.1, 0.5);
+      for (WorkerPolicy* policy :
+           std::initializer_list<WorkerPolicy*>{&honest, &replay, &spoof}) {
+        const VerdictCounters before = VerdictCounters::read();
+        const SessionOutcome outcome = run_protocol_session(
+            task.factory, task.hp, cfg, global, /*nonce=*/505, view, *policy,
+            sim::device_ga10(), /*worker_run_seed=*/3, sim::device_g3090(),
+            /*manager_run_seed=*/4);
+        const VerdictCounters after = VerdictCounters::read();
+        const std::string where = std::string(scheme_name(scheme)) +
+                                  " seed " + std::to_string(seed) + " " +
+                                  session_status_name(outcome.status);
+
+        const bool rejected =
+            outcome.status == SessionStatus::kVerdictRejected;
+        const bool decided =
+            rejected || outcome.status == SessionStatus::kAccepted;
+        EXPECT_EQ(after.verdicts - before.verdicts, decided ? 1u : 0u)
+            << where;
+        EXPECT_EQ(after.double_checks - before.double_checks,
+                  static_cast<std::uint64_t>(outcome.double_checks))
+            << where;
+        std::uint64_t reasons_raised = 0;
+        for (std::size_t f = 0; f < after.reasons.size(); ++f) {
+          reasons_raised += after.reasons[f] - before.reasons[f];
+        }
+        EXPECT_EQ(reasons_raised, rejected ? 1u : 0u) << where;
+        rejections += rejected ? 1 : 0;
+        failed_after_double_check +=
+            !decided && outcome.double_checks > 0 ? 1 : 0;
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+  // The sweep reaches both kinds of session the counters could miss.
+  EXPECT_GT(rejections, 0);
+  EXPECT_GT(failed_after_double_check, 0);
+}
+
 }  // namespace
 }  // namespace rpol::core
