@@ -60,6 +60,7 @@ DecentralizedResult DecentralizedVerifier::verify(
                          expected_initial_hash) != VerifyFailure::kNone) {
     return result;
   }
+  result.accepted = true;
 
   result.samples =
       sample_transitions(config_.assignment_seed, commitment.root,
@@ -69,7 +70,6 @@ DecentralizedResult DecentralizedVerifier::verify(
                        verifiers.size(), config_.verifiers_per_sample);
 
   std::vector<std::int64_t> per_verifier_steps(verifiers.size(), 0);
-  bool all_passed = true;
   for (std::size_t s = 0; s < result.samples.size(); ++s) {
     const std::int64_t j = result.samples[s];
     const auto in = static_cast<std::size_t>(j);
@@ -109,7 +109,7 @@ DecentralizedResult DecentralizedVerifier::verify(
                               static_cast<std::uint64_t>(j)));
           const VerifyResult r = verifier_.verify_samples(
               {j}, proofs, trace.step_of, *context.dataset, context.nonce,
-              device, trace_parent, /*stop_at_first_failure=*/false);
+              device, trace_parent);
           result.total_reexecuted_steps += r.reexecuted_steps;
           per_verifier_steps[v] += r.reexecuted_steps;
           vote.distance = r.checks.front().distance;
@@ -120,12 +120,13 @@ DecentralizedResult DecentralizedVerifier::verify(
       pass_votes += vote.pass ? 1 : 0;
       votes.push_back(vote);
     }
-    const bool sample_passed =
-        2 * pass_votes > static_cast<int>(assignment[s].size());
-    all_passed = all_passed && sample_passed;
     result.votes.push_back(std::move(votes));
+    if (2 * pass_votes <= static_cast<int>(assignment[s].size())) {
+      result.accepted = false;  // decided: the samples end where votes do
+      result.samples.resize(s + 1);
+      break;
+    }
   }
-  result.accepted = all_passed;
   result.critical_path_steps =
       *std::max_element(per_verifier_steps.begin(), per_verifier_steps.end());
   return result;

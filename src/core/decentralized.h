@@ -64,7 +64,8 @@ class DecentralizedVerifier {
   DecentralizedVerifier(const nn::ModelFactory& factory, const Hyperparams& hp,
                         DecentralizedConfig config);
 
-  // A commitment failing Verifier::precheck gets no samples or votes. An
+  // A commitment failing Verifier::precheck gets no samples or votes; else
+  // `samples` and `votes` end at the first sample whose majority fails. An
   // honest vote on sample j is Verifier::verify_samples({j}) on the member's
   // device; `trace_parent` (observability only) parents its spans.
   DecentralizedResult verify(const Commitment& commitment,

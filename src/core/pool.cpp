@@ -305,9 +305,10 @@ void MiningPool::train_commit_worker(EpochWorkspace& ws, std::size_t w) {
   if (!builder.fits_mask()) {
     // A checkpoint whose model does not fit the trainable mask has no LSH
     // leaf, so the worker cannot commit. The submission ends like its
-    // RPoLv1 twin, whose short state the judge finds malformed: rejected,
-    // one verify-rejection strike, no aggregation — without reaching the
-    // verifier.
+    // RPoLv1 twin, whose short state the judge finds malformed: a malformed
+    // rejection, one verify-rejection strike, no aggregation — without
+    // reaching the verifier.
+    record_verdict(VerifyFailure::kMalformed);
     slot.accepted = false;
     slot.status = SessionStatus::kVerdictRejected;
     slot.rejected = 1;

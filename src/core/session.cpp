@@ -205,6 +205,9 @@ SessionOutcome run_protocol_session(
   if (config.chunk_bytes == 0) {
     throw std::invalid_argument("state chunks need >= 1 payload byte");
   }
+  if (config.samples_q < 1) {
+    throw std::invalid_argument("verification needs >= 1 sample");
+  }
 
   obs::Span session_span("session", config.trace_parent);
   const bool use_lsh = config.scheme == Scheme::kRPoLv2;
@@ -313,6 +316,7 @@ SessionOutcome run_protocol_session(
         // No LSH leaf exists for a model that does not fit the trainable
         // mask, so the worker cannot commit: rejected like the RPoLv1 twin
         // whose short state the judge finds malformed, with nothing sent.
+        record_verdict(VerifyFailure::kMalformed);
         outcome.status = SessionStatus::kVerdictRejected;
         return finish(std::move(outcome));
       }
@@ -473,11 +477,10 @@ SessionOutcome run_protocol_session(
     return std::move(dc_decoded->output_states.front());
   };
 
-  // The session stops at its first failed sample. Every state in
-  // manager_response already hash-matched the commitment in the decode
-  // validator above (mismatches NACK and exhaust the retry budget before
-  // reaching the loop), so the states are moved in without re-hashing
-  // multi-megabyte checkpoints here.
+  // Every state in manager_response already hash-matched the commitment in
+  // the decode validator above (mismatches NACK and exhaust the retry
+  // budget before reaching the loop), so the states are moved in without
+  // re-hashing multi-megabyte checkpoints here.
   const auto slot = [&](std::int64_t j) {  // j's place in the response
     const std::vector<std::int64_t>& t = request.transitions;
     return static_cast<std::size_t>(std::ranges::lower_bound(t, j) - t.begin());
@@ -499,13 +502,12 @@ SessionOutcome run_protocol_session(
            const auto next = static_cast<std::size_t>(j + 1);
            return manager_commitment->lsh_digests[next];
          }},
-        step_of, worker_data, nonce, manager_gpu, verify_span.context(),
-        /*stop_at_first_failure=*/true);
+        step_of, worker_data, nonce, manager_gpu, verify_span.context());
   }
   outcome.double_checks = verdict.double_checks;
   if (exchange.failed) return finish(std::move(outcome));
 
-  record_verdict(verdict);
+  record_verdict(verdict.failure);
   outcome.accepted = verdict.accepted;
   outcome.status = verdict.accepted ? SessionStatus::kAccepted
                                     : SessionStatus::kVerdictRejected;

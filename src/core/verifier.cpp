@@ -8,12 +8,11 @@
 
 namespace rpol::core {
 
-void record_verdict(const VerifyResult& result) {
-  obs::count(result.accepted ? "verify.accept" : "verify.reject", 1);
-  if (!result.accepted) {
-    obs::count(std::string("verify.reject.") +
-                   verify_failure_name(result.failure),
-               1);
+void record_verdict(VerifyFailure failure) {
+  const bool accepted = failure == VerifyFailure::kNone;
+  obs::count(accepted ? "verify.accept" : "verify.reject", 1);
+  if (!accepted) {
+    obs::count(std::string("verify.reject.") + verify_failure_name(failure), 1);
   }
 }
 
@@ -25,7 +24,7 @@ VerifyResult reject_unsampled(VerifyFailure failure,
   VerifyResult result;
   result.failure = failure;
   result.proof_bytes = proof_bytes;
-  record_verdict(result);
+  record_verdict(failure);
   return result;
 }
 
@@ -61,6 +60,7 @@ std::vector<std::int64_t> sample_transitions(std::uint64_t seed,
                                              std::int64_t transitions,
                                              std::int64_t q) {
   if (transitions <= 0) throw std::invalid_argument("no transitions to sample");
+  if (q < 1) throw std::invalid_argument("verification needs >= 1 sample");
   q = std::min(q, transitions);
   // Key the PRF with both the manager's secret and the commitment root so
   // the worker cannot predict samples before committing.
@@ -109,7 +109,7 @@ TransitionCheck judge_transition(
     const lsh::LshDigest* committed_lsh, const lsh::PStableLsh* hasher,
     double beta, const std::vector<bool>& mask,
     const std::function<std::optional<TrainState>()>& fetch_claimed) {
-  TransitionCheck check{.transition = j, .hash_ok = true};
+  TransitionCheck check{.transition = j};
   if (!replay.has_value()) {
     check.failure = VerifyFailure::kMalformed;
     return check;
@@ -132,7 +132,6 @@ TransitionCheck judge_transition(
   }
   const std::optional<TrainState> claimed = fetch_claimed();
   if (!claimed.has_value()) {
-    check.hash_ok = false;
     check.failure = VerifyFailure::kHashMismatch;
     return check;
   }
@@ -159,12 +158,10 @@ VerifyResult Verifier::verify_samples(const std::vector<std::int64_t>& samples,
                                       const data::DatasetView& data,
                                       std::uint64_t nonce,
                                       sim::DeviceExecution& device,
-                                      const obs::TraceContext& trace_parent,
-                                      bool stop_at_first_failure) {
+                                      const obs::TraceContext& trace_parent) {
   const DeterministicSelector selector(nonce);
   const lsh::PStableLsh* family = config_.lsh_family;  // null for v1
   VerifyResult result;
-  result.accepted = true;
   for (const std::int64_t j : samples) {
     TransitionCheck check{.transition = j,
                           .failure = VerifyFailure::kHashMismatch};
@@ -192,13 +189,13 @@ VerifyResult Verifier::verify_samples(const std::vector<std::int64_t>& samples,
         obs::count("verify.double_check", 1);
       }
     }
-    if (!check.passed && result.failure == VerifyFailure::kNone) {
-      result.failure = check.failure;  // the first failing sample wins
-    }
-    result.accepted = result.accepted && check.passed;
     result.checks.push_back(check);
-    if (stop_at_first_failure && !check.passed) break;
+    if (!check.passed) {  // decided: later samples cannot change it
+      result.failure = check.failure;
+      return result;
+    }
   }
+  result.accepted = true;
   return result;
 }
 
@@ -255,10 +252,9 @@ VerifyResult Verifier::verify_compact(const CompactCommitment& compact,
        .output_lsh = [&](std::int64_t) -> const lsh::LshDigest& {
          return opened.out_lsh;
        }},
-      step_of, *context.dataset, context.nonce, device, trace_parent,
-      /*stop_at_first_failure=*/false);
+      step_of, *context.dataset, context.nonce, device, trace_parent);
   result.proof_bytes = proof_bytes;
-  record_verdict(result);
+  record_verdict(result.failure);
   return result;
 }
 
@@ -309,10 +305,9 @@ VerifyResult Verifier::verify(const Commitment& commitment,
        .output_lsh = [&](std::int64_t j) -> const lsh::LshDigest& {
          return commitment.lsh_digests[static_cast<std::size_t>(j + 1)];
        }},
-      step_of, *context.dataset, context.nonce, device, trace_parent,
-      /*stop_at_first_failure=*/false);
+      step_of, *context.dataset, context.nonce, device, trace_parent);
   result.proof_bytes = proof_bytes;
-  record_verdict(result);
+  record_verdict(result.failure);
   return result;
 }
 

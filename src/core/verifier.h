@@ -6,7 +6,7 @@
 //      (commit-and-prove), so it cannot bias which transitions are checked.
 //   2. The manager derives q sample indices from a PRF keyed by its secret
 //      seed and the commitment root.
-//   3. For each sampled transition j:
+//   3. For each sampled transition j, in order, until one fails:
 //        a. fetch proof_in = C_j; check SHA(C_j) against the commitment;
 //        b. re-execute steps [s_j, s_{j+1}) from C_j on the manager's
 //           device with the worker's deterministic batch selection;
@@ -58,7 +58,6 @@ const char* verify_failure_name(VerifyFailure failure);
 
 struct TransitionCheck {
   std::int64_t transition = 0;
-  bool hash_ok = false;
   bool lsh_matched = false;      // v2 only
   bool double_checked = false;   // v2 only
   double distance = 0.0;         // filled when a distance test ran
@@ -75,12 +74,12 @@ struct VerifyResult {
   std::int64_t double_checks = 0;       // RPoLv2 LSH misses re-judged raw
 };
 
-// Counts a reached verdict (`verify.accept`, or `verify.reject` and
-// `verify.reject.<reason>`); write-only, so tracing cannot sway it.
-void record_verdict(const VerifyResult& result);
+// Counts a reached verdict: `verify.accept` for kNone, else `verify.reject`
+// and `verify.reject.<reason>`; write-only, so tracing cannot sway it.
+void record_verdict(VerifyFailure failure);
 
 // Deterministic post-commitment sampling: q indices in [0, transitions),
-// drawn without replacement when q <= transitions (q > transitions clamps).
+// drawn without replacement (q > transitions clamps; q < 1 throws).
 std::vector<std::int64_t> sample_transitions(std::uint64_t seed,
                                              const Digest& commitment_root,
                                              std::int64_t transitions,
@@ -171,15 +170,15 @@ class Verifier {
   // span, judges it and tallies all but proof_bytes, which the caller
   // charges before its record_verdict. Each double-check bumps
   // `verify.double_check` as it runs, so one whose fetch fails counts too.
-  // `stop_at_first_failure` (the wire session) skips later samples.
+  // The first failed sample decides the verdict and ends the loop, so a
+  // rejection's last check is its deciding one.
   VerifyResult verify_samples(const std::vector<std::int64_t>& samples,
                               const SampleProofs& proofs,
                               const std::vector<std::int64_t>& step_of,
                               const data::DatasetView& data,
                               std::uint64_t nonce,
                               sim::DeviceExecution& device,
-                              const obs::TraceContext& trace_parent,
-                              bool stop_at_first_failure);
+                              const obs::TraceContext& trace_parent);
 
   // Compact-commitment variant (Sec. V-B's Merkle construction): the worker
   // uploaded only the O(1) CompactCommitment; sampled transitions arrive

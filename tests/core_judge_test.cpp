@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "core/session.h"
+#include "obs/obs.h"
 #include "task_fixture.h"
 
 namespace rpol::core {
@@ -48,6 +49,18 @@ bool all_finite(const std::vector<float>& v) {
 
 constexpr double kBeta = 2e-3;
 constexpr std::uint64_t kSamplingSeeds = 40;
+
+// The rejection counters a traced run raises: `verify.reject` and
+// `verify.reject.malformed`.
+struct RejectCounts {
+  std::uint64_t rejects = 0;
+  std::uint64_t malformed = 0;
+
+  static RejectCounts read() {
+    return {obs::counter("verify.reject").value(),
+            obs::counter("verify.reject.malformed").value()};
+  }
+};
 
 struct JudgeFixture : public ::testing::Test {
   void SetUp() override {
@@ -253,7 +266,11 @@ TEST_F(JudgeFixture, ShortStatesRejectedByVerifyForEverySamplingSeed) {
   }
 }
 
+// Traced, each rejection counts once, as malformed: also the RPoLv2 short
+// model, which the worker cannot commit.
 TEST_F(JudgeFixture, ShortStatesRejectedBySessionForEverySamplingSeed) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
   for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
     for (const bool short_optimizer : {false, true}) {
       for (std::uint64_t seed = 0; seed < kSamplingSeeds; ++seed) {
@@ -264,6 +281,7 @@ TEST_F(JudgeFixture, ShortStatesRejectedBySessionForEverySamplingSeed) {
         cfg.sampling_seed = seed;
         if (scheme == Scheme::kRPoLv2) cfg.lsh = lsh_config;
         ShortStatePolicy policy(short_optimizer);
+        const RejectCounts before = RejectCounts::read();
         SessionOutcome outcome;
         ASSERT_NO_THROW(outcome = run_protocol_session(
                             task.factory, task.hp, cfg, context.initial,
@@ -278,9 +296,17 @@ TEST_F(JudgeFixture, ShortStatesRejectedBySessionForEverySamplingSeed) {
         EXPECT_EQ(outcome.status, SessionStatus::kVerdictRejected)
             << scheme_name(scheme) << " short_optimizer=" << short_optimizer
             << " seed=" << seed;
+        const RejectCounts after = RejectCounts::read();
+        EXPECT_EQ(after.rejects - before.rejects, 1u)
+            << scheme_name(scheme) << " short_optimizer=" << short_optimizer
+            << " seed=" << seed;
+        EXPECT_EQ(after.malformed - before.malformed, 1u)
+            << scheme_name(scheme) << " short_optimizer=" << short_optimizer
+            << " seed=" << seed;
       }
     }
   }
+  obs::set_enabled(was_enabled);
 }
 
 TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
@@ -311,8 +337,11 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv1Pool) {
 
 // The RPoLv2 twin, with in-memory and streaming custody: every epoch ends
 // in one verify-rejection strike for the short-state worker, whose update
-// never reaches the global model.
+// never reaches the global model. Traced, each rejection counts once, and
+// the short-state worker's as malformed.
 TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv2Pool) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
   const TinyTask task = TinyTask::make(/*seed=*/61, /*steps=*/10,
                                        /*interval=*/3);
   const data::TrainTestSplit split =
@@ -329,11 +358,15 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv2Pool) {
       cfg.streaming = streaming;
       ShardedPool pool({cfg}, task.factory, task.dataset, split.test,
                        short_state_workers(short_optimizer));
+      const RejectCounts before = RejectCounts::read();
       PoolRunReport report;
       ASSERT_NO_THROW(report = pool.run())
           << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
+      const RejectCounts after = RejectCounts::read();
       ASSERT_EQ(report.epochs.size(), 3U);
+      std::uint64_t rejections = 0;
       for (const EpochReport& epoch : report.epochs) {
+        rejections += static_cast<std::uint64_t>(epoch.rejected_count);
         EXPECT_TRUE(epoch.participated[3])
             << "streaming=" << streaming << " short_optimizer="
             << short_optimizer << " epoch " << epoch.epoch;
@@ -348,9 +381,14 @@ TEST(JudgePool, ShortStateWorkerNeverStopsAnRPoLv2Pool) {
           << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
       EXPECT_EQ(pool.pool().health().consecutive_losses(3), 0)
           << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
+      EXPECT_EQ(after.rejects - before.rejects, rejections)
+          << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
+      EXPECT_EQ(after.malformed - before.malformed, 3u)
+          << "streaming=" << streaming << " short_optimizer=" << short_optimizer;
       EXPECT_TRUE(all_finite(pool.pool().global_model()));
     }
   }
+  obs::set_enabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +476,6 @@ TEST_F(JudgeFixture, NonFiniteClaimedStateFailsTheDistanceTest) {
       0, context.initial, nullptr, nullptr, kBeta, mask,
       [&]() -> std::optional<TrainState> { return claimed; });
   EXPECT_FALSE(check.passed);
-  EXPECT_TRUE(check.hash_ok);
   EXPECT_EQ(check.failure, VerifyFailure::kNonFinite);
 }
 
@@ -483,7 +520,6 @@ TEST_F(JudgeFixture, RuleOrderForFiniteStates) {
       1, replay, &far_digest, &hasher, kBeta, mask,
       []() -> std::optional<TrainState> { return std::nullopt; });
   EXPECT_FALSE(unbound.passed);
-  EXPECT_FALSE(unbound.hash_ok);
   EXPECT_EQ(unbound.failure, VerifyFailure::kHashMismatch);
 
   // v1: the distance test alone.

@@ -215,6 +215,9 @@ TEST(Sampling, ClampsOversizedQ) {
   const Digest root = sha256(std::string("y"));
   EXPECT_EQ(sample_transitions(1, root, 3, 100).size(), 3u);
   EXPECT_THROW(sample_transitions(1, root, 0, 1), std::invalid_argument);
+  // No samples would leave nothing to fail: every worker would pass.
+  EXPECT_THROW(sample_transitions(1, root, 3, 0), std::invalid_argument);
+  EXPECT_THROW(sample_transitions(1, root, 3, -1), std::invalid_argument);
 }
 
 TEST(Sampling, CoversAllTransitionsAcrossRoots) {
@@ -271,7 +274,7 @@ TEST_F(VerifierFixture, HonestWorkerAcceptedV1) {
   EXPECT_TRUE(r.accepted);
   EXPECT_EQ(r.checks.size(), 3u);
   for (const auto& c : r.checks) {
-    EXPECT_TRUE(c.hash_ok);
+    EXPECT_NE(c.failure, VerifyFailure::kHashMismatch);
     EXPECT_TRUE(c.passed);
     EXPECT_LT(c.distance, beta_);
   }
@@ -327,7 +330,9 @@ TEST_F(VerifierFixture, FullSpoofRejected) {
   EXPECT_FALSE(v2.accepted);
   // Spoofed transitions fail by distance, not by hash mismatch: the
   // commitment itself is self-consistent.
-  for (const auto& c : v1.checks) EXPECT_TRUE(c.hash_ok);
+  for (const auto& c : v1.checks) {
+    EXPECT_NE(c.failure, VerifyFailure::kHashMismatch);
+  }
 }
 
 TEST_F(VerifierFixture, TamperedProofFailsHashCheck) {

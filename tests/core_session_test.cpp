@@ -267,6 +267,32 @@ TEST_F(SessionFixture, ZeroChunkSizeRejected) {
       std::invalid_argument);
 }
 
+TEST_F(SessionFixture, NoSamplesRejectedBeforeTraining) {
+  // With q < 1 no sample could fail, so every worker would pass: the
+  // session refuses the config before the worker trains.
+  struct CountingPolicy : HonestPolicy {
+    int trained = 0;
+    EpochTrace produce_trace(StepExecutor& executor,
+                             const EpochContext& context,
+                             sim::DeviceExecution& device) override {
+      ++trained;
+      return HonestPolicy::produce_trace(executor, context, device);
+    }
+  };
+  CountingPolicy policy;
+  for (const std::int64_t q : {0, -1}) {
+    SessionConfig cfg = config(Scheme::kRPoLv1);
+    cfg.samples_q = q;
+    EXPECT_THROW(
+        run_protocol_session(task.factory, task.hp, cfg, global, 505, view,
+                             policy, sim::device_ga10(), 3, sim::device_g3090(),
+                             4),
+        std::invalid_argument)
+        << "q=" << q;
+  }
+  EXPECT_EQ(policy.trained, 0);
+}
+
 // ---------------------------------------------------------------------------
 // What a session counts: one verdict for each session that reaches one, one
 // `verify.double_check` for each double-check its outcome reports (one whose

@@ -730,9 +730,11 @@ TEST(TrainingDeterminism, StreamedPoolRunIsBitwiseIdentical) {
 // count. Faults and an adversary are on so the digest covers real
 // verdicts, retries, and evictions, not just the happy path.
 
-// Order-sensitive digest of a pool run: the final global model's bytes;
-// each epoch's accepted, participated, status and test_accuracy bits; then
-// the run's WAN bytes, session failures and retransmissions.
+// Order-sensitive digest of a pool run's decisions: the final global
+// model's bytes; each epoch's accepted, participated, status and
+// test_accuracy bits; then the run's session failures and retransmissions.
+// The run's WAN bytes are pinned on their own (kPoolGoldenTotalBytes), so a
+// change that only fetches fewer proofs moves that constant alone.
 std::string pool_run_hex(const core::PoolRunReport& report,
                          const std::vector<float>& model) {
   Bytes t;
@@ -747,20 +749,24 @@ std::string pool_run_hex(const core::PoolRunReport& report,
     std::memcpy(&bits, &epoch.test_accuracy, sizeof bits);
     append_u64(t, bits);
   }
-  append_u64(t, report.total_bytes);
   append_i64(t, report.total_session_failures);
   append_i64(t, report.total_retransmissions);
   return digest_to_hex(sha256(t));
 }
 
-// Recorded through the sequential epoch loop that ShardedPool replaced, at
-// one shard; the four-shard runs below reproduced it then too.
+// The full digest, WAN bytes included, was first recorded through the
+// sequential epoch loop that ShardedPool replaced (523effc5…), and these
+// two constants split from a run that still matched it. The WAN bytes were
+// re-recorded (266108 before) when the verifier began to stop at a
+// rejected worker's first failed sample and fetch no further proofs.
 constexpr const char* kPoolGoldenHex =
-    "523effc5e8f5fe1a52a49f8716b784faf7dfc1b4201fe201ffbbeb60b4dab94d";
+    "ba438b36e8056f542c0bef8ef5b45d132c5e7da562475865b09c4e8625bfc83b";
+constexpr std::uint64_t kPoolGoldenTotalBytes = 244316;
 
 TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
   struct Result {
     std::string hex;
+    std::uint64_t total_bytes = 0;
     std::vector<bool> evicted;
     bool first_accepted = true;  // worker 0 (the adversary), epoch 0
   };
@@ -802,6 +808,7 @@ TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
     const core::PoolRunReport report = pool.run();
     Result r;
     r.hex = pool_run_hex(report, pool.pool().global_model());
+    r.total_bytes = report.total_bytes;
     for (std::size_t w = 0; w < 5; ++w) {
       r.evicted.push_back(pool.pool().health().evicted(w));
     }
@@ -817,6 +824,7 @@ TEST(TrainingDeterminism, ShardedPoolMatchesGoldenAtAnyShardCount) {
   // re-schedule it without moving a byte, whatever the thread count.
   for (const Result* r : {&one_shard, &four_1t, &four_4t}) {
     EXPECT_EQ(r->hex, kPoolGoldenHex);
+    EXPECT_EQ(r->total_bytes, kPoolGoldenTotalBytes);
     EXPECT_EQ(r->evicted, one_shard.evicted);
   }
   // The digest covers real decisions: the replay adversary was rejected and

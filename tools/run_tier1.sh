@@ -28,6 +28,9 @@
 # After the fast passes it builds and self-tests the benchmark
 # (python3 perfbench/run.py --selftest).
 #
+# Each step prints its wall time, and the run its total (bash SECONDS), so
+# a log shows where tier-1's time goes.
+#
 # Usage: tools/run_tier1.sh [build-dir]   (default: build)
 # Set RPOL_SKIP_SANITIZERS=1 to run only the four fast passes and the
 # perfbench selftest.
@@ -36,17 +39,27 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
+step_start=$SECONDS
+timed() {  # prints the wall time of the step that just ended
+  echo "==> $1: $((SECONDS - step_start)) s (run so far: ${SECONDS} s)"
+  step_start=$SECONDS
+}
+
 cmake -B "$BUILD_DIR" -S . -DRPOL_WERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
+timed "main build"
 
 echo "==> tier-1 pass 1/6: RPOL_THREADS=1"
 (cd "$BUILD_DIR" && RPOL_THREADS=1 ctest --output-on-failure -j "$(nproc)")
+timed "pass 1/6"
 
 echo "==> tier-1 pass 2/6: RPOL_THREADS unset (default thread count)"
 (cd "$BUILD_DIR" && env -u RPOL_THREADS ctest --output-on-failure -j "$(nproc)")
+timed "pass 2/6"
 
 echo "==> tier-1 pass 3/6: RPOL_TRACE=1 (tracing on; results must not change)"
 (cd "$BUILD_DIR" && RPOL_TRACE=1 ctest --output-on-failure -j "$(nproc)")
+timed "pass 3/6"
 
 echo "==> tier-1 pass 4/6: RPOL_CKPT_BUDGET=4096 (hot cache squeezed to one"
 echo "    checkpoint; streaming suites and verdict goldens must stay bitwise"
@@ -55,6 +68,7 @@ echo "    wrong-size workers)"
 (cd "$BUILD_DIR" && RPOL_CKPT_BUDGET=4096 ctest --output-on-failure \
   -R 'core_ckptstore_test|runtime_determinism_test|core_commitment_golden_test|core_verdict_golden_test|core_judge_test' \
   -j "$(nproc)")
+timed "pass 4/6"
 
 echo "==> tier-1 scalar kernels: RPOL_SIMD=OFF build (scalar Box-Muller,"
 echo "    direct conv and LSH projections only) must reproduce the golden"
@@ -66,6 +80,7 @@ cmake --build "${BUILD_DIR}-nosimd" -j "$(nproc)" \
   core_commitment_golden_test
 (cd "${BUILD_DIR}-nosimd" && ctest --output-on-failure \
   -R '^(tensor_test|sim_test|nn_layers_test|lsh_test|core_commitment_golden_test)$')
+timed "scalar kernels (build and tests)"
 
 # Advisory regression check against the committed benchmark baseline: the
 # cost-model rows are deterministic, so only genuine protocol-cost changes
@@ -96,6 +111,7 @@ if [[ -f BENCH_baseline.json ]]; then
   "$BUILD_DIR/tools/rpol" bench-diff BENCH_baseline.json \
     "$BUILD_DIR/BENCH_current.json" --tolerance 0.35 --mem-tolerance 0.50 \
     || echo "==> advisory bench-diff flagged deltas (non-fatal)"
+  timed "advisory bench-diff"
 fi
 
 # The benchmark builds from this source tree (into the gitignored
@@ -104,10 +120,11 @@ fi
 # first in a benchmark run. Runs with or without the sanitizer passes.
 echo "==> tier-1 perfbench selftest: build the benchmark, check its metrics"
 python3 perfbench/run.py --selftest
+timed "perfbench selftest"
 
 if [[ "${RPOL_SKIP_SANITIZERS:-0}" == "1" ]]; then
   echo "==> tier-1 OK: four fast configurations and the perfbench selftest"
-  echo "    green (sanitizers skipped)"
+  echo "    green (sanitizers skipped) in ${SECONDS} s"
   exit 0
 fi
 
@@ -115,10 +132,12 @@ echo "==> tier-1 pass 5/6: AddressSanitizer (RPOL_SANITIZE=address)"
 cmake -B "${BUILD_DIR}-asan" -S . -DRPOL_SANITIZE=address
 cmake --build "${BUILD_DIR}-asan" -j "$(nproc)"
 (cd "${BUILD_DIR}-asan" && ctest --output-on-failure -j "$(nproc)")
+timed "pass 5/6 (build and tests)"
 
 echo "==> tier-1 pass 6/6: UndefinedBehaviorSanitizer (RPOL_SANITIZE=undefined)"
 cmake -B "${BUILD_DIR}-ubsan" -S . -DRPOL_SANITIZE=undefined
 cmake --build "${BUILD_DIR}-ubsan" -j "$(nproc)"
 (cd "${BUILD_DIR}-ubsan" && ctest --output-on-failure -j "$(nproc)")
+timed "pass 6/6 (build and tests)"
 
-echo "==> tier-1 OK: all six configurations green"
+echo "==> tier-1 OK: all six configurations green in ${SECONDS} s"
