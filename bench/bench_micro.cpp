@@ -198,6 +198,49 @@ LayoutResult run_layout_shape(const std::string& model,
   return r;
 }
 
+// The conv_pool model's training step at one thread: MiniResNet18 width 8,
+// one block per stage, batch 32 on 16x16 inputs, so its convs run on
+// planes from 16x16 down to 2x2 — the step the pool's workers, verifier
+// and calibration all execute. Best-of-N forward and backward seconds; each
+// backward sample runs its own untimed forward first.
+struct StepResult {
+  double fwd_s = 0.0, bwd_s = 0.0;
+};
+
+StepResult run_mini_resnet18_step() {
+  nn::ModelConfig mc;
+  mc.image_size = 16;
+  mc.num_classes = 10;
+  mc.width = 8;
+  nn::Model model = nn::make_mini_resnet18(mc, /*blocks_per_stage=*/1);
+  Rng rng(11);
+  const Tensor input = Tensor::randn({32, 3, 16, 16}, rng, 1.0F);
+  const Tensor dy = Tensor::randn({32, mc.num_classes}, rng, 0.1F);
+  constexpr double kMinS = 0.5;
+  constexpr int kMaxIters = 60;
+  StepResult r;
+  r.fwd_s = time_best(
+      [&] { benchmark::DoNotOptimize(model.forward(input, true)); }, kMinS,
+      kMaxIters);
+  model.forward(input, true);
+  model.backward(dy);  // warmup
+  std::vector<double> samples;
+  double total = 0.0;
+  while (total < kMinS &&
+         samples.size() < static_cast<std::size_t>(kMaxIters)) {
+    model.forward(input, true);
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(model.backward(dy));
+    const double sec =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    samples.push_back(sec);
+    total += sec;
+  }
+  r.bwd_s = bench::summarize_latencies(samples).best;
+  return r;
+}
+
 void run_layout_harness() {
   const int default_threads = runtime::threads();
   std::vector<LayoutResult> results;
@@ -212,6 +255,8 @@ void run_layout_harness() {
     if (s.layer != "conv3_x" && s.layer != "conv5_x") continue;
     results.push_back(run_layout_shape("VGG16", s, /*batch=*/1, /*spatial_div=*/4));
   }
+  runtime::set_threads(1);
+  const StepResult step = run_mini_resnet18_step();
   runtime::set_threads(default_threads);
 
   bench::BenchRecorder recorder("bench_micro");
@@ -239,6 +284,10 @@ void run_layout_harness() {
       resnet_rows > 0 ? std::exp(log_sum / resnet_rows) : 0.0;
   recorder.add("nn.layout.fwd.resnet18.geomean_speedup.4t", "x", geomean,
                /*higher_is_better=*/true, /*threads=*/4);
+  recorder.add("nn.step.MiniResNet18w8.fwd.ms.1t", "ms", step.fwd_s * 1e3,
+               /*higher_is_better=*/false, /*threads=*/1);
+  recorder.add("nn.step.MiniResNet18w8.bwd.ms.1t", "ms", step.bwd_s * 1e3,
+               /*higher_is_better=*/false, /*threads=*/1);
   recorder.write();
 
   std::printf("\nlayout harness: Conv2d (nChw8c + packed weights) vs "
@@ -253,6 +302,9 @@ void run_layout_harness() {
                 r.ref_fwd_4t / r.dir_fwd_4t, r.ref_train_4t / r.dir_train_4t);
   }
   std::printf("ResNet18 forward geomean speedup (4t): %.2fx\n", geomean);
+  std::printf("MiniResNet18 w8 step, batch 32 on 16x16 (1t): forward %.2f ms, "
+              "backward %.2f ms\n",
+              step.fwd_s * 1e3, step.bwd_s * 1e3);
 }
 
 // Crypto/commitment harness: SHA-256 streaming throughput, batched state

@@ -19,6 +19,9 @@ AsyncMiningPool::AsyncMiningPool(AsyncPoolConfig config, nn::ModelFactory factor
       manager_executor_(factory_, config_.hp),
       health_(static_cast<int>(config_.eviction_threshold), workers_.size()) {
   if (workers_.empty()) throw std::invalid_argument("async pool needs workers");
+  if (config_.verify && config_.samples_q < 1) {
+    throw std::invalid_argument("verification needs >= 1 sample");
+  }
   for (const auto& w : workers_) {
     if (w.period < 1) throw std::invalid_argument("worker period must be >= 1");
   }

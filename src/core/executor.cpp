@@ -14,10 +14,16 @@ std::vector<float> extract_trainable(const std::vector<float>& model_state,
   if (model_state.size() != mask.size()) {
     throw std::invalid_argument("trainable mask size mismatch");
   }
+  // One insert per maximal trainable run: a model's mask is a few long
+  // runs (weights) between short gaps (BatchNorm buffers).
   std::vector<float> out;
   out.reserve(model_state.size());
-  for (std::size_t i = 0; i < model_state.size(); ++i) {
-    if (mask[i]) out.push_back(model_state[i]);
+  const auto first = mask.begin(), last = mask.end();
+  for (auto run = std::find(first, last, true); run != last;) {
+    const auto end = std::find(run, last, false);
+    out.insert(out.end(), model_state.begin() + (run - first),
+               model_state.begin() + (end - first));
+    run = std::find(end, last, true);
   }
   return out;
 }

@@ -81,6 +81,9 @@ MiningPool::MiningPool(PoolConfig config, nn::ModelFactory factory,
       manager_executor_(factory_, config_.hp),
       health_(static_cast<int>(config_.eviction_threshold), workers_.size()) {
   if (workers_.empty()) throw std::invalid_argument("pool needs >= 1 worker");
+  if (config_.scheme != Scheme::kBaseline && config_.samples_q < 1) {
+    throw std::invalid_argument("verification needs >= 1 sample");
+  }
   // n+1 i.i.d. parts: the manager keeps part 0 for calibration (Sec. V-C).
   partitions_ = data::shuffle_and_partition(
       train, static_cast<std::int64_t>(workers_.size()) + 1,

@@ -6,6 +6,13 @@
 
 #include "runtime/thread_pool.h"
 
+#if defined(__AVX2__) && defined(__FMA__)
+#include <immintrin.h>
+// ReLU's AVX2 loops (RPOL_SIMD=ON); each lane computes what the scalar
+// loop computes for its element.
+#define RPOL_NN_AVX2 1
+#endif
+
 namespace rpol::nn {
 
 namespace {
@@ -93,7 +100,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     conv_bias_grad_nchw(grad_output, spec_.out_channels, bias_.grad);
   }
   Tensor dx = layout::conv2d_direct_backward_data(
-      grad_output, pack.transposed, spec_, cached_input_shape_);
+      grad_output, pack.ihwo8i, spec_, cached_input_shape_);
   // Released, not kept: the next forward allocates a fresh blocked input.
   cached_input_blocked_ = Tensor();
   account_scratch();
@@ -300,6 +307,12 @@ void BatchNorm2d::collect_params(std::vector<Param*>& out) {
 // ---------------------------------------------------------------------------
 // ReLU
 
+// y = x where x > 0, else +0 (NaN, -0 and negatives); the mask is 1 where
+// x > 0, else +0. On AVX2 an ordered greater-than compare gives all-ones
+// lanes exactly where the scalar `x > 0` holds (false for NaN), and ANDing
+// with it keeps x's bits or clears them to +0 — the scalar rule's values,
+// without its data-dependent branch. The scalar loop runs the tails and
+// the RPOL_SIMD=OFF build.
 Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   Tensor out = input;
   cached_mask_ = Tensor(input.shape());
@@ -307,7 +320,18 @@ Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
   float* pm = cached_mask_.data();
   const std::int64_t n = input.numel();
   runtime::parallel_for(0, n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
+    std::int64_t i = i0;
+#ifdef RPOL_NN_AVX2
+    const __m256 zero = _mm256_setzero_ps();
+    const __m256 one = _mm256_set1_ps(1.0F);
+    for (; i + 8 <= i1; i += 8) {
+      const __m256 v = _mm256_loadu_ps(po + i);
+      const __m256 pos = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
+      _mm256_storeu_ps(po + i, _mm256_and_ps(v, pos));
+      _mm256_storeu_ps(pm + i, _mm256_and_ps(one, pos));
+    }
+#endif
+    for (; i < i1; ++i) {
       if (po[i] > 0.0F) {
         pm[i] = 1.0F;
       } else {
@@ -324,7 +348,14 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   float* pd = dx.data();
   const std::int64_t n = dx.numel();
   runtime::parallel_for(0, n, 4096, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) pd[i] *= pm[i];
+    std::int64_t i = i0;
+#ifdef RPOL_NN_AVX2
+    for (; i + 8 <= i1; i += 8) {
+      _mm256_storeu_ps(pd + i, _mm256_mul_ps(_mm256_loadu_ps(pd + i),
+                                             _mm256_loadu_ps(pm + i)));
+    }
+#endif
+    for (; i < i1; ++i) pd[i] *= pm[i];
   });
   return dx;
 }

@@ -42,21 +42,63 @@ class KernelTimer {
   std::uint64_t start_;
 };
 
-// Valid output-x range for kernel column kw (same hoisting as ops.cpp):
-// the x for which in_x = x*stride + kw - padding lies in [0, w).
-struct XRange {
-  std::int64_t lo = 0;
-  std::int64_t hi = 0;  // exclusive
-};
+#ifdef RPOL_LAYOUT_AVX2
+// In-register 8x8 transpose: v[i] lane j becomes v[j] lane i. Shuffles move
+// bits and compute nothing.
+inline void transpose8x8(__m256 (&v)[kBlock]) {
+  const __m256 t0 = _mm256_unpacklo_ps(v[0], v[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(v[0], v[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(v[2], v[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(v[2], v[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(v[4], v[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(v[4], v[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(v[6], v[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(v[6], v[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  v[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  v[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  v[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  v[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  v[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  v[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  v[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  v[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+#endif
 
-XRange valid_x_range(std::int64_t ow, std::int64_t w, std::int64_t kw,
-                     std::int64_t stride, std::int64_t padding) {
-  XRange r;
-  r.lo = kw >= padding ? 0 : (padding - kw + stride - 1) / stride;
-  const std::int64_t num = w - 1 - kw + padding;
-  r.hi = num < 0 ? 0 : std::min(ow, num / stride + 1);
-  r.lo = std::min(r.lo, r.hi);
-  return r;
+// Copies one nChw8c block plane (hw pixels of 8 lanes at src) to `lanes`
+// NCHW channel planes, channel ci at dst + ci * hw.
+void block_to_planes(const float* src, std::int64_t hw, std::int64_t lanes,
+                     float* dst) {
+  std::int64_t i = 0;
+#ifdef RPOL_LAYOUT_AVX2
+  // Eight pixels at a time: eight pixels in, eight channel rows out. A
+  // partial block takes the scalar loop, which skips its padded lanes.
+  if (lanes == kBlock) {
+    for (; i + kBlock <= hw; i += kBlock) {
+      __m256 v[kBlock];
+      for (std::int64_t p = 0; p < kBlock; ++p) {
+        v[p] = _mm256_loadu_ps(src + (i + p) * kBlock);
+      }
+      transpose8x8(v);
+      for (std::int64_t ci = 0; ci < kBlock; ++ci) {
+        _mm256_storeu_ps(dst + ci * hw + i, v[ci]);
+      }
+    }
+  }
+#endif
+  for (; i < hw; ++i) {
+    for (std::int64_t ci = 0; ci < lanes; ++ci) {
+      dst[ci * hw + i] = src[i * kBlock + ci];
+    }
+  }
 }
 
 }  // namespace
@@ -87,13 +129,33 @@ Tensor nchw_to_nchw8c(const Tensor& input, std::int64_t padding) {
       const std::int64_t img = slice / cb;
       const std::int64_t b = slice % cb;
       const std::int64_t lanes = std::min(kBlock, c - b * kBlock);
+      const float* src = pin + (img * c + b * kBlock) * h * w;
       float* dst = pout + slice * hp * wp * kBlock;
-      for (std::int64_t ci = 0; ci < lanes; ++ci) {
-        const float* src = pin + (img * c + b * kBlock + ci) * h * w;
-        for (std::int64_t y = 0; y < h; ++y) {
-          float* drow = dst + ((y + padding) * wp + padding) * kBlock;
-          for (std::int64_t x = 0; x < w; ++x) {
-            drow[x * kBlock + ci] = src[y * w + x];
+      // One run of pixels per row, or one over the whole plane when there is
+      // no padding ring: its rows are then contiguous on both sides.
+      const std::int64_t runs = padding == 0 ? 1 : h;
+      const std::int64_t len = padding == 0 ? h * w : w;
+      for (std::int64_t r = 0; r < runs; ++r) {
+        const float* srun = src + r * len;  // channel ci at + ci * h * w
+        float* drun = dst + ((r + padding) * wp + padding) * kBlock;
+        std::int64_t x = 0;
+#ifdef RPOL_LAYOUT_AVX2
+        // Eight pixels at a time: eight channel rows in, eight pixels out.
+        for (; x + kBlock <= len; x += kBlock) {
+          __m256 v[kBlock];
+          for (std::int64_t ci = 0; ci < kBlock; ++ci) {
+            v[ci] = ci < lanes ? _mm256_loadu_ps(srun + ci * h * w + x)
+                               : _mm256_setzero_ps();
+          }
+          transpose8x8(v);
+          for (std::int64_t p = 0; p < kBlock; ++p) {
+            _mm256_storeu_ps(drun + (x + p) * kBlock, v[p]);
+          }
+        }
+#endif
+        for (; x < len; ++x) {
+          for (std::int64_t ci = 0; ci < lanes; ++ci) {
+            drun[x * kBlock + ci] = srun[ci * h * w + x];
           }
         }
       }
@@ -117,17 +179,15 @@ Tensor nchw8c_to_nchw(const Tensor& blocked, std::int64_t channels) {
   Tensor out({n, channels, h, w});
   const float* pin = blocked.data();
   float* pout = out.data();
-  runtime::parallel_for(
-      0, n * channels, 1, [&](std::int64_t s0, std::int64_t s1) {
-        for (std::int64_t slice = s0; slice < s1; ++slice) {
-          const std::int64_t img = slice / channels;
-          const std::int64_t ch = slice % channels;
-          const float* src =
-              pin + ((img * cb + ch / kBlock) * hw) * kBlock + ch % kBlock;
-          float* dst = pout + slice * hw;
-          for (std::int64_t i = 0; i < hw; ++i) dst[i] = src[i * kBlock];
-        }
-      });
+  runtime::parallel_for(0, n * cb, 1, [&](std::int64_t s0, std::int64_t s1) {
+    for (std::int64_t slice = s0; slice < s1; ++slice) {
+      const std::int64_t img = slice / cb;
+      const std::int64_t b = slice % cb;
+      const std::int64_t lanes = std::min(kBlock, channels - b * kBlock);
+      block_to_planes(pin + slice * hw * kBlock, hw, lanes,
+                      pout + (img * channels + b * kBlock) * hw);
+    }
+  });
   return out;
 }
 
@@ -204,17 +264,27 @@ ConvWeightPack make_conv_weight_pack(const Tensor& weight,
                                      const Conv2dSpec& spec) {
   ConvWeightPack pack;
   pack.blocked = oihw_to_oihw8i8o(weight, spec);
-  // Times only the W^T transpose below; the blocked reorder above has its
+  // Times only the Ihwo8i reorder below; the blocked reorder above has its
   // own histogram (kernel.reorder_oihw8i8o_ns).
   static std::atomic<std::uint64_t> tick{0};
   KernelTimer timer(tick, "kernel.weight_pack_ns");
-  const std::int64_t o = weight.dim(0), ckk = weight.dim(1);
-  pack.transposed = Tensor({ckk, o});
+  const std::int64_t o = spec.out_channels, c = spec.in_channels;
+  const std::int64_t ktaps = spec.kernel * spec.kernel;
+  const std::int64_t cb = blocks(c);
+  pack.ihwo8i = Tensor({cb, spec.kernel, spec.kernel, o, kBlock});  // zero lanes
   const float* pw = weight.data();
-  float* pt = pack.transposed.data();
-  runtime::parallel_for(0, ckk, 16, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t kk = r0; kk < r1; ++kk) {
-      for (std::int64_t oc = 0; oc < o; ++oc) pt[kk * o + oc] = pw[oc * ckk + kk];
+  float* pi = pack.ihwo8i.data();
+  runtime::parallel_for(0, cb, 1, [&](std::int64_t b0, std::int64_t b1) {
+    for (std::int64_t icb = b0; icb < b1; ++icb) {
+      const std::int64_t lanes = std::min(kBlock, c - icb * kBlock);
+      for (std::int64_t oc = 0; oc < o; ++oc) {
+        for (std::int64_t t = 0; t < ktaps; ++t) {
+          float* dst = pi + ((icb * ktaps + t) * o + oc) * kBlock;
+          for (std::int64_t ii = 0; ii < lanes; ++ii) {
+            dst[ii] = pw[oc * c * ktaps + (icb * kBlock + ii) * ktaps + t];
+          }
+        }
+      }
     }
   });
   return pack;
@@ -752,13 +822,23 @@ void conv2d_direct_backward_weights(const Tensor& grad_blocked,
 // ---------------------------------------------------------------------------
 // Direct backward-data.
 //
-// Work item = one (img, ic) input-gradient plane, fusing matmul_tn with
-// col2im: each column value dcols(kk, j) is a serial dot over oc in
-// ascending order (matmul_tn's k-order), fully computed before being
-// scatter-added in col2im's fixed (kh, kw, y, x) order.
+// dX = col2im(matmul_tn(W, dY)): the column value for tap (ic, kh, kw) at
+// output position (y, x) is a dot over oc in ascending order (matmul_tn's
+// k-order), and col2im adds it to dX element (y*stride + kh - pad,
+// x*stride + kw - pad), so every dX element receives its taps in ascending
+// (kh, kw) order. A work unit here is one or two images and one input-
+// channel block, whose eight channels are the vector lanes. At each output
+// position the unit keeps that position's k*k tap dots in registers as
+// serial ascending-oc fma chains and, once they are complete, adds them
+// into its nChw8c dX planes (copied to NCHW when the unit is done); the
+// k*k taps of one position land on k*k distinct elements. Positions run
+// in reverse raster order: a larger kh (or kw) reaches a fixed dX element
+// from a smaller y (or x), so each element still receives its taps in
+// ascending (kh, kw) order, col2im's sequence, starting from the same +0.
+// Taps outside the input are never computed, as col2im never adds them.
 
 Tensor conv2d_direct_backward_data(const Tensor& grad_nchw,
-                                   const Tensor& weight_t,
+                                   const Tensor& weight_ihwo8i,
                                    const Conv2dSpec& spec,
                                    const Shape& input_shape) {
   const std::int64_t n = input_shape[0], c = input_shape[1];
@@ -767,184 +847,246 @@ Tensor conv2d_direct_backward_data(const Tensor& grad_nchw,
   const std::int64_t oh = grad_nchw.dim(2), ow = grad_nchw.dim(3);
   const std::int64_t kernel = spec.kernel, stride = spec.stride,
                      pad = spec.padding;
-  if (grad_nchw.dim(1) != o || weight_t.dim(0) != c * kernel * kernel ||
-      weight_t.dim(1) != o) {
+  const std::int64_t cb = blocks(c);
+  const std::int64_t ktaps = kernel * kernel;
+  if (grad_nchw.dim(0) != n || grad_nchw.dim(1) != o ||
+      oh != spec.out_size(h) || ow != spec.out_size(w) ||
+      weight_ihwo8i.numel() != cb * o * ktaps * kBlock ||
+      !direct_conv_supports(spec)) {
     throw std::invalid_argument("conv2d_direct_backward_data mismatch");
   }
   static std::atomic<std::uint64_t> tick{0};
   KernelTimer timer(tick, "kernel.conv_direct_bwd_d_ns");
   Tensor out(input_shape);
   const float* pg = grad_nchw.data();
-  const float* pwt = weight_t.data();
+  const float* pw = weight_ihwo8i.data();
   float* pd = out.data();
-  constexpr std::int64_t XB = 8;  // x positions (= independent chains) per step
+  const std::int64_t ohow = oh * ow;
+  const std::int64_t g_img = o * ohow;        // dY floats per image
+  const std::int64_t d_img = h * w * kBlock;  // dX floats per image
 
-  constexpr std::int64_t ICB = 4;  // input channels per work unit
-  const std::int64_t ngroups = (c + ICB - 1) / ICB;
+  // Taps [lo, hi) of an output coordinate that land inside the input.
+  struct TapRange {
+    std::int64_t lo = 0, hi = 0;
+  };
+  const auto taps_inside = [&](std::int64_t pos, std::int64_t extent) {
+    const std::int64_t first = pos * stride - pad;  // input coord of tap 0
+    return TapRange{std::max<std::int64_t>(0, -first),
+                    std::min(kernel, extent - first)};
+  };
 
-  runtime::parallel_for(
-      0, n * ngroups, 1, [&](std::int64_t s0, std::int64_t s1) {
-        for (std::int64_t slice = s0; slice < s1; ++slice) {
-          const std::int64_t img = slice / ngroups;
-          const std::int64_t ic0 = (slice % ngroups) * ICB;
-          const std::int64_t icn = std::min(ICB, c - ic0);
-          // dY rows are contiguous over x in NCHW, so each oc step is one
-          // broadcast + contiguous vector loads; x lanes are distinct output
-          // elements, each keeping the serial ascending-oc dot order. A unit
-          // covers ICB input channels so each loaded dY vector feeds ICB
-          // dots — with one channel per unit the whole dY block is
-          // re-streamed per channel and the kernel is memory-bound.
-          const float* gimg = pg + img * o * oh * ow;
-          const std::int64_t ohow = oh * ow;
-          const std::int64_t kko = kernel * kernel * o;
-          for (std::int64_t kh = 0; kh < kernel; ++kh) {
-            for (std::int64_t kw = 0; kw < kernel; ++kw) {
-              const XRange xr = valid_x_range(ow, w, kw, stride, pad);
-              // Same computation gives the valid y range for kh.
-              const XRange yr = valid_x_range(oh, h, kh, stride, pad);
-              const float* wt0 = pwt + ((ic0 * kernel + kh) * kernel + kw) * o;
+  // Two images per unit when the batch allows: a corner or edge position of
+  // a small plane has only 4 or 6 taps, too few chains to hide the fma
+  // latency, so both images run together there and share each weight load.
+  const std::int64_t imgs = n >= 2 ? 2 : 1;
+  const std::int64_t groups = (n + imgs - 1) / imgs;
+
+  runtime::parallel_for(0, groups * cb, 1, [&](std::int64_t u0, std::int64_t u1) {
+    // The unit's dX planes in nChw8c, one per image: small enough to stay
+    // in cache while every tap lands, then copied to NCHW once.
+    std::vector<float> planes(static_cast<std::size_t>(imgs * d_img));
+    for (std::int64_t unit = u0; unit < u1; ++unit) {
+      const std::int64_t icb = unit % cb;
+      const std::int64_t img0 = (unit / cb) * imgs;
+      const std::int64_t ni = std::min(imgs, n - img0);
+      const float* wpanel = pw + icb * ktaps * o * kBlock;
+      std::fill(planes.begin(), planes.end(), 0.0F);
+      float* dplane = planes.data();
+      const float* gimg = pg + img0 * g_img;
 #ifdef RPOL_LAYOUT_AVX2
-              // YL consecutive y rows x ICN channels run as independent fma
-              // chains: a single row is one serial chain (latency-bound on
-              // the narrow deep shapes), while rows and channels never share
-              // a dst element within a tap, so interleaving is bitwise-free.
-              // Row tails shorter than 8 use maskload (masked lanes read 0
-              // and are never stored) instead of dropping to scalar.
-              const auto rows = [&](std::int64_t y0, auto yl_c, auto icn_c) {
-                constexpr std::int64_t YL = decltype(yl_c)::value;
-                constexpr std::int64_t ICN = decltype(icn_c)::value;
-                for (std::int64_t x0 = xr.lo; x0 < xr.hi; x0 += XB) {
-                  const std::int64_t len = std::min(XB, xr.hi - x0);
-                  const __m256i mask = _mm256_cmpgt_epi32(
-                      _mm256_set1_epi32(static_cast<int>(len)),
-                      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-                  __m256 acc[ICN * YL];
-#pragma GCC unroll 8
-                  for (std::int64_t t = 0; t < ICN * YL; ++t) {
-                    acc[t] = _mm256_setzero_ps();
-                  }
-                  const float* g = gimg + y0 * ow + x0;
-                  if (len == XB) {
-                    for (std::int64_t oc = 0; oc < o; ++oc, g += ohow) {
-                      __m256 gv[YL];
-#pragma GCC unroll 4
-                      for (std::int64_t l = 0; l < YL; ++l) {
-                        gv[l] = _mm256_loadu_ps(g + l * ow);
-                      }
-#pragma GCC unroll 4
-                      for (std::int64_t i = 0; i < ICN; ++i) {
-                        const __m256 wv =
-                            _mm256_broadcast_ss(wt0 + i * kko + oc);
-#pragma GCC unroll 4
-                        for (std::int64_t l = 0; l < YL; ++l) {
-                          acc[i * YL + l] =
-                              _mm256_fmadd_ps(wv, gv[l], acc[i * YL + l]);
-                        }
-                      }
-                    }
-                  } else {
-                    for (std::int64_t oc = 0; oc < o; ++oc, g += ohow) {
-                      __m256 gv[YL];
-#pragma GCC unroll 4
-                      for (std::int64_t l = 0; l < YL; ++l) {
-                        gv[l] = _mm256_maskload_ps(g + l * ow, mask);
-                      }
-#pragma GCC unroll 4
-                      for (std::int64_t i = 0; i < ICN; ++i) {
-                        const __m256 wv =
-                            _mm256_broadcast_ss(wt0 + i * kko + oc);
-#pragma GCC unroll 4
-                        for (std::int64_t l = 0; l < YL; ++l) {
-                          acc[i * YL + l] =
-                              _mm256_fmadd_ps(wv, gv[l], acc[i * YL + l]);
-                        }
-                      }
-                    }
-                  }
-#pragma GCC unroll 4
-                  for (std::int64_t i = 0; i < ICN; ++i) {
-                    float* dplane = pd + (img * c + ic0 + i) * h * w;
-#pragma GCC unroll 4
-                    for (std::int64_t l = 0; l < YL; ++l) {
-                      const std::int64_t in_y = (y0 + l) * stride + kh - pad;
-                      float* dst_row = dplane + in_y * w + kw - pad;
-                      if (stride == 1) {
-                        float* d = dst_row + x0;
-                        if (len == XB) {
-                          _mm256_storeu_ps(
-                              d, _mm256_add_ps(_mm256_loadu_ps(d),
-                                               acc[i * YL + l]));
-                        } else {
-                          _mm256_maskstore_ps(
-                              d, mask,
-                              _mm256_add_ps(_mm256_maskload_ps(d, mask),
-                                            acc[i * YL + l]));
-                        }
-                      } else {
-                        float tmp[XB];
-                        _mm256_storeu_ps(tmp, acc[i * YL + l]);
-                        for (std::int64_t j = 0; j < len; ++j) {
-                          dst_row[(x0 + j) * stride] += tmp[j];
-                        }
-                      }
-                    }
-                  }
-                }
-              };
-              const auto sweep = [&](auto icn_c) {
-                for (std::int64_t y0 = yr.lo; y0 < yr.hi;) {
-                  if (yr.hi - y0 >= 2) {
-                    rows(y0, std::integral_constant<std::int64_t, 2>{}, icn_c);
-                    y0 += 2;
-                  } else {
-                    rows(y0, std::integral_constant<std::int64_t, 1>{}, icn_c);
-                    y0 += 1;
-                  }
-                }
-              };
-              switch (icn) {
-                case 4:
-                  sweep(std::integral_constant<std::int64_t, 4>{});
-                  break;
-                case 3:
-                  sweep(std::integral_constant<std::int64_t, 3>{});
-                  break;
-                case 2:
-                  sweep(std::integral_constant<std::int64_t, 2>{});
-                  break;
-                default:
-                  sweep(std::integral_constant<std::int64_t, 1>{});
-                  break;
-              }
-#else
-              for (std::int64_t i = 0; i < icn; ++i) {
-                float* dplane = pd + (img * c + ic0 + i) * h * w;
-                const float* wtrow = wt0 + i * kko;
-                for (std::int64_t y = yr.lo; y < yr.hi; ++y) {
-                  const std::int64_t in_y = y * stride + kh - pad;
-                  float* dst_row = dplane + in_y * w + kw - pad;
-                  const float* gy0 = gimg + y * ow;  // oc stride is oh*ow
-                  for (std::int64_t x0 = xr.lo; x0 < xr.hi; x0 += XB) {
-                    const std::int64_t len = std::min(XB, xr.hi - x0);
-                    float acc[XB] = {};
-                    const float* g = gy0 + x0;
-                    for (std::int64_t oc = 0; oc < o; ++oc, g += ohow) {
-                      const float wv = wtrow[oc];
-                      for (std::int64_t l = 0; l < len; ++l) {
-                        acc[l] = madd(wv, g[l], acc[l]);
-                      }
-                    }
-                    for (std::int64_t l = 0; l < len; ++l) {
-                      dst_row[(x0 + l) * stride] += acc[l];
-                    }
-                  }
-                }
-              }
+      constexpr std::integral_constant<std::int64_t, 1> c1{};
+      constexpr std::integral_constant<std::int64_t, 2> c2{};
+      constexpr std::integral_constant<std::int64_t, 3> c3{};
+      constexpr std::integral_constant<std::int64_t, 4> c4{};
 #endif
+      for (std::int64_t y = oh - 1; y >= 0; --y) {
+        const TapRange kh = taps_inside(y, h);
+        if (kh.lo >= kh.hi) continue;
+#ifdef RPOL_LAYOUT_AVX2
+        if (kernel == 1) {
+          // A 1x1 position has a single tap, one chain per image: P
+          // positions of the row run together instead. Each dX element
+          // receives at most one tap, so no order binds them.
+          const std::int64_t x_lo = (pad + stride - 1) / stride;
+          const std::int64_t x_hi = std::min(ow, (w - 1 + pad) / stride + 1);
+          const auto tile = [&](std::int64_t x, auto p_c, auto ni_c) {
+            constexpr std::int64_t P = decltype(p_c)::value;
+            constexpr std::int64_t NI = decltype(ni_c)::value;
+            __m256 acc[NI * P];
+#pragma GCC unroll 8
+            for (std::int64_t t = 0; t < NI * P; ++t) {
+              acc[t] = _mm256_setzero_ps();
+            }
+            const float* g = gimg + y * ow + x;
+            const float* wv = wpanel;
+            for (std::int64_t oc = 0; oc < o; ++oc, g += ohow, wv += kBlock) {
+              const __m256 wk = _mm256_loadu_ps(wv);
+#pragma GCC unroll 2
+              for (std::int64_t im = 0; im < NI; ++im) {
+#pragma GCC unroll 4
+                for (std::int64_t q = 0; q < P; ++q) {
+                  acc[im * P + q] = _mm256_fmadd_ps(
+                      wk, _mm256_broadcast_ss(g + im * g_img + q),
+                      acc[im * P + q]);
+                }
+              }
+            }
+            float* dst =
+                dplane + ((y * stride - pad) * w + x * stride - pad) * kBlock;
+#pragma GCC unroll 2
+            for (std::int64_t im = 0; im < NI; ++im) {
+#pragma GCC unroll 4
+              for (std::int64_t q = 0; q < P; ++q) {
+                float* d = dst + im * d_img + q * stride * kBlock;
+                _mm256_storeu_ps(
+                    d, _mm256_add_ps(_mm256_loadu_ps(d), acc[im * P + q]));
+              }
+            }
+          };
+          const auto row = [&](auto ni_c) {
+            std::int64_t x = x_hi;
+            for (; x - 4 >= x_lo; x -= 4) tile(x - 4, c4, ni_c);
+            switch (x - x_lo) {
+              case 3:
+                tile(x_lo, c3, ni_c);
+                break;
+              case 2:
+                tile(x_lo, c2, ni_c);
+                break;
+              case 1:
+                tile(x_lo, c1, ni_c);
+                break;
+              default:
+                break;
+            }
+          };
+          if (ni == 2) {
+            row(c2);
+          } else {
+            row(c1);
+          }
+          continue;
+        }
+#endif
+        for (std::int64_t x = ow - 1; x >= 0; --x) {
+          const TapRange kw = taps_inside(x, w);
+          if (kw.lo >= kw.hi) continue;
+          // Tap (kh.lo, kw.lo) of this position: its weights, its dX element.
+          const float* wt = wpanel + (kh.lo * kernel + kw.lo) * o * kBlock;
+          const float* g = gimg + y * ow + x;
+          float* dst = dplane + ((y * stride + kh.lo - pad) * w +
+                                 (x * stride + kw.lo - pad)) * kBlock;
+#ifdef RPOL_LAYOUT_AVX2
+          // NH x NW taps for NI images, as NI*NH*NW independent chains; each
+          // chain is one dX element's serial ascending-oc dot.
+          const auto taps = [&](std::int64_t i0, auto nh_c, auto nw_c,
+                                auto ni_c) {
+            constexpr std::int64_t NH = decltype(nh_c)::value;
+            constexpr std::int64_t NW = decltype(nw_c)::value;
+            constexpr std::int64_t NI = decltype(ni_c)::value;
+            constexpr std::int64_t T = NH * NW;
+            __m256 acc[NI * T];
+#pragma GCC unroll 18
+            for (std::int64_t t = 0; t < NI * T; ++t) {
+              acc[t] = _mm256_setzero_ps();
+            }
+            const float* gi = g + i0 * g_img;
+            const float* wv = wt;
+            for (std::int64_t oc = 0; oc < o; ++oc, gi += ohow, wv += kBlock) {
+              __m256 gv[NI];
+#pragma GCC unroll 2
+              for (std::int64_t im = 0; im < NI; ++im) {
+                gv[im] = _mm256_broadcast_ss(gi + im * g_img);
+              }
+#pragma GCC unroll 3
+              for (std::int64_t a = 0; a < NH; ++a) {
+#pragma GCC unroll 3
+                for (std::int64_t b = 0; b < NW; ++b) {
+                  const __m256 wk =
+                      _mm256_loadu_ps(wv + (a * kernel + b) * o * kBlock);
+#pragma GCC unroll 2
+                  for (std::int64_t im = 0; im < NI; ++im) {
+                    acc[im * T + a * NW + b] =
+                        _mm256_fmadd_ps(wk, gv[im], acc[im * T + a * NW + b]);
+                  }
+                }
+              }
+            }
+#pragma GCC unroll 2
+            for (std::int64_t im = 0; im < NI; ++im) {
+#pragma GCC unroll 3
+              for (std::int64_t a = 0; a < NH; ++a) {
+#pragma GCC unroll 3
+                for (std::int64_t b = 0; b < NW; ++b) {
+                  float* d = dst + (i0 + im) * d_img + (a * w + b) * kBlock;
+                  _mm256_storeu_ps(d, _mm256_add_ps(_mm256_loadu_ps(d),
+                                                    acc[im * T + a * NW + b]));
+                }
+              }
+            }
+          };
+          const auto by_width = [&](std::int64_t i0, auto nh_c, auto ni_c) {
+            switch (kw.hi - kw.lo) {
+              case 1:
+                taps(i0, nh_c, c1, ni_c);
+                break;
+              case 2:
+                taps(i0, nh_c, c2, ni_c);
+                break;
+              default:
+                taps(i0, nh_c, c3, ni_c);
+                break;
+            }
+          };
+          const auto by_height = [&](std::int64_t i0, auto ni_c) {
+            switch (kh.hi - kh.lo) {
+              case 1:
+                by_width(i0, c1, ni_c);
+                break;
+              case 2:
+                by_width(i0, c2, ni_c);
+                break;
+              default:
+                by_width(i0, c3, ni_c);
+                break;
+            }
+          };
+          // Nine taps already give nine chains; fewer run both images.
+          if (ni == 2 && (kh.hi - kh.lo) * (kw.hi - kw.lo) < 9) {
+            by_height(0, c2);
+          } else {
+            for (std::int64_t im = 0; im < ni; ++im) by_height(im, c1);
+          }
+#else
+          // Scalar reference (RPOL_SIMD=OFF builds): one tap at a time, the
+          // same per-element chains.
+          for (std::int64_t im = 0; im < ni; ++im) {
+            for (std::int64_t a = 0; a < kh.hi - kh.lo; ++a) {
+              for (std::int64_t b = 0; b < kw.hi - kw.lo; ++b) {
+                float acc[kBlock] = {};
+                const float* gi = g + im * g_img;
+                const float* wv = wt + (a * kernel + b) * o * kBlock;
+                for (std::int64_t oc = 0; oc < o; ++oc) {
+                  const float gv = gi[oc * ohow];
+                  for (std::int64_t l = 0; l < kBlock; ++l) {
+                    acc[l] = madd(wv[oc * kBlock + l], gv, acc[l]);
+                  }
+                }
+                float* d = dst + im * d_img + (a * w + b) * kBlock;
+                for (std::int64_t l = 0; l < kBlock; ++l) d[l] += acc[l];
+              }
             }
           }
+#endif
         }
-      });
+      }
+      const std::int64_t lanes = std::min(kBlock, c - icb * kBlock);
+      for (std::int64_t im = 0; im < ni; ++im) {
+        block_to_planes(dplane + im * d_img, h * w, lanes,
+                        pd + ((img0 + im) * c + icb * kBlock) * h * w);
+      }
+    }
+  });
   return out;
 }
 

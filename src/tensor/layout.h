@@ -28,9 +28,10 @@
 //      serially, by one thread, in exactly the order im2col + GEMM uses:
 //      forward and backward-weights iterate taps as (ic, kh, kw) — the
 //      im2col patch-row order — and backward-data reduces over oc in
-//      ascending order (matmul_tn's k-order) before scattering in col2im's
-//      fixed (kh, kw, y, x) order. Register blocking only changes which
-//      elements share loop iterations, never one element's op sequence.
+//      ascending order (matmul_tn's k-order) and then adds each dX
+//      element's taps in col2im's ascending (kh, kw) order. Register
+//      blocking only changes which elements share loop iterations, never
+//      one element's op sequence.
 //
 //   2. Skipping a zero tap is exact. im2col + GEMM multiplies explicit
 //      zeros (im2col's padding entries, the zero-padded channel lanes);
@@ -91,15 +92,18 @@ Tensor oihw8i8o_to_oihw(const Tensor& blocked, const Conv2dSpec& spec);
 // All packed forms a Conv2d needs, derived from the (O, C*k*k) weight by
 // pure data movement. Rebuilt only when the weight version changes.
 struct ConvWeightPack {
-  Tensor blocked;     // OIhw8i8o, used by the forward kernel
-  Tensor transposed;  // (C*k*k, O) row-major W^T, used by backward-data
+  Tensor blocked;  // OIhw8i8o, used by the forward kernel
+  // Ihwo8i, used by backward-data: {blocks(C), k, k, O, 8}, input lanes
+  // innermost (padded lanes zeroed), so one vector load yields one tap of
+  // 8 input channels for one oc.
+  Tensor ihwo8i;
 };
 
 // Resident bytes of a cached pack, for the PackCache memory accounting
 // (tensor/packcache.h finds this by ADL).
 inline std::uint64_t pack_byte_size(const ConvWeightPack& pack) {
   return static_cast<std::uint64_t>(pack.blocked.numel() +
-                                    pack.transposed.numel()) *
+                                    pack.ihwo8i.numel()) *
          sizeof(float);
 }
 
@@ -130,10 +134,11 @@ void conv2d_direct_backward_weights(const Tensor& grad_blocked,
 
 // Backward-data: returns dX in NCHW, bitwise-identical to
 // col2im(matmul_tn(W, dY_gemm)). `grad_nchw` is dY in plain NCHW (as handed
-// to Conv2d::backward — no reorder needed); `weight_t` is the (C*k*k, O)
-// transposed weight from ConvWeightPack.
+// to Conv2d::backward — no reorder needed); `weight_ihwo8i` is the Ihwo8i
+// weight from ConvWeightPack. dX is accumulated in nChw8c, 8 input channels
+// per vector, and reordered to NCHW once.
 Tensor conv2d_direct_backward_data(const Tensor& grad_nchw,
-                                   const Tensor& weight_t,
+                                   const Tensor& weight_ihwo8i,
                                    const Conv2dSpec& spec,
                                    const Shape& input_shape);
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/async_pool.h"
 #include "data/partition.h"
 #include "task_fixture.h"
 
@@ -213,6 +214,80 @@ TEST(PoolConstruction, RejectsEmptyWorkerSet) {
   cfg.hp = task.hp;
   EXPECT_THROW(ShardedPool({cfg}, task.factory, task.dataset, split.test, {}),
                std::invalid_argument);
+}
+
+// With q < 1 no sample could fail, so a verifying pool would accept every
+// worker. MiningPool (under an RPoL scheme), ShardedPool and a verifying
+// AsyncMiningPool refuse such a config when they are built, before any
+// worker trains; a Baseline pool never samples and takes any q.
+TEST_F(PoolFixture, NoSamplesRefusedBeforeTraining) {
+  struct CountingPolicy : HonestPolicy {
+    explicit CountingPolicy(int& count) : trained(count) {}
+    EpochTrace produce_trace(StepExecutor& executor, const EpochContext& context,
+                             sim::DeviceExecution& device) override {
+      ++trained;
+      return HonestPolicy::produce_trace(executor, context, device);
+    }
+    StreamedTraceInfo stream_trace(StepExecutor& executor,
+                                   const EpochContext& context,
+                                   sim::DeviceExecution& device,
+                                   CheckpointSink& sink) override {
+      ++trained;
+      return HonestPolicy::stream_trace(executor, context, device, sink);
+    }
+    int& trained;
+  };
+  int trained = 0;
+  const auto devices = sim::all_devices();
+  const auto pool_workers = [&] {
+    std::vector<WorkerSpec> specs(2);
+    for (std::size_t w = 0; w < specs.size(); ++w) {
+      specs[w].policy = std::make_unique<CountingPolicy>(trained);
+      specs[w].device = devices[w];
+    }
+    return specs;
+  };
+  for (const std::int64_t q : {0, -1}) {
+    for (const Scheme scheme : {Scheme::kRPoLv1, Scheme::kRPoLv2}) {
+      PoolConfig cfg = config(scheme, 1);
+      cfg.samples_q = q;
+      EXPECT_THROW(MiningPool(cfg, task.factory, task.dataset, split->test,
+                              pool_workers()),
+                   std::invalid_argument)
+          << scheme_name(scheme) << " q=" << q;
+      EXPECT_THROW(
+          {
+            ShardedPool pool({cfg}, task.factory, task.dataset, split->test,
+                             pool_workers());
+            pool.run_epoch(0);
+          },
+          std::invalid_argument)
+          << scheme_name(scheme) << " q=" << q;
+    }
+    AsyncPoolConfig acfg;
+    acfg.hp = task.hp;
+    acfg.ticks = 2;
+    acfg.samples_q = q;
+    std::vector<AsyncWorkerSpec> async_workers(2);
+    for (std::size_t w = 0; w < async_workers.size(); ++w) {
+      async_workers[w].policy = std::make_unique<CountingPolicy>(trained);
+      async_workers[w].device = devices[w];
+    }
+    EXPECT_THROW(
+        {
+          AsyncMiningPool pool(acfg, task.factory, task.dataset, split->test,
+                               std::move(async_workers));
+          pool.run();
+        },
+        std::invalid_argument)
+        << "async q=" << q;
+  }
+  EXPECT_EQ(trained, 0);
+
+  PoolConfig baseline = config(Scheme::kBaseline, 1);
+  baseline.samples_q = 0;
+  EXPECT_NO_THROW(MiningPool(baseline, task.factory, task.dataset,
+                             split->test, pool_workers()));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "core/verifier.h"
@@ -123,6 +124,45 @@ TEST(StepExecutor, TrainingImprovesAccuracy) {
   const double after = exec.evaluate(view);
   EXPECT_GT(after, before + 0.2);
   EXPECT_GT(after, 0.5);  // well above 25% chance for 4 classes
+}
+
+// extract_trainable copies whole runs of the mask at once; it must return
+// exactly what the element-by-element rule returns.
+TEST(ExtractTrainable, MatchesElementwiseRuleOnEveryMaskShape) {
+  const auto elementwise = [](const std::vector<float>& state,
+                              const std::vector<bool>& mask) {
+    std::vector<float> out;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      if (mask[i]) out.push_back(state[i]);
+    }
+    return out;
+  };
+  nn::ModelConfig mc;
+  mc.image_size = 16;
+  mc.width = 8;
+  nn::Model model = nn::make_mini_resnet18(mc, /*blocks_per_stage=*/1);
+  std::vector<std::vector<bool>> masks = {model.trainable_mask(), {}};
+  // The model's mask interleaves BatchNorm buffers with trainable runs.
+  ASSERT_NE(std::count(masks[0].begin(), masks[0].end(), false), 0);
+  for (const std::size_t n : {1, 2, 7, 64, 1000}) {
+    masks.emplace_back(n, true);
+    masks.emplace_back(n, false);
+    std::vector<bool> alternating(n);
+    for (std::size_t i = 0; i < n; ++i) alternating[i] = i % 2 == 1;
+    masks.push_back(alternating);
+    alternating.flip();
+    masks.push_back(alternating);
+  }
+  for (const std::vector<bool>& mask : masks) {
+    std::vector<float> state(mask.size());
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      state[i] = static_cast<float>(i) * 0.5F - 3.0F;
+    }
+    EXPECT_EQ(extract_trainable(state, mask), elementwise(state, mask))
+        << "mask of " << mask.size();
+  }
+  EXPECT_THROW(extract_trainable(std::vector<float>(3), std::vector<bool>(4)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

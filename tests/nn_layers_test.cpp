@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <string>
+
 #include "nn/blocks.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
@@ -102,18 +106,36 @@ TEST(Conv2d, GradientCheckStride2NoBias) {
 // Outputs and gradients are compared with ASSERT_EQ on raw floats.
 
 TEST(Conv2d, DirectPathBitwiseMatchesFallbackForwardBackward) {
-  const std::vector<Conv2dSpec> specs = {
-      {5, 7, 3, 1, 1},   // unaligned channels
-      {8, 16, 3, 2, 1},  // stride 2
-      {8, 16, 1, 1, 0},  // 1x1
-      {3, 12, 1, 2, 0},  // 1x1 stride 2 (ResNet projection shortcut)
+  // Four small specs at batch 2 on 8x8, then every conv_pool conv at
+  // batch 1 and 3 on its own plane size.
+  struct Case {
+    Conv2dSpec spec;
+    std::int64_t batch, in_size;
   };
-  for (const Conv2dSpec& spec : specs) {
+  std::vector<Case> cases = {
+      {{5, 7, 3, 1, 1}, 2, 8},   // unaligned channels
+      {{8, 16, 3, 2, 1}, 2, 8},  // stride 2
+      {{8, 16, 1, 1, 0}, 2, 8},  // 1x1
+      {{3, 12, 1, 2, 0}, 2, 8},  // 1x1 stride 2 (ResNet projection shortcut)
+  };
+  for (const rpol::testing::ConvCase& c : rpol::testing::mini_resnet18_w8_convs()) {
+    cases.push_back({c.spec, 1, c.in_size});
+    cases.push_back({c.spec, 3, c.in_size});
+  }
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (const Case& c : cases) {
+    const Conv2dSpec& spec = c.spec;
+    SCOPED_TRACE(std::to_string(spec.in_channels) + "->" +
+                 std::to_string(spec.out_channels) + " k" +
+                 std::to_string(spec.kernel) + " s" +
+                 std::to_string(spec.stride) + " batch " +
+                 std::to_string(c.batch) + " in " + std::to_string(c.in_size));
     Rng rng(200);
     Conv2d conv(spec, rng, /*bias=*/true);
     conv.bias().value = random_input({spec.out_channels}, 203, 0.5F);
     conv.bias().mark_updated();
-    const Tensor x = random_input({2, spec.in_channels, 8, 8}, 201);
+    const Tensor x =
+        random_input({c.batch, spec.in_channels, c.in_size, c.in_size}, 201);
     Rng grng(202);
     const Tensor dy =
         Tensor::randn(conv.output_shape(x.shape()), grng, 0.5F);
@@ -127,17 +149,19 @@ TEST(Conv2d, DirectPathBitwiseMatchesFallbackForwardBackward) {
 
     ASSERT_EQ(y.shape(), y_ref.shape());
     for (std::int64_t i = 0; i < y_ref.numel(); ++i) {
-      ASSERT_EQ(y.at(i), y_ref.at(i)) << "forward el " << i;
+      ASSERT_EQ(bits(y.at(i)), bits(y_ref.at(i))) << "forward el " << i;
     }
     ASSERT_EQ(dx.shape(), ref.dx.shape());
     for (std::int64_t i = 0; i < ref.dx.numel(); ++i) {
-      ASSERT_EQ(dx.at(i), ref.dx.at(i)) << "dX el " << i;
+      ASSERT_EQ(bits(dx.at(i)), bits(ref.dx.at(i))) << "dX el " << i;
     }
     for (std::int64_t i = 0; i < ref.dw.numel(); ++i) {
-      ASSERT_EQ(conv.weight().grad.at(i), ref.dw.at(i)) << "dW el " << i;
+      ASSERT_EQ(bits(conv.weight().grad.at(i)), bits(ref.dw.at(i)))
+          << "dW el " << i;
     }
     for (std::int64_t i = 0; i < ref.db.numel(); ++i) {
-      ASSERT_EQ(conv.bias().grad.at(i), ref.db.at(i)) << "db el " << i;
+      ASSERT_EQ(bits(conv.bias().grad.at(i)), bits(ref.db.at(i)))
+          << "db el " << i;
     }
   }
 }
@@ -325,6 +349,56 @@ TEST(ReLU, ForwardAndBackwardMask) {
   EXPECT_EQ(dx.at(1), 10.0F);
   EXPECT_EQ(dx.at(2), 0.0F);
   EXPECT_EQ(dx.at(3), 10.0F);
+}
+
+// ReLU's rule, element by element: y = x where x > 0 and +0 everywhere
+// else (NaN and -0 included); the mask is 1 where x > 0 and +0 elsewhere,
+// and backward multiplies the incoming gradient by it. The layer must
+// match this bit for bit at every length, whatever its vector width.
+TEST(ReLU, MatchesScalarRuleBitwiseAtEveryLength) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float sub = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> specials = {
+      nan,  -nan, 0.0F,  -0.0F, inf,   -inf,  sub,   -sub,
+      std::numeric_limits<float>::min() / 2.0F,  // a larger subnormal
+      -std::numeric_limits<float>::min() / 2.0F,
+      1.5F, -2.25F, std::numeric_limits<float>::max(),
+      -std::numeric_limits<float>::max()};
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  std::vector<std::int64_t> lengths;
+  for (std::int64_t n = 0; n <= 33; ++n) lengths.push_back(n);
+  lengths.push_back(4097);
+  Rng rng(240);
+  for (const std::int64_t n : lengths) {
+    SCOPED_TRACE("length " + std::to_string(n));
+    Tensor x({n});
+    Tensor g({n});
+    for (std::int64_t i = 0; i < n; ++i) {
+      // Specials at shifting offsets, so each lands in every vector lane
+      // and in the scalar tail at some length; random values elsewhere.
+      const std::uint64_t pick = rng.next_below(2 * specials.size());
+      x.at(i) = pick < specials.size()
+                    ? specials[static_cast<std::size_t>(pick)]
+                    : rng.next_normal();
+      const std::uint64_t gpick = rng.next_below(2 * specials.size());
+      g.at(i) = gpick < specials.size()
+                    ? specials[static_cast<std::size_t>(gpick)]
+                    : rng.next_normal();
+    }
+    ReLU relu;
+    const Tensor y = relu.forward(x, true);
+    const Tensor dx = relu.backward(g);
+    ASSERT_EQ(y.shape(), x.shape());
+    ASSERT_EQ(dx.shape(), g.shape());
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float v = x.at(i);
+      const float want_y = v > 0.0F ? v : 0.0F;
+      const float mask = v > 0.0F ? 1.0F : 0.0F;
+      ASSERT_EQ(bits(y.at(i)), bits(want_y)) << "forward el " << i;
+      ASSERT_EQ(bits(dx.at(i)), bits(g.at(i) * mask)) << "backward el " << i;
+    }
+  }
 }
 
 TEST(MaxPool2d, SelectsMaxAndRoutesGradient) {

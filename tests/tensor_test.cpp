@@ -402,6 +402,50 @@ TEST(Layout, NchwBlockRoundTrip) {
   }
 }
 
+// Every element lands where the layout's index formula puts it, whether an
+// 8-pixel vector run, a scalar tail or the padding ring covers it.
+TEST(Layout, NchwBlockMatchesIndexFormula) {
+  Rng rng(45);
+  for (const std::int64_t c : {3, 8, 13}) {
+    for (const std::int64_t w : {2, 8, 9, 17}) {
+      for (const std::int64_t pad : {0, 1}) {
+        const std::int64_t n = 2, h = 3, cb = layout::blocks(c);
+        const std::int64_t hp = h + 2 * pad, wp = w + 2 * pad;
+        const Tensor x = Tensor::randn({n, c, h, w}, rng);
+        const Tensor blocked = layout::nchw_to_nchw8c(x, pad);
+        ASSERT_EQ(blocked.shape(), (Shape{n, cb, hp, wp, 8}));
+        for (std::int64_t img = 0; img < n; ++img) {
+          for (std::int64_t ch = 0; ch < cb * 8; ++ch) {
+            for (std::int64_t y = 0; y < hp; ++y) {
+              for (std::int64_t xx = 0; xx < wp; ++xx) {
+                const std::int64_t iy = y - pad, ix = xx - pad;
+                const bool inside = ch < c && iy >= 0 && iy < h && ix >= 0 &&
+                                    ix < w;
+                const float want =
+                    inside ? x.at(((img * c + ch) * h + iy) * w + ix) : 0.0F;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(blocked.at(
+                              (((img * cb + ch / 8) * hp + y) * wp + xx) * 8 +
+                              ch % 8)),
+                          std::bit_cast<std::uint32_t>(want))
+                    << "c=" << c << " w=" << w << " pad=" << pad;
+              }
+            }
+          }
+        }
+        if (pad == 0) {
+          const Tensor back = layout::nchw8c_to_nchw(blocked, c);
+          ASSERT_EQ(back.shape(), x.shape());
+          for (std::int64_t i = 0; i < x.numel(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(back.at(i)),
+                      std::bit_cast<std::uint32_t>(x.at(i)))
+                << "c=" << c << " w=" << w;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Layout, NchwBlockPadsLanesWithZeros) {
   Rng rng(43);
   const std::int64_t c = 5;  // 3 padded lanes in the single block
@@ -501,24 +545,40 @@ TEST(Layout, DirectBackwardWeightsBitwiseEqualsGemm) {
 
 TEST(Layout, DirectBackwardDataBitwiseEqualsGemm) {
   Rng rng(67);
-  for (const Conv2dSpec spec :
-       {Conv2dSpec{5, 7, 3, 1, 1}, Conv2dSpec{4, 6, 3, 2, 1},
-        Conv2dSpec{5, 9, 1, 1, 0}}) {
-    const Shape in_shape{2, spec.in_channels, 6, 6};
-    const std::int64_t oh = spec.out_size(6), ow = spec.out_size(6);
+  // Three small specs at batch 2, then every conv_pool conv at batch 1
+  // and 3: planes from 16x16 down to 2x2, where most taps of a position
+  // fall outside the input.
+  struct Case {
+    Conv2dSpec spec;
+    std::int64_t batch, in_size;
+  };
+  std::vector<Case> cases = {{{5, 7, 3, 1, 1}, 2, 6},
+                             {{4, 6, 3, 2, 1}, 2, 6},
+                             {{5, 9, 1, 1, 0}, 2, 6}};
+  for (const rpol::testing::ConvCase& c : rpol::testing::mini_resnet18_w8_convs()) {
+    cases.push_back({c.spec, 1, c.in_size});
+    cases.push_back({c.spec, 3, c.in_size});
+  }
+  for (const Case& c : cases) {
+    const Conv2dSpec& spec = c.spec;
+    const Shape in_shape{c.batch, spec.in_channels, c.in_size, c.in_size};
+    const std::int64_t oh = spec.out_size(c.in_size);
     const Tensor w = Tensor::randn(
         {spec.out_channels, spec.in_channels * spec.kernel * spec.kernel}, rng);
-    const Tensor dy = Tensor::randn({2, spec.out_channels, oh, ow}, rng);
+    const Tensor dy = Tensor::randn({c.batch, spec.out_channels, oh, oh}, rng);
     // dX does not read X; a zero input only shapes the oracle.
     const Tensor ref =
         rpol::testing::conv_ref_backward(Tensor(in_shape), w, dy, spec).dx;
     const layout::ConvWeightPack pack = layout::make_conv_weight_pack(w, spec);
-    const Tensor got = layout::conv2d_direct_backward_data(dy, pack.transposed,
-                                                           spec, in_shape);
+    const Tensor got =
+        layout::conv2d_direct_backward_data(dy, pack.ihwo8i, spec, in_shape);
+    ASSERT_EQ(got.shape(), ref.shape());
     for (std::int64_t i = 0; i < ref.numel(); ++i) {
-      ASSERT_EQ(got.at(i), ref.at(i))
-          << "kernel=" << spec.kernel << " stride=" << spec.stride
-          << " element " << i;
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got.at(i)),
+                std::bit_cast<std::uint32_t>(ref.at(i)))
+          << spec.in_channels << "->" << spec.out_channels
+          << " kernel=" << spec.kernel << " stride=" << spec.stride
+          << " batch=" << c.batch << " in=" << c.in_size << " element " << i;
     }
   }
 }

@@ -102,6 +102,26 @@ inline Tensor conv_ref_forward(const Tensor& x, const Tensor& w,
   return out;
 }
 
+// A conv spec and the square input it runs on.
+struct ConvCase {
+  Conv2dSpec spec;
+  std::int64_t in_size = 0;
+};
+
+// Every conv MiniResNet18 (width 8, one block per stage) runs on a 16x16
+// input — the conv_pool model — plus two unaligned channel counts.
+inline std::vector<ConvCase> mini_resnet18_w8_convs() {
+  return {
+      {{3, 8, 3, 1, 1}, 16},   {{8, 8, 3, 1, 1}, 16},
+      {{8, 16, 3, 2, 1}, 16},  {{16, 16, 3, 1, 1}, 8},
+      {{16, 32, 3, 2, 1}, 8},  {{32, 32, 3, 1, 1}, 4},
+      {{32, 64, 3, 2, 1}, 4},  {{64, 64, 3, 1, 1}, 2},
+      {{8, 16, 1, 2, 0}, 16},  {{16, 32, 1, 2, 0}, 8},
+      {{32, 64, 1, 2, 0}, 4},  {{5, 7, 3, 1, 1}, 16},
+      {{3, 12, 1, 2, 0}, 16},
+  };
+}
+
 struct ConvRefGrads {
   Tensor dx;  // NCHW, like x
   Tensor dw;  // (O, C*k*k), like w

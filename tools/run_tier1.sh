@@ -15,7 +15,13 @@
 # ISA builds, the scalar direct conv kernels, Conv2d's only path in that
 # build, must match the im2col + GEMM oracle bit for bit, and the scalar
 # LSH projection loop must reproduce the buckets and commitment roots the
-# 16-row AVX2 kernel gives.
+# 16-row AVX2 kernel gives. The oracle sweep (tensor_test's
+# DirectBackwardDataBitwiseEqualsGemm, nn_layers_test's
+# DirectPathBitwiseMatchesFallbackForwardBackward) covers every conv of the
+# conv_pool model, MiniResNet18 width 8 on 16x16 inputs with planes down to
+# 2x2, at batch 1 and 3, in both trees; nn_layers_test's ReLU sweep holds
+# the vector and scalar loops to the scalar rule (NaN, +-0, +-inf,
+# subnormals; lengths 0-33 and 4097).
 # Shard count needs no pass of its own: in every pass, runtime_determinism_test
 # reproduces the pool golden and the streamed-pool result at several shard
 # counts.
